@@ -13,7 +13,7 @@ switch applies to built-in defaults only and cannot be combined with an
 explicit --config.
 
 Exit codes: 0 success, 2 configuration error (message names the field),
-3 solver failure (message names the step).
+3 solver or coefficient failure (message names the step).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import sys
 from pathlib import Path
 
+from .forms import CoefficientBlowupError
 from .meshing import generate_disk_mesh, save_mesh
 from .studies import (ConfigError, StudyConfig, config_from_dict, load_config,
                       run_single, run_spatial_study, run_temporal_study)
@@ -144,6 +145,9 @@ def main(argv=None) -> int:
         return 2
     except StepFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except CoefficientBlowupError as exc:
+        print(f"coefficient failure: {exc}", file=sys.stderr)
         return 3
 
 

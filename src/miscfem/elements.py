@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshing import Mesh
+from .meshing import Mesh, edge_table
 
 # Symmetric positive-weight rules on the reference triangle, exact through
 # the stated polynomial degree.  Points are barycentric; weights sum to the
@@ -153,28 +153,16 @@ class DofMap:
 
 
 def build_dofmap(mesh: Mesh, order: int) -> DofMap:
-    """Number dofs: vertices first, then (P2) one dof per undirected edge."""
+    """Number dofs: vertices first, then (P2) one dof per undirected edge,
+    in the order of :func:`~miscfem.meshing.edge_table`."""
     if order == 1:
         cell_dofs = mesh.triangles.copy()
         coords = mesh.vertices.copy()
     elif order == 2:
-        tris = mesh.triangles
-        edges = {}
-        cell_dofs = np.empty((mesh.num_triangles, 6), dtype=np.int64)
-        cell_dofs[:, :3] = tris
-        V = mesh.num_vertices
-        mids = []
-        for t in range(tris.shape[0]):
-            for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-                va, vb = int(tris[t, a]), int(tris[t, b])
-                key = (min(va, vb), max(va, vb))
-                dof = edges.get(key)
-                if dof is None:
-                    dof = V + len(edges)
-                    edges[key] = dof
-                    mids.append(0.5 * (mesh.vertices[va] + mesh.vertices[vb]))
-                cell_dofs[t, 3 + k] = dof
-        coords = np.vstack([mesh.vertices, np.asarray(mids)])
+        edges, _, _, cell_edges = edge_table(mesh.triangles)
+        cell_dofs = np.hstack([mesh.triangles, mesh.num_vertices + cell_edges])
+        mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+        coords = np.vstack([mesh.vertices, mids])
     else:
         raise ValueError(f"unsupported element order {order}")
     cell_dofs.flags.writeable = False

@@ -21,10 +21,16 @@ at all (``velocity_coupling="none"``): the velocity then enters transport
 only through the dispersion coefficient, and no convection matrix is
 assembled.
 
+The Darcy velocity reaches transport only at the volume quadrature
+points, through D(u) and the convection term; the skew boundary
+correction takes u.n from the prescribed ``pressure_flux`` datum, so no
+velocity trace on the boundary is ever formed.
+
 A ``Discretization`` bundles everything reusable across time steps:
 dof maps, quadrature tabulations, per-triangle affine geometry, scatter
-index patterns, the (time-independent) linear mass matrix and the
-quadratic load vector of basis integrals.
+index patterns, the (time-independent) linear mass matrix, the
+quadratic load vector of basis integrals, and the boundary-edge traces
+of the bases that the wall-flux terms need.
 """
 
 from __future__ import annotations
@@ -96,13 +102,10 @@ class ProblemCoefficients:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Darcy velocity sampled where assembly and error norms need it:
-    at the volume quadrature points of every cell and at the boundary-edge
-    quadrature points (with the outward normal trace)."""
+    """Darcy velocity at the volume quadrature points of every cell, the
+    only place assembly and the error norms read it."""
 
     cell_values: np.ndarray        # (T, Q, 2)
-    edge_values: np.ndarray        # (B, Qe, 2)
-    edge_normal_trace: np.ndarray  # (B, Qe)
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,15 @@ class ConcentrationSystem:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Geometry- and space-dependent data reused across all time steps."""
+    """Geometry- and space-dependent data reused across all time steps.
+
+    The ``edge_*`` arrays tabulate the boundary edges, each in its owning
+    triangle's reference frame; they carry the wall-flux terms of both
+    systems and the skew boundary correction."""
 
     mesh: Mesh
     p1: DofMap
     p2: DofMap
-    quad_degree: int
     cell_weights: np.ndarray       # (T, Q) quadrature weight * |det J|
     quad_points: np.ndarray        # (T, Q, 2) physical coordinates
     p1_values: np.ndarray          # (Q, 3)
@@ -144,7 +150,6 @@ class Discretization:
     edge_points: np.ndarray        # (B, Qe, 2)
     edge_p1_values: np.ndarray     # (B, Qe, 3) traces of the owner's basis
     edge_p2_values: np.ndarray     # (B, Qe, 6)
-    edge_p2_grads: np.ndarray      # (B, Qe, 6, 2)
     edge_rows1: np.ndarray
     edge_cols1: np.ndarray
 
@@ -184,32 +189,24 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     # boundary-edge tabulations in the owning triangle's reference frame
     s, ws = edge_quadrature()
     B = mesh.num_boundary_edges
-    Qe = s.size
-    btris = mesh.boundary_tris
-    bary = np.zeros((B, Qe, 3))
-    for b in range(B):
-        va, vb = mesh.boundary_edges[b]
-        tri = mesh.triangles[btris[b]]
-        ia = int(np.where(tri == va)[0][0])
-        ib = int(np.where(tri == vb)[0][0])
-        bary[b, :, ia] = 1.0 - s
-        bary[b, :, ib] = s
+    owner = mesh.triangles[mesh.boundary_tris]
+    ends = mesh.boundary_edges
+    bary = ((1.0 - s)[None, :, None] * (owner == ends[:, :1])[:, None, :]
+            + s[None, :, None] * (owner == ends[:, 1:])[:, None, :])
     edge_p1_values, _ = reference_basis(1, bary)
-    edge_p2_values, e2_ref_grads = reference_basis(2, bary)
-    edge_p2_grads = np.einsum("bac,bqic->bqia", invJT[btris], e2_ref_grads)
+    edge_p2_values, _ = reference_basis(2, bary)
 
-    pa = mesh.vertices[mesh.boundary_edges[:, 0]]
-    pb = mesh.vertices[mesh.boundary_edges[:, 1]]
+    pa, pb = mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]]
     lengths = np.hypot(*(pb - pa).T)
     edge_weights = ws[None, :] * lengths[:, None]
     edge_points = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
 
-    ecell1 = cell1[btris]
+    ecell1 = cell1[mesh.boundary_tris]
     edge_rows1 = np.broadcast_to(ecell1[:, :, None], (B, 3, 3)).ravel()
     edge_cols1 = np.broadcast_to(ecell1[:, None, :], (B, 3, 3)).ravel()
 
     return Discretization(
-        mesh=mesh, p1=p1, p2=p2, quad_degree=quad_degree,
+        mesh=mesh, p1=p1, p2=p2,
         cell_weights=cell_weights, quad_points=quad_points,
         p1_values=p1_values, p2_values=p2_values,
         p1_grads=p1_grads, p2_grads=p2_grads,
@@ -218,7 +215,6 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
         rows1=rows1, cols1=cols1, rows2=rows2, cols2=cols2,
         edge_weights=edge_weights, edge_points=edge_points,
         edge_p1_values=edge_p1_values, edge_p2_values=edge_p2_values,
-        edge_p2_grads=edge_p2_grads,
         edge_rows1=edge_rows1, edge_cols1=edge_cols1)
 
 
@@ -236,21 +232,17 @@ def _eval_wall_flux(disc, func, t):
     return np.broadcast_to(np.asarray(out, dtype=np.float64), ex.shape)
 
 
-def _viscosity_at(disc, coeffs, c_prev, values, cell_dofs):
-    """Viscosity at quadrature points from nodal concentrations (with the
-    blow-up guard) together with the concentration samples themselves."""
-    c_local = c_prev[cell_dofs]
-    if values.ndim == 2:                       # shared tabulation (Q, 3)
-        c_q = np.einsum("qi,ti->tq", values, c_local)
-    else:                                      # per-edge tabulation (B, Qe, 3)
-        c_q = np.einsum("bqi,bi->bq", values, c_local)
+def _viscosity_at(coeffs, c_prev, values, cell_dofs):
+    """Viscosity at the volume quadrature points from nodal
+    concentrations, with the blow-up guard."""
+    c_q = np.einsum("qi,ti->tq", values, c_prev[cell_dofs])
     mu = np.asarray(coeffs.viscosity(c_q), dtype=np.float64)
     lo, hi = coeffs.viscosity_bounds
     if mu.min() < 0.5 * lo or mu.max() > 2.0 * hi:
         raise CoefficientBlowupError(
             f"viscosity range [{mu.min():.6g}, {mu.max():.6g}] left the "
             f"admissible band [{0.5 * lo:.6g}, {2.0 * hi:.6g}]")
-    return mu, c_q
+    return mu
 
 
 def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
@@ -263,8 +255,7 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     defect exceeds 1e-2 of the right-hand side norm.
     """
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    mu, _ = _viscosity_at(disc, coeffs, c_prev, disc.p1_values,
-                          disc.p1.cell_dofs)
+    mu = _viscosity_at(coeffs, c_prev, disc.p1_values, disc.p1.cell_dofs)
     mobility = _eval_field(coeffs.permeability, x, y) / mu
     scaled = (mobility * disc.cell_weights)[:, :, None, None] * disc.p2_grads
     local = np.einsum("tqia,tqja->tij", scaled, disc.p2_grads)
@@ -305,31 +296,17 @@ def compute_velocity(disc: Discretization, coeffs: ProblemCoefficients,
                      c_prev: np.ndarray, p_coeffs: np.ndarray) -> VelocityField:
     """Darcy velocity -(k/mu(c_prev)) grad p at the quadrature points."""
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    mu, _ = _viscosity_at(disc, coeffs, c_prev, disc.p1_values,
-                          disc.p1.cell_dofs)
+    mu = _viscosity_at(coeffs, c_prev, disc.p1_values, disc.p1.cell_dofs)
     mobility = _eval_field(coeffs.permeability, x, y) / mu
     grad_p = np.einsum("tqia,ti->tqa", disc.p2_grads,
                        p_coeffs[disc.p2.cell_dofs])
-    cell_values = -mobility[:, :, None] * grad_p
-
-    btris = disc.mesh.boundary_tris
-    ex, ey = disc.edge_points[..., 0], disc.edge_points[..., 1]
-    mu_e, _ = _viscosity_at(disc, coeffs, c_prev, disc.edge_p1_values,
-                            disc.p1.cell_dofs[btris])
-    mobility_e = _eval_field(coeffs.permeability, ex, ey) / mu_e
-    grad_p_e = np.einsum("bqia,bi->bqa", disc.edge_p2_grads,
-                         p_coeffs[disc.p2.cell_dofs[btris]])
-    edge_values = -mobility_e[:, :, None] * grad_p_e
-    trace = np.einsum("bqa,ba->bq", edge_values,
-                      disc.mesh.boundary_normals)
-    return VelocityField(cell_values=cell_values, edge_values=edge_values,
-                         edge_normal_trace=trace)
+    return VelocityField(cell_values=-mobility[:, :, None] * grad_p)
 
 
 def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
                            c_prev: np.ndarray, velocity: VelocityField,
                            tau: float, t: float,
-                           mode: str = "skew") -> ConcentrationSystem:
+                           mode: str = "direct") -> ConcentrationSystem:
     """Backward-Euler transport system at time level t with step tau.
 
     The unknown is the new concentration; diffusion uses the dispersion

@@ -93,6 +93,28 @@ def _freeze(mesh: Mesh) -> Mesh:
     return mesh
 
 
+def edge_table(triangles):
+    """Number the undirected edges of a triangulation in the order a walk
+    over (triangle, local edge k from corner k to corner (k+1) % 3) first
+    meets them.  Returns ``edges`` (E, 2), directed as in ``owners`` (E,),
+    the first triangle that has the edge; ``counts`` (E,), the number of
+    triangles sharing it; and ``cell_edges`` (T, 3), the edge numbers of
+    each triangle's local edges."""
+    tails = triangles.ravel()
+    heads = triangles[:, [1, 2, 0]].ravel()
+    keys = (np.minimum(tails, heads) * (int(triangles.max()) + 1)
+            + np.maximum(tails, heads))
+    _, first, inverse, counts = np.unique(keys, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    first = first[order]
+    return (np.column_stack([tails[first], heads[first]]), first // 3,
+            counts[order], number[inverse].reshape(-1, 3))
+
+
 def _boundary_structure(vertices, triangles, start_vertex=None):
     """Extract the boundary cycle, owning triangles and outward normals.
 
@@ -100,45 +122,36 @@ def _boundary_structure(vertices, triangles, start_vertex=None):
     then have the domain on their left, so the outward normal of edge
     (a, b) is the tangent rotated by -90 degrees.
     """
-    edge_owner = {}
-    for t, tri in enumerate(triangles):
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            key = (min(a, b), max(a, b))
-            edge_owner.setdefault(key, []).append((t, a, b))
-
-    successors = {}
-    for key, owners in edge_owner.items():
-        if len(owners) == 1:
-            t, a, b = owners[0]
-            if a in successors:
-                raise MeshConstructionError(
-                    f"boundary is not a simple cycle at vertex {a}")
-            successors[a] = (b, t)
-        elif len(owners) != 2:
-            raise MeshConstructionError(
-                f"edge {key} is shared by {len(owners)} triangles")
-
-    if not successors:
+    edges, owners, counts, _ = edge_table(triangles)
+    if counts.max() > 2:
+        i = np.argmax(counts > 2)
+        raise MeshConstructionError(f"edge {tuple(sorted(edges[i].tolist()))} "
+                                    f"is shared by {counts[i]} triangles")
+    if counts.min() > 1:
         raise MeshConstructionError("mesh has no boundary edges")
+    tails, heads = edges[counts == 1].T
+    owners = owners[counts == 1]
+    vertex, starts = np.unique(tails, return_counts=True)
+    if starts.max() > 1:
+        raise MeshConstructionError(f"boundary is not a simple cycle at "
+                                    f"vertex {vertex[np.argmax(starts)]}")
 
-    start = start_vertex if start_vertex is not None else min(successors)
-    edges, tris = [], []
-    a = start
-    for _ in range(len(successors)):
-        b, t = successors[a]
-        edges.append((a, b))
-        tris.append(t)
-        a = b
-    if a != start or len(edges) != len(successors):
+    # walk from the start vertex along the boundary edge leaving each vertex
+    leaving = np.full(vertices.shape[0], -1)
+    leaving[tails] = np.arange(tails.size)
+    start = tails.min() if start_vertex is None else start_vertex
+    cycle = [leaving[start]]
+    while cycle[-1] >= 0 and heads[cycle[-1]] != start \
+            and len(cycle) < tails.size:
+        cycle.append(leaving[heads[cycle[-1]]])
+    if cycle[-1] < 0 or heads[cycle[-1]] != start or len(cycle) < tails.size:
         raise MeshConstructionError("boundary edges do not form a closed cycle")
 
-    edges = np.asarray(edges, dtype=np.int64)
-    tris = np.asarray(tris, dtype=np.int64)
+    edges = np.column_stack([tails[cycle], heads[cycle]])
     tangents = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     lengths = np.hypot(tangents[:, 0], tangents[:, 1])
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
-    return edges, tris, normals
+    return edges, owners[cycle], normals
 
 
 def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:

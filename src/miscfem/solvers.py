@@ -55,7 +55,7 @@ def _symmetry_defect(A) -> float:
 
 
 def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
-                jacobi=False, callback=None):
+                jacobi=False):
     """Conjugate gradients, optionally deflated against one vector.
 
     With ``deflate = m`` the iteration runs in the subspace orthogonal to m
@@ -71,7 +71,6 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
         iteration subspace
     deflate : vector m or None
     jacobi : precondition with inverse diagonal (projected PCG)
-    callback : called with the current iterate after each update
 
     Returns
     -------
@@ -133,8 +132,6 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
         x += alpha * p
         r -= alpha * Ap
         iterations += 1
-        if callback is not None:
-            callback(x.copy())
         rnorm = float(np.linalg.norm(r))
         if rnorm / bnorm <= rel_tol:
             return x, SolveReport(iterations, rnorm / bnorm, True)

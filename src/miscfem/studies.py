@@ -13,6 +13,7 @@ fixed config (wall-clock timings live only in the JSON report).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -70,6 +71,12 @@ _SCHEMA_KEYS = {"case", "mesh_M", "tau", "T", "mode", "pressure_tol",
                 "dump_fields", "dump_steps", "output_dir"}
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def config_from_dict(data: dict) -> StudyConfig:
     """Validate a JSON-style dict against the config schema.
 
@@ -85,6 +92,8 @@ def config_from_dict(data: dict) -> StudyConfig:
       dump_fields: write VTK fields (false)
       dump_steps: extra step indices to dump ([])
       output_dir: report directory ("miscfem-out")
+
+    Numbers must be finite; booleans never count as numbers.
     """
     if not isinstance(data, dict):
         raise ConfigError("<root>", "must be a JSON object")
@@ -108,17 +117,18 @@ def config_from_dict(data: dict) -> StudyConfig:
             raise ConfigError(f"mesh_M[{i}]", f"must be an integer >= 8, got {m!r}")
 
     final_time = data.get("T", 1.0)
-    if not isinstance(final_time, (int, float)) or final_time <= 0:
-        raise ConfigError("T", f"must be a positive number, got {final_time!r}")
+    if not _is_number(final_time) or final_time <= 0:
+        raise ConfigError("T", f"must be a finite positive number, got {final_time!r}")
 
     time_steps = _as_list("tau", data.get("tau", [1.0 / 32.0]))
     if not time_steps:
         raise ConfigError("tau", "must be a nonempty list")
     for i, tau in enumerate(time_steps):
-        if not isinstance(tau, (int, float)) or tau <= 0:
-            raise ConfigError(f"tau[{i}]", f"must be a positive number, got {tau!r}")
+        if not _is_number(tau) or tau <= 0:
+            raise ConfigError(f"tau[{i}]", f"must be a finite positive number, got {tau!r}")
         steps = final_time / tau
-        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        if not math.isfinite(steps) or \
+                abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ConfigError(f"tau[{i}]",
                               f"T/tau = {steps!r} is not an integer")
 
@@ -128,12 +138,12 @@ def config_from_dict(data: dict) -> StudyConfig:
 
     def _positive(key, default):
         v = data.get(key, default)
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(key, f"must be a positive number, got {v!r}")
+        if not _is_number(v) or v <= 0:
+            raise ConfigError(key, f"must be a finite positive number, got {v!r}")
         return float(v)
 
     quad_degree = data.get("quad_degree", 4)
-    if quad_degree not in (1, 2, 3, 4, 5, 6):
+    if isinstance(quad_degree, bool) or quad_degree not in (1, 2, 3, 4, 5, 6):
         raise ConfigError("quad_degree", f"must be in 1..6, got {quad_degree!r}")
 
     dump_fields = data.get("dump_fields", False)
@@ -141,7 +151,8 @@ def config_from_dict(data: dict) -> StudyConfig:
         raise ConfigError("dump_fields", "must be a boolean")
     dump_steps = data.get("dump_steps", [])
     if not isinstance(dump_steps, list) or \
-            any(not isinstance(s, int) or s < 0 for s in dump_steps):
+            any(not isinstance(s, int) or isinstance(s, bool) or s < 0
+                for s in dump_steps):
         raise ConfigError("dump_steps", "must be a list of step indices >= 0")
     output_dir = data.get("output_dir", "miscfem-out")
     if not isinstance(output_dir, str) or not output_dir:

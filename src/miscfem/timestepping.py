@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .elements import interpolate
-from .forms import (Discretization, ProblemCoefficients, VelocityField,
+from .forms import (CoefficientBlowupError, Discretization,
+                    ProblemCoefficients, VelocityField,
                     assemble_concentration, assemble_pressure,
                     compute_velocity)
 from .solvers import SolveReport, cg_deflated, gmres
@@ -60,10 +61,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Tolerances of the Jacobi-preconditioned pressure CG and transport
+    GMRES solves, and an iteration cap for both (None: solver default)."""
+
     pressure_tol: float = 1e-11
     concentration_tol: float = 1e-10
-    pressure_jacobi: bool = True
-    gmres_restart: int = 30
     max_iter: Optional[int] = None
 
 
@@ -93,14 +95,21 @@ class StepRecord:
     concentration_iterations: int
 
 
-def _solve_pressure(disc, coeffs, c_prev, t, options, x0=None):
-    system = assemble_pressure(disc, coeffs, c_prev, t)
-    p, report = cg_deflated(system.matrix, system.rhs,
-                            deflate=system.mass_vector,
-                            rel_tol=options.pressure_tol,
-                            max_iter=options.max_iter,
-                            x0=x0, jacobi=options.pressure_jacobi)
-    return p, report
+def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None):
+    """Pressure solve and Darcy velocity for the concentration c at time t;
+    a failed solve or a viscosity blow-up names step n."""
+    try:
+        system = assemble_pressure(disc, coeffs, c, t)
+        p, report = cg_deflated(system.matrix, system.rhs,
+                                deflate=system.mass_vector,
+                                rel_tol=options.pressure_tol,
+                                max_iter=options.max_iter,
+                                x0=x0, jacobi=True)
+        if not report.converged:
+            raise StepFailure(n, "pressure", report)
+        return p, compute_velocity(disc, coeffs, c, p), report
+    except CoefficientBlowupError as exc:
+        raise CoefficientBlowupError(f"at step {n}: {exc}") from None
 
 
 def initialize(disc: Discretization, coeffs: ProblemCoefficients,
@@ -108,17 +117,15 @@ def initialize(disc: Discretization, coeffs: ProblemCoefficients,
                options: SolverOptions = SolverOptions()) -> TimeStepState:
     """Interpolate the initial concentration and solve the initial pressure."""
     c0 = interpolate(disc.p1, coeffs.initial_concentration)
-    p0, report = _solve_pressure(disc, coeffs, c0, 0.0, options)
-    if not report.converged:
-        raise StepFailure(0, "pressure", report)
-    velocity = compute_velocity(disc, coeffs, c0, p0)
+    p0, velocity, report = _pressure_and_velocity(disc, coeffs, c0, 0.0,
+                                                  options, 0)
     return TimeStepState(step_index=0, pressure_level=0,
                          pressure=p0, velocity=velocity, concentration=c0,
                          pressure_report=report, concentration_report=None)
 
 
 def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
-         state: TimeStepState, mode: str = "skew",
+         state: TimeStepState, mode: str = "direct",
          options: SolverOptions = SolverOptions()) -> TimeStepState:
     """Advance one level: lagged pressure, then the transport solve."""
     n = state.step_index + 1
@@ -130,18 +137,14 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
         p, velocity, p_report = (state.pressure, state.velocity,
                                  state.pressure_report)
     else:
-        p, p_report = _solve_pressure(disc, coeffs, state.concentration,
-                                      grid.time(state.step_index), options,
-                                      x0=state.pressure)
-        if not p_report.converged:
-            raise StepFailure(n, "pressure", p_report)
-        velocity = compute_velocity(disc, coeffs, state.concentration, p)
+        p, velocity, p_report = _pressure_and_velocity(
+            disc, coeffs, state.concentration, grid.time(state.step_index),
+            options, n, x0=state.pressure)
 
     system = assemble_concentration(disc, coeffs, state.concentration,
                                     velocity, grid.tau, grid.time(n), mode)
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
-                        restart=options.gmres_restart,
                         max_iter=options.max_iter,
                         x0=state.concentration)
     if not c_report.converged:
@@ -158,18 +161,15 @@ def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     """Extra pressure solve so pressure and concentration share a level."""
     if state.pressure_level == state.step_index:
         return state
-    p, report = _solve_pressure(disc, coeffs, state.concentration,
-                                grid.time(state.step_index), options,
-                                x0=state.pressure)
-    if not report.converged:
-        raise StepFailure(state.step_index, "pressure", report)
-    velocity = compute_velocity(disc, coeffs, state.concentration, p)
+    p, velocity, report = _pressure_and_velocity(
+        disc, coeffs, state.concentration, grid.time(state.step_index),
+        options, state.step_index, x0=state.pressure)
     return replace(state, pressure_level=state.step_index, pressure=p,
                    velocity=velocity, pressure_report=report)
 
 
 def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
-        mode: str = "skew", options: SolverOptions = SolverOptions(),
+        mode: str = "direct", options: SolverOptions = SolverOptions(),
         observers=()) -> tuple[TimeStepState, list[StepRecord]]:
     """March all steps; returns the finalized state and per-step records.
 

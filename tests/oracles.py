@@ -85,3 +85,25 @@ def write_unit_triangle_mesh(path):
         "triangles": [[0, 1, 2]],
         "boundary_edges": [[0, 1], [1, 2], [2, 0]]}))
     return path
+
+
+def p2_dofmap_oracle(mesh):
+    """Quadratic dof layout by a plain walk over the triangles: vertex
+    dofs first, then one dof per undirected edge, numbered in the order
+    the walk over (triangle, local edge (0,1), (1,2), (2,0)) first meets
+    it.  Returns (cell_dofs, dof_coords)."""
+    V = mesh.num_vertices
+    numbers = {}
+    cell_dofs = []
+    mids = []
+    for tri in mesh.triangles.tolist():
+        row = list(tri)
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            if key not in numbers:
+                numbers[key] = V + len(numbers)
+                mids.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+            row.append(numbers[key])
+        cell_dofs.append(row)
+    return (np.array(cell_dofs, dtype=np.int64),
+            np.vstack([mesh.vertices, np.array(mids)]))

@@ -1,7 +1,9 @@
 """Command-line front end: verbs, flag handling, outputs, exit codes."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from miscfem import load_mesh
@@ -118,3 +120,31 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "pressure" in err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"mesh_M": [8], "T": NaN}')
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "'T'" in err
+
+
+def test_viscosity_blowup_exits_3(tmp_path, capsys, monkeypatch):
+    """A concentration that leaves the viscosity band ends as exit 3 with
+    the step named, not as a traceback."""
+    from miscfem import studies
+    from miscfem.manufactured import problem_coefficients
+
+    def wild_start(sol, **kwargs):
+        coeffs = problem_coefficients(sol, **kwargs)
+        return dataclasses.replace(
+            coeffs, initial_concentration=lambda x, y: np.full(x.shape, 50.0))
+
+    monkeypatch.setattr(studies, "problem_coefficients", wild_start)
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "coefficient failure" in err
+    assert "at step 0" in err

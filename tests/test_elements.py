@@ -1,13 +1,15 @@
 """Reference-element building blocks: quadrature, bases, dof maps."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from oracles import p2_dofmap_oracle
 
 from miscfem import (build_dofmap, edge_quadrature, evaluate,
-                     generate_disk_mesh, interpolate, quadrature_rule,
-                     reference_basis)
+                     generate_disk_mesh, interpolate, load_mesh,
+                     quadrature_rule, reference_basis, save_mesh)
 from miscfem.elements import triangle_geometry
 
 
@@ -106,6 +108,32 @@ def test_dofmap_midpoint_coordinates(mesh16):
             mid = 0.5 * (verts[a] + verts[b])
             assert np.allclose(p2.dof_coords[p2.cell_dofs[t, 3 + e]], mid,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("M", [8, 16, 33, 64])
+def test_p2_dofmap_matches_dict_walk(M):
+    mesh = generate_disk_mesh(M=M)
+    cell_dofs, coords = p2_dofmap_oracle(mesh)
+    p2 = build_dofmap(mesh, 2)
+    assert np.array_equal(p2.cell_dofs, cell_dofs)
+    assert np.array_equal(p2.dof_coords, coords)
+    assert p2.dof_count == coords.shape[0]
+
+
+def test_p2_dofmap_matches_dict_walk_on_shuffled_mesh(tmp_path, mesh16, rng):
+    """Triangles in random order, each with its corners rotated: the
+    numbering still follows the walk over the file's triangles."""
+    save_mesh(mesh16, tmp_path / "disk.json")
+    data = json.loads((tmp_path / "disk.json").read_text())
+    order = rng.permutation(len(data["triangles"]))
+    data["triangles"] = [data["triangles"][t][k:] + data["triangles"][t][:k]
+                         for t, k in zip(order, rng.integers(3, size=order.size))]
+    (tmp_path / "shuffled.json").write_text(json.dumps(data))
+    mesh = load_mesh(tmp_path / "shuffled.json")
+    cell_dofs, coords = p2_dofmap_oracle(mesh)
+    p2 = build_dofmap(mesh, 2)
+    assert np.array_equal(p2.cell_dofs, cell_dofs)
+    assert np.array_equal(p2.dof_coords, coords)
 
 
 @pytest.mark.parametrize("order,f,grad", [

@@ -54,9 +54,7 @@ def test_velocity_error_of_constant_field(disc16):
     T, Q = disc16.quad_points.shape[:2]
     B = disc16.mesh.num_boundary_edges
     vel = VelocityField(
-        cell_values=np.broadcast_to([0.3, -0.4], (T, Q, 2)),
-        edge_values=np.zeros((B, 3, 2)),
-        edge_normal_trace=np.zeros((B, 3)))
+        cell_values=np.broadcast_to([0.3, -0.4], (T, Q, 2)))
     zero = lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,))
     area = float(disc16.cell_weights.sum())
     got = error_velocity(disc16, vel, zero, t=0.0, norm="l2")

@@ -79,9 +79,7 @@ def test_p1_diffusion_stiffness_oracle(unit_disc):
     stiffness of the unit triangle."""
     coeffs = unit_coefficients(velocity_coupling="none")
     Q = unit_disc.quad_points.shape[1]
-    vel = VelocityField(cell_values=np.zeros((1, Q, 2)),
-                        edge_values=np.zeros((3, 3, 2)),
-                        edge_normal_trace=np.zeros((3, 3)))
+    vel = VelocityField(cell_values=np.zeros((1, Q, 2)))
     tau = 0.25
     system = assemble_concentration(unit_disc, coeffs, np.zeros(3), vel,
                                     tau=tau, t=0.0, mode="direct")
@@ -98,9 +96,7 @@ def test_advection_matrix_constant_velocity(unit_disc):
     coeffs = unit_coefficients()
     Q = unit_disc.quad_points.shape[1]
     a, b = 0.7, -0.4
-    vel = VelocityField(cell_values=np.broadcast_to([a, b], (1, Q, 2)),
-                        edge_values=np.zeros((3, 3, 2)),
-                        edge_normal_trace=np.zeros((3, 3)))
+    vel = VelocityField(cell_values=np.broadcast_to([a, b], (1, Q, 2)))
     none = assemble_concentration(
         unit_disc, unit_coefficients(velocity_coupling="none"),
         np.zeros(3), vel, tau=1.0, t=0.0, mode="direct")
@@ -118,9 +114,7 @@ def test_skew_mode_antisymmetric_part(unit_disc, rng):
     exactly antisymmetric, so its quadratic form vanishes."""
     coeffs = unit_coefficients()
     Q = unit_disc.quad_points.shape[1]
-    vel = VelocityField(cell_values=rng.standard_normal((1, Q, 2)),
-                        edge_values=np.zeros((3, 3, 2)),
-                        edge_normal_trace=np.zeros((3, 3)))
+    vel = VelocityField(cell_values=rng.standard_normal((1, Q, 2)))
     none = assemble_concentration(
         unit_disc, unit_coefficients(velocity_coupling="none"),
         np.zeros(3), vel, tau=1.0, t=0.0, mode="direct")
@@ -138,9 +132,7 @@ def test_direct_mode_annihilates_constants(disc16, rng):
     coeffs = unit_coefficients()
     T, Q = disc16.quad_points.shape[:2]
     B = disc16.mesh.num_boundary_edges
-    vel = VelocityField(cell_values=rng.standard_normal((T, Q, 2)),
-                        edge_values=np.zeros((B, 3, 2)),
-                        edge_normal_trace=np.zeros((B, 3)))
+    vel = VelocityField(cell_values=rng.standard_normal((T, Q, 2)))
     tau = 0.125
     system = assemble_concentration(disc16, coeffs,
                                     np.zeros(disc16.p1.dof_count), vel,
@@ -195,6 +187,9 @@ def test_viscosity_blowup_guard(disc16):
     wild = np.full(disc16.p1.dof_count, 50.0)    # far outside [0.3, 0.7]
     with pytest.raises(CoefficientBlowupError):
         assemble_pressure(disc16, coeffs, wild, t=0.0)
+    with pytest.raises(CoefficientBlowupError):
+        compute_velocity(disc16, coeffs, wild,
+                         np.zeros(disc16.p2.dof_count))
 
 
 def test_wall_flux_receives_discrete_normals(disc16):

@@ -137,3 +137,62 @@ def test_load_rejects_flipped_triangle(tmp_path):
 def test_generate_rejects_tiny_boundary_count():
     with pytest.raises((ValueError, MeshConstructionError)):
         generate_disk_mesh(M=3)
+
+
+def write_mesh(path, vertices, triangles, boundary_edges):
+    path.write_text(json.dumps({"vertices": vertices, "triangles": triangles,
+                                "boundary_edges": boundary_edges}))
+    return path
+
+
+def test_load_rejects_edge_shared_by_three_triangles(tmp_path):
+    path = write_mesh(tmp_path / "fan.json",
+                      [[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, 3]],
+                      [[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+                      [[0, 1], [1, 2], [2, 0]])
+    with pytest.raises(MeshFormatError, match="shared by 3 triangles"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("vertices,triangles,boundary_edges", [
+    # two triangles touching at one vertex: vertex 0 starts two edges
+    ([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]],
+     [[0, 1, 2], [0, 3, 4]],
+     [[0, 1], [1, 2], [2, 0], [0, 3], [3, 4], [4, 0]]),
+    # two disjoint triangles: two boundary cycles
+    ([[0, 0], [1, 0], [0, 1], [3, 0], [4, 0], [3, 1]],
+     [[0, 1, 2], [3, 4, 5]],
+     [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]),
+], ids=["bow-tie", "two-cycles"])
+def test_load_rejects_boundary_that_is_not_one_cycle(
+        tmp_path, vertices, triangles, boundary_edges):
+    path = write_mesh(tmp_path / "cycles.json", vertices, triangles,
+                      boundary_edges)
+    with pytest.raises(MeshFormatError):
+        load_mesh(path)
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
+SQUARE_TRIANGLES = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+
+
+@pytest.mark.parametrize("boundary_edges", [
+    [[0, 3], [3, 2], [2, 1], [1, 0]],           # clockwise
+    [[0, 1], [1, 2], [2, 3]],                   # one edge missing
+    [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4]],   # an interior edge added
+    [[4, 0], [0, 1], [1, 2], [2, 3]],           # starts off the boundary
+], ids=["clockwise", "missing", "interior", "off-boundary-start"])
+def test_load_rejects_boundary_edges_that_disagree_with_triangles(
+        tmp_path, boundary_edges):
+    path = write_mesh(tmp_path / "square.json", SQUARE, SQUARE_TRIANGLES,
+                      boundary_edges)
+    with pytest.raises(MeshFormatError):
+        load_mesh(path)
+
+
+def test_load_accepts_rotated_boundary_cycle(tmp_path):
+    path = write_mesh(tmp_path / "square.json", SQUARE, SQUARE_TRIANGLES,
+                      [[2, 3], [3, 0], [0, 1], [1, 2]])
+    mesh = load_mesh(path)
+    assert mesh.boundary_edges.tolist() == [[2, 3], [3, 0], [0, 1], [1, 2]]
+    assert mesh.boundary_tris.tolist() == [2, 3, 0, 1]

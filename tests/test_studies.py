@@ -2,6 +2,7 @@
 pipeline end to end on desk-scale refinements."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_echo_dict_roundtrips():
     ({"dump_steps": [-1]}, "dump_steps"),
     ({"dump_steps": 3}, "dump_steps"),
     ({"output_dir": ""}, "output_dir"),
+    ({"T": float("nan")}, "T"),
+    ({"T": float("inf")}, "T"),
+    ({"T": True}, "T"),
+    ({"tau": [float("nan")]}, "tau[0]"),
+    ({"tau": [True]}, "tau[0]"),
+    ({"pressure_tol": float("nan")}, "pressure_tol"),
+    ({"fd_step": float("inf")}, "fd_step"),
+    ({"quad_degree": True}, "quad_degree"),
+    ({"dump_steps": [True]}, "dump_steps"),
 ])
 def test_schema_violations_name_the_field(data, path):
     with pytest.raises(ConfigError) as info:
@@ -226,3 +236,14 @@ def test_run_single_writes_report(tmp_path):
     assert data["c_l2"] == pytest.approx(row.record.c_l2)
     assert (tmp_path / "fields_step2.vtk").is_file()
     assert (tmp_path / "config-echo.json").is_file()
+
+
+def test_spatial_report_matches_golden_file(tmp_path):
+    """Refactor oracle: the CSV of a small spatial study, byte for byte.
+    tests/data/spatial_report.csv was written by
+    ``miscfem study-spatial --config`` with this configuration."""
+    cfg = config_from_dict({"mesh_M": [8, 16, 32], "tau": [2.0 ** -10],
+                            "T": 2.0 ** -5, "output_dir": str(tmp_path)})
+    run_spatial_study(cfg)
+    golden = Path(__file__).parent / "data" / "spatial_report.csv"
+    assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()

@@ -1,10 +1,13 @@
 """Time-marching driver: lagging pattern, conservation and stability
 properties of the discrete transport step, and failure reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from miscfem import (ProblemCoefficients, ScalarDispersionParams, SolveReport,
+from miscfem import (CoefficientBlowupError, ProblemCoefficients,
+                     ScalarDispersionParams, SolveReport,
                      SolverOptions, StepFailure, TimeGrid, finalize_pressure,
                      initialize, interpolate, run, step)
 
@@ -165,3 +168,17 @@ def test_step_failure_message_format():
     assert "concentration solve failed at step 7" in str(err)
     assert "3.500e-04" in str(err)
     assert "42 iterations" in str(err)
+
+
+def test_viscosity_blowup_names_the_step(disc16):
+    """A concentration far outside the viscosity band stops the step that
+    solves the pressure on it, and the error names that step."""
+    coeffs = make_coefficients(
+        disc16, viscosity=lambda c: 1.0 + np.asarray(c, dtype=float))
+    grid = TimeGrid(final_time=1.0, num_steps=4)
+    state = step(disc16, coeffs, grid, initialize(disc16, coeffs, grid))
+    wild = replace(state, concentration=np.full(disc16.p1.dof_count, 50.0))
+    with pytest.raises(CoefficientBlowupError, match="at step 2: viscosity"):
+        step(disc16, coeffs, grid, wild)
+    with pytest.raises(CoefficientBlowupError, match="at step 1: viscosity"):
+        finalize_pressure(disc16, coeffs, grid, wild)
