@@ -36,11 +36,10 @@ def _field_at_quad(disc: Discretization, dofmap, coeffs):
 
 
 def _grad_at_quad(disc: Discretization, dofmap, coeffs):
-    local = coeffs[dofmap.cell_dofs]
-    if dofmap.order == 1:
-        g = np.einsum("tia,ti->ta", disc.p1_grads, local)
-        return np.broadcast_to(g[:, None, :], disc.quad_points.shape)
-    return np.einsum("tqia,ti->tqa", disc.p2_grads, local)
+    if dofmap.order == 2:
+        return disc.p2_gradient(coeffs)
+    g = np.einsum("tia,ti->ta", disc.p1_grads, coeffs[dofmap.cell_dofs])
+    return np.broadcast_to(g[:, None, :], disc.quad_points.shape)
 
 
 def error_scalar(disc: Discretization, dofmap, coeffs, exact, t: float,

@@ -114,6 +114,7 @@ class PressureSystem:
     rhs: np.ndarray
     mass_vector: np.ndarray        # integrals of the quadratic basis
     compatibility_defect: float    # |sum(rhs)|, zero for compatible data
+    mobility: np.ndarray           # (T, Q) k/mu(c_prev); the velocity reuses it
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class Discretization:
     p1_values: np.ndarray          # (Q, 3)
     p2_values: np.ndarray          # (Q, 6)
     p1_grads: np.ndarray           # (T, 3, 2) physical gradients (constant in q)
-    p2_grads: np.ndarray           # (T, Q, 6, 2)
+    p2_grads: np.ndarray           # (T, 6, Q, 2) C-contiguous
     mass_local: np.ndarray         # (T, 3, 3) linear element mass blocks
     mass_p1: sp.csr_matrix
     p2_basis_integrals: np.ndarray
@@ -152,6 +153,13 @@ class Discretization:
     edge_p2_values: np.ndarray     # (B, Qe, 6)
     edge_rows1: np.ndarray
     edge_cols1: np.ndarray
+
+    def p2_gradient(self, p_coeffs: np.ndarray) -> np.ndarray:
+        """Gradient of the quadratic field with nodal values ``p_coeffs``
+        at every volume quadrature point, shape (T, Q, 2)."""
+        T, Q = self.cell_weights.shape
+        local = p_coeffs[self.p2.cell_dofs][:, None, :]
+        return (local @ self.p2_grads.reshape(T, 6, 2 * Q)).reshape(T, Q, 2)
 
 
 def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
@@ -168,11 +176,13 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     corners = mesh.vertices[mesh.triangles]
     quad_points = np.einsum("qi,tid->tqd", rule.points, corners)
     p1_grads = np.einsum("tab,ib->tia", invJT, p1_ref_grads[0])
-    p2_grads = np.einsum("tab,qib->tqia", invJT, p2_ref_grads)
+    # (T, 6, Q, 2) so that the stiffness kernel's (T, 6, 2Q) view is free
+    T, Q = cell_weights.shape
+    p2_ref_rows = p2_ref_grads.transpose(1, 0, 2).reshape(6 * Q, 2)
+    p2_grads = (p2_ref_rows @ invJT.transpose(0, 2, 1)).reshape(T, 6, Q, 2)
 
     mass_local = np.einsum("tq,qi,qj->tij", cell_weights, p1_values, p1_values)
 
-    T = mesh.num_triangles
     cell1, cell2 = p1.cell_dofs, p2.cell_dofs
     rows1 = np.broadcast_to(cell1[:, :, None], (T, 3, 3)).ravel()
     cols1 = np.broadcast_to(cell1[:, None, :], (T, 3, 3)).ravel()
@@ -232,17 +242,18 @@ def _eval_wall_flux(disc, func, t):
     return np.broadcast_to(np.asarray(out, dtype=np.float64), ex.shape)
 
 
-def _viscosity_at(coeffs, c_prev, values, cell_dofs):
-    """Viscosity at the volume quadrature points from nodal
-    concentrations, with the blow-up guard."""
-    c_q = np.einsum("qi,ti->tq", values, c_prev[cell_dofs])
+def _mobility(disc, coeffs, c_prev):
+    """k/mu(c_prev) at the volume quadrature points from nodal
+    concentrations, with the viscosity blow-up guard."""
+    c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
     mu = np.asarray(coeffs.viscosity(c_q), dtype=np.float64)
     lo, hi = coeffs.viscosity_bounds
     if mu.min() < 0.5 * lo or mu.max() > 2.0 * hi:
         raise CoefficientBlowupError(
             f"viscosity range [{mu.min():.6g}, {mu.max():.6g}] left the "
             f"admissible band [{0.5 * lo:.6g}, {2.0 * hi:.6g}]")
-    return mu
+    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    return _eval_field(coeffs.permeability, x, y) / mu
 
 
 def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
@@ -255,10 +266,12 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     defect exceeds 1e-2 of the right-hand side norm.
     """
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    mu = _viscosity_at(coeffs, c_prev, disc.p1_values, disc.p1.cell_dofs)
-    mobility = _eval_field(coeffs.permeability, x, y) / mu
-    scaled = (mobility * disc.cell_weights)[:, :, None, None] * disc.p2_grads
-    local = np.einsum("tqia,tqja->tij", scaled, disc.p2_grads)
+    mobility = _mobility(disc, coeffs, c_prev)
+    # sum over (q, a) of two (T, 6, 2Q) views: one batched matmul
+    T = mobility.shape[0]
+    weighted = (mobility * disc.cell_weights)[:, None, :, None] * disc.p2_grads
+    grads = disc.p2_grads.reshape(T, 6, -1)
+    local = weighted.reshape(T, 6, -1) @ grads.transpose(0, 2, 1)
     n2 = disc.p2.dof_count
     A = from_triplets(n2, n2, disc.rows2, disc.cols2, local.ravel())
 
@@ -289,17 +302,20 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
                       stacklevel=2)
     return PressureSystem(matrix=A, rhs=rhs,
                           mass_vector=disc.p2_basis_integrals,
-                          compatibility_defect=defect)
+                          compatibility_defect=defect, mobility=mobility)
 
 
 def compute_velocity(disc: Discretization, coeffs: ProblemCoefficients,
-                     c_prev: np.ndarray, p_coeffs: np.ndarray) -> VelocityField:
-    """Darcy velocity -(k/mu(c_prev)) grad p at the quadrature points."""
-    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    mu = _viscosity_at(coeffs, c_prev, disc.p1_values, disc.p1.cell_dofs)
-    mobility = _eval_field(coeffs.permeability, x, y) / mu
-    grad_p = np.einsum("tqia,ti->tqa", disc.p2_grads,
-                       p_coeffs[disc.p2.cell_dofs])
+                     c_prev: np.ndarray, p_coeffs: np.ndarray,
+                     mobility: Optional[np.ndarray] = None) -> VelocityField:
+    """Darcy velocity -(k/mu(c_prev)) grad p at the quadrature points.
+
+    ``mobility`` is k/mu(c_prev) at the quadrature points when the caller
+    already has it (``PressureSystem.mobility`` of the same c_prev); then
+    mu(c_prev) is not evaluated again."""
+    if mobility is None:
+        mobility = _mobility(disc, coeffs, c_prev)
+    grad_p = disc.p2_gradient(p_coeffs)
     return VelocityField(cell_values=-mobility[:, :, None] * grad_p)
 
 
@@ -323,15 +339,19 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     U = velocity.cell_values
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
 
+    # P1 gradients G are constant per cell, so the diffusion block is
+    # G (sum_q w_q D_q) G^T and the convection block (phi w)^T U G^T
+    T, Q = disc.cell_weights.shape
+    G = disc.p1_grads
+    Gt = G.transpose(0, 2, 1)
     D = dispersion_matrices(U, coeffs.dispersion)
-    DG = np.einsum("tqab,tjb->tqja", D, disc.p1_grads)
-    local = np.einsum("tq,tia,tqja->tij", disc.cell_weights,
-                      disc.p1_grads, DG)
+    D_cell = disc.cell_weights[:, None, :] @ D.reshape(T, Q, 4)
+    local = G @ D_cell.reshape(T, 2, 2) @ Gt
 
     if coeffs.velocity_coupling == "advection":
-        u_dot_grad = np.einsum("tqa,tja->tqj", U, disc.p1_grads)
-        n1 = np.einsum("tq,qi,tqj->tij", disc.cell_weights, disc.p1_values,
-                       u_dot_grad)
+        # (T, 3, Q): w_q phi_i(x_q)
+        weighted_values = disc.cell_weights[:, None, :] * disc.p1_values.T
+        n1 = (weighted_values @ U) @ Gt
         if mode == "skew":
             local += 0.5 * (n1 - n1.transpose(0, 2, 1))
             q_total = np.zeros(x.shape)
@@ -339,9 +359,8 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
                 if func is not None:
                     q_total += _eval_field(func, x, y, t)
             if q_total.any():
-                local += np.einsum("tq,qi,qj->tij",
-                                   0.5 * q_total * disc.cell_weights,
-                                   disc.p1_values, disc.p1_values)
+                local += (0.5 * q_total[:, None, :] * weighted_values
+                          @ disc.p1_values)
         else:
             local += n1
     local += (gamma / tau) * disc.mass_local

@@ -3,7 +3,10 @@
 Storage is scipy CSR; the iteration loops are written out here because the
 pressure solver needs deflation against a weighted mean constraint and both
 solvers must report iteration counts and residuals in a fixed, reproducible
-way.  No incomplete factorizations: preconditioning is Jacobi only.
+way.  CG is preconditioned by Jacobi scaling or not at all.  GMRES takes
+Jacobi scaling or any right preconditioner v -> M^{-1} v; the time stepper
+passes the solve of an exact sparse LU factor of the transport matrix, so
+GMRES converges in one iteration and still reports its residual.
 """
 
 from __future__ import annotations
@@ -144,11 +147,13 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
 
 
 def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, jacobi=True,
-          x0=None):
+          x0=None, precond=None):
     """Restarted GMRES with modified Gram-Schmidt and Givens rotations.
 
     Right Jacobi preconditioning by default, so the monitored residual is
-    the true residual of the original system.  Stagnation across a restart
+    the true residual of the original system.  ``precond``, a callable
+    v -> M^{-1} v, replaces the Jacobi scaling as the right preconditioner
+    when given (``jacobi`` is then ignored).  Stagnation across a restart
     cycle (no measurable residual decrease) terminates the iteration with
     converged=False rather than spinning.
 
@@ -163,15 +168,18 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, jacobi=True,
         max_iter = 10 * n
     restart = min(restart, n)
 
-    if jacobi:
+    if precond is None and jacobi:
         diag = A.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry: Jacobi preconditioner "
                              "is undefined")
         dinv = 1.0 / diag
 
-    def precond(v):
-        return dinv * v if jacobi else v
+        def precond(v):
+            return dinv * v
+    elif precond is None:
+        def precond(v):
+            return v
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:

@@ -72,9 +72,14 @@ _SCHEMA_KEYS = {"case", "mesh_M", "tau", "T", "mode", "pressure_tol",
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite JSON number within the float range; booleans are not
+    numbers here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 def config_from_dict(data: dict) -> StudyConfig:
@@ -83,7 +88,8 @@ def config_from_dict(data: dict) -> StudyConfig:
     Schema (all keys optional, defaults in parentheses):
       case: registered benchmark name ("disk-trig")
       mesh_M: list of boundary node counts, each an integer >= 8 ([16])
-      tau: list of time steps; each must divide T evenly ([1/32])
+      tau: list of time steps; each must divide T evenly, in at most
+           2**53 steps ([1/32])
       T: final time (1.0)
       mode: "direct" or "skew" ("direct")
       pressure_tol / concentration_tol: relative solver tolerances
@@ -105,7 +111,7 @@ def config_from_dict(data: dict) -> StudyConfig:
         return value if isinstance(value, (list, tuple)) else [value]
 
     case = data.get("case", "disk-trig")
-    if case not in CASES:
+    if not isinstance(case, str) or case not in CASES:
         raise ConfigError("case", f"unknown case {case!r}; "
                                   f"registered: {sorted(CASES)}")
 
@@ -127,8 +133,12 @@ def config_from_dict(data: dict) -> StudyConfig:
         if not _is_number(tau) or tau <= 0:
             raise ConfigError(f"tau[{i}]", f"must be a finite positive number, got {tau!r}")
         steps = final_time / tau
-        if not math.isfinite(steps) or \
-                abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        # above 2**53 every double is an integer, so the check below
+        # would prove nothing
+        if steps > 2.0 ** 53:
+            raise ConfigError(f"tau[{i}]",
+                              f"T/tau = {steps!r} exceeds 2**53 steps")
+        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
             raise ConfigError(f"tau[{i}]",
                               f"T/tau = {steps!r} is not an integer")
 
@@ -171,11 +181,19 @@ def config_from_dict(data: dict) -> StudyConfig:
 
 def load_config(path) -> StudyConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read {path}: "
+                                    f"{exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<file>", f"not UTF-8 text at byte {exc.start}"
+                          ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON at line {exc.lineno}: "
                                     f"{exc.msg}") from exc
+    except RecursionError as exc:   # the decoder recurses per nesting level
+        raise ConfigError("<file>", "JSON nested too deeply") from exc
     return config_from_dict(data)
 
 

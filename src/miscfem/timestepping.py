@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .elements import interpolate
 from .forms import (CoefficientBlowupError, Discretization,
@@ -61,8 +62,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of the Jacobi-preconditioned pressure CG and transport
-    GMRES solves, and an iteration cap for both (None: solver default)."""
+    """Tolerances of the Jacobi-preconditioned pressure CG and of the
+    transport GMRES, which is right-preconditioned by an exact sparse LU
+    factor of each step's matrix, and an iteration cap for both (None:
+    solver default)."""
 
     pressure_tol: float = 1e-11
     concentration_tol: float = 1e-10
@@ -107,7 +110,9 @@ def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None):
                                 x0=x0, jacobi=True)
         if not report.converged:
             raise StepFailure(n, "pressure", report)
-        return p, compute_velocity(disc, coeffs, c, p), report
+        velocity = compute_velocity(disc, coeffs, c, p,
+                                    mobility=system.mobility)
+        return p, velocity, report
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
 
@@ -143,10 +148,13 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
 
     system = assemble_concentration(disc, coeffs, state.concentration,
                                     velocity, grid.tau, grid.time(n), mode)
+    # the matrix changes every step with D(u) and the convection, and one
+    # exact factor of it costs less than a Jacobi-GMRES solve
+    factor = splu(system.matrix.tocsc())
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
                         max_iter=options.max_iter,
-                        x0=state.concentration)
+                        x0=state.concentration, precond=factor.solve)
     if not c_report.converged:
         raise StepFailure(n, "concentration", c_report)
 

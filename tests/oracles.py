@@ -107,3 +107,72 @@ def p2_dofmap_oracle(mesh):
         cell_dofs.append(row)
     return (np.array(cell_dofs, dtype=np.int64),
             np.vstack([mesh.vertices, np.array(mids)]))
+
+
+def _scatter(cell_dofs, local, n):
+    """Dense global matrix from per-cell blocks, duplicates summed."""
+    k = cell_dofs.shape[1]
+    rows = np.repeat(cell_dofs, k, axis=1).ravel()
+    cols = np.tile(cell_dofs, (1, k)).ravel()
+    out = np.zeros((n, n))
+    np.add.at(out, (rows, cols), local.ravel())
+    return out
+
+
+def pressure_matrix_oracle(disc, coeffs, c_prev):
+    """Dense P2 stiffness ((k/mu(c_prev)) grad phi_j, grad phi_i), by the
+    4-index einsum of the first assembly code over (T, Q, 6, 2)
+    gradients."""
+    c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
+    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    mobility = coeffs.permeability(x, y) / coeffs.viscosity(c_q)
+    grads = disc.p2_grads.transpose(0, 2, 1, 3)
+    scaled = (mobility * disc.cell_weights)[:, :, None, None] * grads
+    local = np.einsum("tqia,tqja->tij", scaled, grads)
+    return _scatter(disc.p2.cell_dofs, local, disc.p2.dof_count)
+
+
+def velocity_oracle(disc, coeffs, c_prev, p_coeffs):
+    """Darcy velocity -(k/mu(c_prev)) grad p by the first code's einsum."""
+    c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
+    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    mobility = coeffs.permeability(x, y) / coeffs.viscosity(c_q)
+    grad_p = np.einsum("tqia,ti->tqa", disc.p2_grads.transpose(0, 2, 1, 3),
+                       p_coeffs[disc.p2.cell_dofs])
+    return -mobility[:, :, None] * grad_p
+
+
+def transport_matrix_oracle(disc, coeffs, velocity, tau, t, mode):
+    """Dense backward-Euler transport matrix by the 4-index einsums of the
+    first assembly code: dispersion D(u), convection in ``mode``, the
+    skew form's source and wall terms, and the (gamma/tau) mass."""
+    from miscfem.dispersion import dispersion_matrices
+
+    w, G, phi = disc.cell_weights, disc.p1_grads, disc.p1_values
+    U = velocity.cell_values
+    D = dispersion_matrices(U, coeffs.dispersion)
+    DG = np.einsum("tqab,tjb->tqja", D, G)
+    local = np.einsum("tq,tia,tqja->tij", w, G, DG)
+    skew = mode == "skew" and coeffs.velocity_coupling == "advection"
+    if coeffs.velocity_coupling == "advection":
+        n1 = np.einsum("tq,qi,tqj->tij", w, phi,
+                       np.einsum("tqa,tja->tqj", U, G))
+        local += 0.5 * (n1 - n1.transpose(0, 2, 1)) if skew else n1
+    if skew:
+        x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+        q_total = sum(f(x, y, t) for f in (coeffs.injection,
+                                           coeffs.production)
+                      if f is not None)
+        local += np.einsum("tq,qi,qj->tij", 0.5 * q_total * w, phi, phi)
+    local += (coeffs.porosity / tau) * disc.mass_local
+    n = disc.p1.dof_count
+    out = _scatter(disc.p1.cell_dofs, local, n)
+    if skew and coeffs.pressure_flux is not None:
+        ex, ey = disc.edge_points[..., 0], disc.edge_points[..., 1]
+        nrm = disc.mesh.boundary_normals
+        flux = coeffs.pressure_flux(ex, ey, t, nrm[:, None, 0],
+                                    nrm[:, None, 1])
+        edge = np.einsum("bq,bqi,bqj->bij", 0.5 * flux * disc.edge_weights,
+                         disc.edge_p1_values, disc.edge_p1_values)
+        out += _scatter(disc.p1.cell_dofs[disc.mesh.boundary_tris], edge, n)
+    return out

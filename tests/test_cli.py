@@ -131,6 +131,21 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "'T'" in err
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["run", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "missing.json" in err
+
+
+def test_tiny_tau_exits_2(tmp_path, capsys):
+    """T/tau above 2**53 is refused before any solve."""
+    cfg = write_config(tmp_path, tau=[1e-300])
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "'tau[0]'" in capsys.readouterr().err
+
+
 def test_viscosity_blowup_exits_3(tmp_path, capsys, monkeypatch):
     """A concentration that leaves the viscosity band ends as exit 3 with
     the step named, not as a traceback."""

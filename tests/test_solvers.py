@@ -4,6 +4,7 @@ checked against dense linear algebra on small random systems."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from miscfem import cg_deflated, from_triplets, gmres
 
@@ -128,6 +129,22 @@ def test_gmres_zero_diagonal_rejected_with_jacobi():
     x, report = gmres(A, np.array([1.0, 2.0]), jacobi=False)
     assert report.converged
     assert np.allclose(x, [2.0, 1.0], atol=1e-10)
+
+
+def test_gmres_exact_preconditioner_takes_one_iteration(rng):
+    """An exact LU solve as the right preconditioner replaces the Jacobi
+    scaling (this matrix has a zero diagonal, which Jacobi rejects) and
+    GMRES converges in one iteration."""
+    n = 30
+    dense = rng.standard_normal((n, n))
+    np.fill_diagonal(dense, 0.0)
+    A = sp.csc_matrix(dense)
+    b = rng.standard_normal(n)
+    x, report = gmres(A, b, rel_tol=1e-12, precond=splu(A).solve)
+    assert report.converged
+    assert report.iterations == 1
+    assert report.relative_residual <= 1e-12
+    assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-10, rtol=1e-10)
 
 
 def test_gmres_reports_nonconvergence(rng):

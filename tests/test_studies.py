@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from miscfem import (ConfigError, ConvergenceReport, ErrorRecord, RowResult,
                      StudyConfig, config_from_dict, load_config, run_single,
@@ -69,12 +71,39 @@ def test_echo_dict_roundtrips():
     ({"fd_step": float("inf")}, "fd_step"),
     ({"quad_degree": True}, "quad_degree"),
     ({"dump_steps": [True]}, "dump_steps"),
+    ({"mesh_M": [8], "tau": [1e-300]}, "tau[0]"),   # T/tau above 2**53
+    ({"T": 2.0 ** 60, "tau": [1.0]}, "tau[0]"),
+    ({"T": 10 ** 400}, "T"),                       # beyond the float range
+    ({"fd_step": 10 ** 400}, "fd_step"),
+    ({"case": ["disk-trig"]}, "case"),
 ])
 def test_schema_violations_name_the_field(data, path):
     with pytest.raises(ConfigError) as info:
         config_from_dict(data)
     assert info.value.path == path
     assert f"config field '{path}'" in str(info.value)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+CONFIG_KEYS = st.sampled_from(["case", "mesh_M", "tau", "T", "mode",
+                               "pressure_tol", "concentration_tol",
+                               "fd_step", "quad_degree", "dump_fields",
+                               "dump_steps", "output_dir"])
+
+
+@given(st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=6))
+def test_any_json_object_gives_config_or_config_error(data):
+    """Whatever the JSON values, validation ends in a StudyConfig or a
+    ConfigError, never in another exception."""
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert config_from_dict(cfg.echo_dict()) == cfg
 
 
 def test_root_must_be_object():
@@ -89,6 +118,29 @@ def test_load_config_file(tmp_path):
     cfg = load_config(path)
     assert cfg.mesh_sizes == (8,)
     assert cfg.final_time == 0.5
+
+
+def test_load_config_reports_missing_file(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path / "missing.json")
+    assert info.value.path == "<file>"
+    assert "missing.json" in str(info.value)
+
+
+def test_load_config_reports_binary_file(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.path == "<file>"
+    assert "not UTF-8 text at byte 0" in str(info.value)
+
+
+def test_load_config_reports_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        load_config(path)
 
 
 def test_load_config_reports_json_errors(tmp_path):

@@ -152,6 +152,33 @@ def test_run_matches_manual_stepping(disc16):
     assert np.array_equal(state.pressure, manual.pressure)
 
 
+@pytest.mark.parametrize("mode", ["direct", "skew"])
+def test_transport_solve_converges_in_one_or_two_iterations(disc16, mode):
+    """The transport GMRES runs on an exact LU factor of the step's own
+    matrix, so it converges at once, well below its tolerance."""
+    coeffs = make_coefficients(
+        disc16, initial_concentration=lambda x, y: 0.4 + 0.2 * x * y)
+    grid = TimeGrid(final_time=0.1, num_steps=4)
+    state = step(disc16, coeffs, grid, initialize(disc16, coeffs, grid),
+                 mode=mode, options=SolverOptions(concentration_tol=1e-13))
+    assert state.concentration_report.converged
+    assert state.concentration_report.iterations <= 2
+
+
+def test_viscosity_evaluated_once_per_pressure_level(disc16):
+    """The pressure solve and the velocity share one mu(c) evaluation:
+    a 4-step run has 5 pressure levels (0 to 4) and 5 viscosity calls."""
+    calls = []
+
+    def viscosity(c):
+        calls.append(1)
+        return np.full(np.asarray(c, dtype=float).shape, 1.0)
+
+    coeffs = make_coefficients(disc16, viscosity=viscosity)
+    run(disc16, coeffs, TimeGrid(final_time=0.1, num_steps=4))
+    assert len(calls) == 5
+
+
 def test_solver_failure_is_reported(disc16):
     coeffs = make_coefficients(disc16)
     grid = TimeGrid(final_time=1.0, num_steps=2)
