@@ -3,10 +3,12 @@
 Storage is scipy CSR; the iteration loops are written out here because the
 pressure solver needs deflation against a weighted mean constraint and both
 solvers must report iteration counts and residuals in a fixed, reproducible
-way.  CG is preconditioned by Jacobi scaling or not at all.  GMRES takes
-Jacobi scaling or any right preconditioner v -> M^{-1} v; the time stepper
-passes the solve of an exact sparse LU factor of the transport matrix, so
-GMRES converges in one iteration and still reports its residual.
+way.  Both solvers take Jacobi scaling or any preconditioner
+v -> M^{-1} v.  The time stepper passes GMRES the solve of an exact sparse
+LU factor of each step's transport matrix, so GMRES converges in one
+iteration and still reports its residual; it passes CG the solve of a
+lagged LU factor of the bordered Neumann pressure system, which CG keeps
+across steps while the concentration drifts.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _symmetry_defect(A) -> float:
 
 
 def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
-                jacobi=False):
+                jacobi=False, precond=None):
     """Conjugate gradients, optionally deflated against one vector.
 
     With ``deflate = m`` the iteration runs in the subspace orthogonal to m
@@ -74,6 +76,10 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
         iteration subspace
     deflate : vector m or None
     jacobi : precondition with inverse diagonal (projected PCG)
+    precond : callable v -> M^{-1} v, symmetric positive definite on the
+        iteration subspace; replaces the Jacobi scaling when given
+        (``jacobi`` is then ignored).  The preconditioned residual is
+        projected like every other iterate.
 
     Returns
     -------
@@ -103,13 +109,14 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
         def project(v):
             return v
 
-    if jacobi:
+    if precond is None and jacobi:
         diag = A.diagonal()
         if np.any(diag <= 0):
             raise ValueError("Jacobi preconditioning needs positive diagonal")
         dinv = 1.0 / diag
-    else:
-        dinv = None
+
+        def precond(v):
+            return dinv * v
 
     pb = project(b)
     bnorm = float(np.linalg.norm(pb))
@@ -122,7 +129,7 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     if rnorm / bnorm <= rel_tol:
         return x, SolveReport(0, rnorm / bnorm, True)
 
-    z = project(dinv * r) if jacobi else r
+    z = r if precond is None else project(precond(r))
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
@@ -138,7 +145,7 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
         rnorm = float(np.linalg.norm(r))
         if rnorm / bnorm <= rel_tol:
             return x, SolveReport(iterations, rnorm / bnorm, True)
-        z = project(dinv * r) if jacobi else r
+        z = r if precond is None else project(precond(r))
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new

@@ -6,6 +6,14 @@ concentration: the state after n steps carries the pressure at level n-1
 ``run`` finishes with one extra pressure solve so the final state also has
 the end-time pressure and velocity.
 
+The pressure CG is preconditioned by an LU factor of the bordered Neumann
+system [[A, m], [m^T, 0]] (A the stiffness, m the basis integrals), whose
+solve with right-hand side [r, 0] inverts the m-deflated stiffness on
+m-orthogonal vectors.  The factor is built at one level and carried to
+the next in the state, so CG converges in a few iterations while the
+concentration drifts; it is dropped, and built afresh at the next level,
+once a solve takes more than ``REFACTOR_ITERATIONS`` iterations.
+
 Memory stays O(1) in the number of steps; anything that must be recorded
 along the way goes through observer callables or the returned per-step
 norm history.
@@ -17,7 +25,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
+import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
 from .elements import interpolate
 from .forms import (CoefficientBlowupError, Discretization,
@@ -25,6 +34,10 @@ from .forms import (CoefficientBlowupError, Discretization,
                     assemble_concentration, assemble_pressure,
                     compute_velocity)
 from .solvers import SolveReport, cg_deflated, gmres
+
+# a pressure solve on a lagged factor that needs more CG iterations than
+# this drops the factor; the next pressure level factors its own matrix
+REFACTOR_ITERATIONS = 10
 
 
 class StepFailure(RuntimeError):
@@ -62,10 +75,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of the Jacobi-preconditioned pressure CG and of the
-    transport GMRES, which is right-preconditioned by an exact sparse LU
-    factor of each step's matrix, and an iteration cap for both (None:
-    solver default)."""
+    """Tolerances of the pressure CG, which is preconditioned by a lagged
+    sparse LU factor of the bordered Neumann system, and of the transport
+    GMRES, which is right-preconditioned by an exact sparse LU factor of
+    each step's matrix, and an iteration cap for both (None: solver
+    default)."""
 
     pressure_tol: float = 1e-11
     concentration_tol: float = 1e-10
@@ -78,7 +92,10 @@ class TimeStepState:
 
     ``pressure``/``velocity`` live at level ``pressure_level`` (normally
     step_index - 1, the lag the scheme prescribes; equal to step_index
-    only for the initial state and after ``finalize_pressure``)."""
+    only for the initial state and after ``finalize_pressure``).
+    ``pressure_factor`` is the LU factor of the bordered pressure system
+    that the next pressure solve uses as its preconditioner, or None when
+    that solve must factor its own matrix."""
 
     step_index: int
     pressure_level: int
@@ -87,6 +104,7 @@ class TimeStepState:
     concentration: np.ndarray
     pressure_report: SolveReport
     concentration_report: Optional[SolveReport]
+    pressure_factor: Optional[SuperLU] = None
 
 
 @dataclass(frozen=True)
@@ -98,21 +116,42 @@ class StepRecord:
     concentration_iterations: int
 
 
-def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None):
+def _bordered_factor(system) -> SuperLU:
+    """LU factor of [[A, m], [m^T, 0]] for the pressure system; the
+    bordered matrix itself is not kept."""
+    m = system.mass_vector[:, None]
+    bordered = sp.bmat([[system.matrix, m], [m.T, None]], format="csc")
+    # minimum degree on A^T + A fills about half as much as COLAMD here
+    return splu(bordered, permc_spec="MMD_AT_PLUS_A")
+
+
+def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None,
+                           factor=None):
     """Pressure solve and Darcy velocity for the concentration c at time t;
-    a failed solve or a viscosity blow-up names step n."""
+    a failed solve or a viscosity blow-up names step n.  ``factor`` is the
+    lagged bordered-system factor (None: factor this level's matrix); the
+    factor the next level should use is returned with the solution."""
     try:
         system = assemble_pressure(disc, coeffs, c, t)
+        if factor is None:
+            factor = _bordered_factor(system)
+        n2 = system.rhs.size
+
+        def precond(r):
+            return factor.solve(np.append(r, 0.0))[:n2]
+
         p, report = cg_deflated(system.matrix, system.rhs,
                                 deflate=system.mass_vector,
                                 rel_tol=options.pressure_tol,
                                 max_iter=options.max_iter,
-                                x0=x0, jacobi=True)
+                                x0=x0, precond=precond)
         if not report.converged:
             raise StepFailure(n, "pressure", report)
+        if report.iterations > REFACTOR_ITERATIONS:
+            factor = None
         velocity = compute_velocity(disc, coeffs, c, p,
                                     mobility=system.mobility)
-        return p, velocity, report
+        return p, velocity, report, factor
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
 
@@ -122,11 +161,12 @@ def initialize(disc: Discretization, coeffs: ProblemCoefficients,
                options: SolverOptions = SolverOptions()) -> TimeStepState:
     """Interpolate the initial concentration and solve the initial pressure."""
     c0 = interpolate(disc.p1, coeffs.initial_concentration)
-    p0, velocity, report = _pressure_and_velocity(disc, coeffs, c0, 0.0,
-                                                  options, 0)
+    p0, velocity, report, factor = _pressure_and_velocity(
+        disc, coeffs, c0, 0.0, options, 0)
     return TimeStepState(step_index=0, pressure_level=0,
                          pressure=p0, velocity=velocity, concentration=c0,
-                         pressure_report=report, concentration_report=None)
+                         pressure_report=report, concentration_report=None,
+                         pressure_factor=factor)
 
 
 def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
@@ -139,12 +179,13 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
 
     if state.pressure_level == state.step_index:
         # pressure at the lagged level is already in the state
-        p, velocity, p_report = (state.pressure, state.velocity,
-                                 state.pressure_report)
+        p, velocity, p_report, p_factor = (state.pressure, state.velocity,
+                                           state.pressure_report,
+                                           state.pressure_factor)
     else:
-        p, velocity, p_report = _pressure_and_velocity(
+        p, velocity, p_report, p_factor = _pressure_and_velocity(
             disc, coeffs, state.concentration, grid.time(state.step_index),
-            options, n, x0=state.pressure)
+            options, n, x0=state.pressure, factor=state.pressure_factor)
 
     system = assemble_concentration(disc, coeffs, state.concentration,
                                     velocity, grid.tau, grid.time(n), mode)
@@ -160,7 +201,8 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
 
     return TimeStepState(step_index=n, pressure_level=n - 1,
                          pressure=p, velocity=velocity, concentration=c,
-                         pressure_report=p_report, concentration_report=c_report)
+                         pressure_report=p_report, concentration_report=c_report,
+                         pressure_factor=p_factor)
 
 
 def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
@@ -169,11 +211,13 @@ def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     """Extra pressure solve so pressure and concentration share a level."""
     if state.pressure_level == state.step_index:
         return state
-    p, velocity, report = _pressure_and_velocity(
+    p, velocity, report, factor = _pressure_and_velocity(
         disc, coeffs, state.concentration, grid.time(state.step_index),
-        options, state.step_index, x0=state.pressure)
+        options, state.step_index, x0=state.pressure,
+        factor=state.pressure_factor)
     return replace(state, pressure_level=state.step_index, pressure=p,
-                   velocity=velocity, pressure_report=report)
+                   velocity=velocity, pressure_report=report,
+                   pressure_factor=factor)
 
 
 def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,

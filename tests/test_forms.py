@@ -1,8 +1,13 @@
 """Assembly against exact-integration oracles on a single element, plus
 structural properties of the pressure and transport systems."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (p1_mass_oracle, p2_basis_polynomials, p2_stiffness_oracle,
                      poly_int, pressure_matrix_oracle, transport_matrix_oracle,
                      velocity_oracle, write_unit_triangle_mesh)
@@ -11,7 +16,8 @@ from miscfem import (CoefficientBlowupError, DispersionParams,
                      ProblemCoefficients, ScalarDispersionParams,
                      assemble_concentration, assemble_pressure,
                      build_discretization, compute_velocity, disk_trig_case,
-                     interpolate, load_mesh, problem_coefficients)
+                     generate_disk_mesh, interpolate, load_mesh,
+                     problem_coefficients)
 from miscfem.forms import VelocityField, _eval_wall_flux
 
 
@@ -282,3 +288,56 @@ def test_transport_matrix_matches_einsum_oracle(disc16, rng, mode, coupling,
     # tau = 1 keeps the mass part below the dispersion and convection
     oracle = transport_matrix_oracle(disc16, coeffs, vel, 1.0, 0.5, mode)
     assert max_relative_gap(system.matrix.toarray(), oracle) < 1e-13
+
+
+def rigid_motion(mesh, angle, shift):
+    """The mesh rotated counterclockwise by ``angle`` and then translated
+    by ``shift``; triangles keep their orientation and numbering."""
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    return dataclasses.replace(
+        mesh, vertices=mesh.vertices @ R.T + np.asarray(shift),
+        boundary_normals=mesh.boundary_normals @ R.T)
+
+
+def pressure_stiffness(disc, **overrides):
+    system = assemble_pressure(disc, unit_coefficients(**overrides),
+                               np.zeros(disc.p1.dof_count), t=0.0)
+    return system.matrix
+
+
+@settings(max_examples=30)
+@given(angle=st.floats(0.0, 2.0 * math.pi),
+       shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+def test_rigid_motion_leaves_stiffness_and_mass_unchanged(disc16, angle,
+                                                          shift):
+    """Rotating and translating the mesh moves no entry of the P2
+    stiffness, the P1 mass matrix or the P2 basis integrals beyond
+    roundoff in the shifted coordinates."""
+    moved = build_discretization(rigid_motion(disc16.mesh, angle, shift))
+    A, A_moved = pressure_stiffness(disc16), pressure_stiffness(moved)
+    assert max_relative_gap(A_moved.toarray(), A.toarray()) < 1e-11
+    assert max_relative_gap(moved.mass_p1.toarray(),
+                            disc16.mass_p1.toarray()) < 1e-11
+    assert max_relative_gap(moved.p2_basis_integrals,
+                            disc16.p2_basis_integrals) < 1e-11
+
+
+@settings(max_examples=30)
+@given(M=st.integers(8, 40), radius=st.floats(0.1, 10.0),
+       center=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       slope=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_stiffness_kernel_and_mass_total(M, radius, center, slope):
+    """On any disk mesh, the stiffness rows sum to 0 for any positive
+    mobility (the constant kernel the bordered pressure factor relies
+    on), and both the P1 mass and the P2 basis integrals sum to the area
+    of the discrete disk, the regular M-gon (M/2) r^2 sin(2 pi/M)."""
+    disc = build_discretization(generate_disk_mesh(center, radius, M))
+    (a, b), (cx, cy) = slope, center
+    A = pressure_stiffness(disc, permeability=lambda x, y: np.exp(
+        (a * (x - cx) + b * (y - cy)) / radius))
+    assert np.max(np.abs(A @ np.ones(A.shape[0]))) < 1e-12 * np.max(
+        np.abs(A.data))
+    area = 0.5 * M * radius ** 2 * math.sin(2.0 * math.pi / M)
+    assert disc.mass_p1.sum() == pytest.approx(area, rel=1e-12)
+    assert disc.p2_basis_integrals.sum() == pytest.approx(area, rel=1e-12)

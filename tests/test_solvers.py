@@ -63,6 +63,39 @@ def test_cg_deflated_singular_neumann_like(rng):
     assert np.allclose(x, expected, atol=1e-8)
 
 
+def test_cg_bordered_factor_preconditioner(rng):
+    """A Neumann-like system: kernel = constants, deflation against a
+    positive weight vector m.  The LU factor of [[A, m], [m^T, 0]], solved
+    with [r, 0], inverts the deflated operator on m-orthogonal vectors, so
+    CG preconditioned by it converges in one iteration to the Jacobi-CG
+    solution."""
+    n = 30
+    ones = np.ones(n)
+    P1 = np.eye(n) - np.outer(ones, ones) / n
+    A = P1 @ random_spd(n, rng) @ P1
+    A = 0.5 * (A + A.T)
+    m = rng.random(n) + 0.5
+    b = rng.standard_normal(n)
+    b -= b.mean()                       # compatible: orthogonal to the kernel
+    A = sp.csr_matrix(A)
+    factor = splu(sp.bmat([[A, m[:, None]], [m[None, :], None]],
+                          format="csc"))
+
+    def bordered_solve(r):
+        return factor.solve(np.append(r, 0.0))[:n]
+
+    tol = 1e-12
+    x_jac, jac = cg_deflated(A, b, deflate=m, rel_tol=tol, jacobi=True)
+    x, report = cg_deflated(A, b, deflate=m, rel_tol=tol,
+                            precond=bordered_solve)
+    assert jac.converged and jac.iterations > 1
+    assert report.converged
+    assert report.iterations == 1
+    assert abs(m @ x) < 1e-12 * np.linalg.norm(m) * np.linalg.norm(x)
+    assert np.allclose(x, x_jac, rtol=0, atol=1e-10 * np.linalg.norm(x_jac))
+    assert np.allclose(A @ x, b, atol=1e-10 * np.linalg.norm(b))
+
+
 def test_cg_warm_start_cuts_iterations(rng):
     n = 40
     A = sp.csr_matrix(random_spd(n, rng, cond=200.0))

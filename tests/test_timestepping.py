@@ -9,7 +9,7 @@ import pytest
 from miscfem import (CoefficientBlowupError, ProblemCoefficients,
                      ScalarDispersionParams, SolveReport,
                      SolverOptions, StepFailure, TimeGrid, finalize_pressure,
-                     initialize, interpolate, run, step)
+                     initialize, interpolate, run, step, timestepping)
 
 
 def make_coefficients(disc, velocity="on", **overrides):
@@ -179,10 +179,73 @@ def test_viscosity_evaluated_once_per_pressure_level(disc16):
     assert len(calls) == 5
 
 
+def count_pressure_factorizations(monkeypatch, disc):
+    """Record every ``timestepping.splu`` call on a matrix of the bordered
+    pressure system's size, n2 + 1."""
+    calls = []
+    original = timestepping.splu
+
+    def counting(matrix, *args, **kwargs):
+        if matrix.shape == (disc.p2.dof_count + 1,) * 2:
+            calls.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(timestepping, "splu", counting)
+    return calls
+
+
+def test_one_pressure_factor_serves_the_whole_run(disc16, monkeypatch):
+    """mu(c) drifts with the concentration, yet the factor built for the
+    initial pressure preconditions every later level within a few CG
+    iterations, so the run factors the pressure system once."""
+    factorizations = count_pressure_factorizations(monkeypatch, disc16)
+    coeffs = make_coefficients(
+        disc16, viscosity=lambda c: 1.0 + 0.5 * np.asarray(c, dtype=float),
+        viscosity_bounds=(0.5, 2.0),
+        initial_concentration=lambda x, y: 0.4 + 0.2 * x * y)
+    state, history = run(disc16, coeffs, TimeGrid(final_time=0.2,
+                                                  num_steps=5))
+    assert len(factorizations) == 1
+    iterations = [rec.pressure_iterations for rec in history]
+    iterations.append(state.pressure_report.iterations)
+    assert iterations[0] == 1
+    assert max(iterations) <= timestepping.REFACTOR_ITERATIONS
+    assert state.pressure_factor is not None
+
+
+def test_viscosity_jump_triggers_a_refactor(disc16, monkeypatch):
+    """A viscosity that jumps from constant at level 0 to strongly varying
+    from level 1 on makes the level-0 factor a poor preconditioner: the
+    level-1 solve takes more than REFACTOR_ITERATIONS, drops the factor,
+    and the level-2 solve factors its own matrix."""
+    factorizations = count_pressure_factorizations(monkeypatch, disc16)
+    levels = []
+
+    def viscosity(c):
+        c = np.asarray(c, dtype=float)
+        levels.append(1)
+        return np.ones(c.shape) if len(levels) == 1 else 0.3 + 3.0 * c
+
+    coeffs = make_coefficients(
+        disc16, viscosity=viscosity, viscosity_bounds=(0.3, 3.3),
+        initial_concentration=lambda x, y: x + 0.0 * y)
+    grid = TimeGrid(final_time=0.1, num_steps=3)
+    state = step(disc16, coeffs, grid, initialize(disc16, coeffs, grid))
+    assert len(factorizations) == 1
+    state = step(disc16, coeffs, grid, state)
+    assert state.pressure_report.iterations > timestepping.REFACTOR_ITERATIONS
+    assert state.pressure_factor is None
+    assert len(factorizations) == 1
+    state = step(disc16, coeffs, grid, state)
+    assert state.pressure_report.iterations == 1
+    assert state.pressure_factor is not None
+    assert len(factorizations) == 2
+
+
 def test_solver_failure_is_reported(disc16):
     coeffs = make_coefficients(disc16)
     grid = TimeGrid(final_time=1.0, num_steps=2)
-    options = SolverOptions(max_iter=1, pressure_tol=1e-14)
+    options = SolverOptions(max_iter=0, pressure_tol=1e-14)
     with pytest.raises(StepFailure) as info:
         initialize(disc16, coeffs, grid, options)
     assert "pressure solve failed at step 0" in str(info.value)
