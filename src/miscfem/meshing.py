@@ -251,6 +251,20 @@ def save_mesh(mesh: Mesh, path) -> None:
         f.write("\n")
 
 
+def _table(rows, width, types, dtype, message):
+    """A non-empty JSON list of ``width``-long rows whose entries all have
+    one of the exact Python ``types`` (so booleans, strings and, for
+    indices, floats are refused), as a (len, width) array."""
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == width
+            and all(type(v) in types for v in row) for row in rows)):
+        raise MeshFormatError(message)
+    try:
+        return np.array(rows, dtype=dtype)
+    except OverflowError as exc:
+        raise MeshFormatError(f"{message}: {exc}") from exc
+
+
 def load_mesh(path) -> Mesh:
     """Read a JSON mesh file written by save_mesh.
 
@@ -258,11 +272,15 @@ def load_mesh(path) -> Mesh:
     reconstructed from the connectivity; h_nominal is 1 over the number
     of boundary edges.
     """
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise MeshFormatError(exc.msg, line=exc.lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"not UTF-8 text at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise MeshFormatError(exc.msg, line=exc.lineno) from exc
+    except RecursionError as exc:   # the decoder recurses per nesting level
+        raise MeshFormatError("JSON nested too deeply") from exc
 
     if not isinstance(obj, dict):
         raise MeshFormatError("top-level JSON value must be an object")
@@ -270,39 +288,38 @@ def load_mesh(path) -> Mesh:
         if key not in obj:
             raise MeshFormatError(f"missing required key {key!r}")
 
-    try:
-        vertices = np.array(obj["vertices"], dtype=np.float64)
-        triangles = np.array(obj["triangles"], dtype=np.int64)
-        pairs = np.array(obj["boundary_edges"], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise MeshFormatError(f"malformed array data: {exc}") from exc
-
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise MeshFormatError("'vertices' must be a list of [x, y] pairs")
-    if triangles.ndim != 2 or triangles.shape[1] != 3:
-        raise MeshFormatError("'triangles' must be a list of 3 vertex indices")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise MeshFormatError("'boundary_edges' must be a list of index pairs")
+    vertices = _table(obj["vertices"], 2, (int, float), np.float64,
+                      "'vertices' must be a list of [x, y] pairs")
+    triangles = _table(obj["triangles"], 3, (int,), np.int64,
+                       "'triangles' must be a list of 3 vertex indices")
+    pairs = _table(obj["boundary_edges"], 2, (int,), np.int64,
+                   "'boundary_edges' must be a list of index pairs")
+    if not np.all(np.isfinite(vertices)):
+        raise MeshFormatError("vertex coordinates must be finite")
 
     V = vertices.shape[0]
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= V):
+    if triangles.min() < 0 or triangles.max() >= V:
         raise MeshFormatError(
             f"triangle vertex index out of range [0, {V})")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= V):
+    if pairs.min() < 0 or pairs.max() >= V:
         raise MeshFormatError(f"boundary edge index out of range [0, {V})")
 
-    if np.any(signed_areas(vertices, triangles) <= 0):
-        raise MeshFormatError("file contains a non-counterclockwise or "
-                              "degenerate triangle")
-
-    try:
-        start = int(pairs[0, 0]) if pairs.size else None
-        edges, tris, normals = _boundary_structure(vertices, triangles, start)
-    except MeshConstructionError as exc:
-        raise MeshFormatError(str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        areas = signed_areas(vertices, triangles)
+        if np.any(areas <= 0):
+            raise MeshFormatError("file contains a non-counterclockwise or "
+                                  "degenerate triangle")
+        try:
+            edges, tris, normals = _boundary_structure(vertices, triangles,
+                                                       int(pairs[0, 0]))
+        except MeshConstructionError as exc:
+            raise MeshFormatError(str(exc)) from exc
     if not np.array_equal(edges, pairs):
         raise MeshFormatError("'boundary_edges' does not match the boundary "
                               "cycle implied by the triangles")
+    if not (np.all(np.isfinite(areas)) and np.all(np.isfinite(normals))):
+        raise MeshFormatError("vertex coordinates too large: triangle areas "
+                              "or boundary normals overflow")
 
     return _freeze(Mesh(vertices=vertices, triangles=triangles,
                         boundary_edges=edges, boundary_tris=tris,

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from miscfem import (Mesh, MeshConstructionError, MeshFormatError,
                      generate_disk_mesh, load_mesh, mesh_quality, save_mesh)
@@ -196,3 +198,65 @@ def test_load_accepts_rotated_boundary_cycle(tmp_path):
     mesh = load_mesh(path)
     assert mesh.boundary_edges.tolist() == [[2, 3], [3, 0], [0, 1], [1, 2]]
     assert mesh.boundary_tris.tolist() == [2, 3, 0, 1]
+
+
+SQUARE_JSON = json.dumps({"vertices": SQUARE, "triangles": SQUARE_TRIANGLES,
+                          "boundary_edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+
+
+@pytest.mark.parametrize("contents", [
+    b'\xff\xfe{"vertices": []}',
+    b"[" * 100_000,
+    SQUARE_JSON.replace("[0, 1, 4]", "[0, 1, %d]" % 10**30).encode(),
+    SQUARE_JSON.replace("[0, 1, 4]", "[0.5, 1, 4]").encode(),
+    SQUARE_JSON.replace("[0, 1, 4]", "[false, true, 4]").encode(),
+    SQUARE_JSON.replace("[0, 1, 4]", '["0", 1, 4]').encode(),
+    SQUARE_JSON.replace("[1, 1]", "[1e400, 1]").encode(),
+    SQUARE_JSON.replace("[1, 1]", "[NaN, 1]").encode(),
+    SQUARE_JSON.replace("[1, 1]", "[1e308, 1e308]")
+               .replace("[0, 1]]", "[-1e308, 1]]", 1).encode(),
+    SQUARE_JSON.replace("[0, 1, 4]", "[]").encode(),
+], ids=["not-utf8", "deep-nesting", "huge-index", "fractional-index",
+        "boolean-index", "string-index", "overflowing-coordinate",
+        "nan-coordinate", "overflowing-normals", "ragged-rows"])
+def test_load_rejects_malformed_file(tmp_path, contents):
+    path = tmp_path / "bad.json"
+    path.write_bytes(contents)
+    with pytest.raises(MeshFormatError):
+        load_mesh(path)
+
+
+ENTRIES = (st.integers(-1, 5) | st.integers() | st.floats() | st.booleans()
+           | st.text(max_size=1) | st.none())
+ROWS = st.lists(st.lists(ENTRIES, max_size=4), max_size=6)
+
+
+@st.composite
+def mutated_square(draw):
+    """The valid square mesh with one entry replaced by a random value."""
+    obj = json.loads(SQUARE_JSON)
+    rows = obj[draw(st.sampled_from(sorted(obj)))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    row[draw(st.integers(0, len(row) - 1))] = draw(ENTRIES)
+    return json.dumps(obj).encode()
+
+
+FILE_CONTENTS = st.one_of(
+    st.binary(max_size=64),
+    st.fixed_dictionaries({"vertices": ROWS, "triangles": ROWS,
+                           "boundary_edges": ROWS})
+    .map(lambda obj: json.dumps(obj).encode()),
+    mutated_square())
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(FILE_CONTENTS)
+def test_any_file_gives_mesh_or_format_error(tmp_path, contents):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(contents)
+    try:
+        mesh = load_mesh(path)
+    except MeshFormatError:
+        return
+    assert np.all(signed_areas(mesh.vertices, mesh.triangles) > 0)
+    assert np.all(np.isfinite(mesh.boundary_normals))

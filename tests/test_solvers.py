@@ -1,5 +1,6 @@
-"""Sparse assembly helper and the two hand-rolled Krylov solvers,
-checked against dense linear algebra on small random systems."""
+"""Sparse assembly helper and the two Krylov solvers (deflated CG written
+out, restarted GMRES over scipy cycles), checked against dense linear
+algebra on small random systems."""
 
 import numpy as np
 import pytest
@@ -190,11 +191,39 @@ def test_gmres_reports_nonconvergence(rng):
     assert report.relative_residual > 0
 
 
+def test_gmres_stagnation_stops_early(rng):
+    """A singular diagonal system: the component of b along the zero
+    eigenvalue can never be reduced, so the residual stalls at
+    |b_n| / ||b|| and a restart cycle that does not lower it ends the
+    solve long before the iteration cap."""
+    n = 40
+    d = np.linspace(1.0, 30.0, n)
+    d[-1] = 0.0
+    A = sp.csr_matrix(np.diag(d))
+    b = rng.standard_normal(n)
+    x, report = gmres(A, b, restart=5, max_iter=10_000, jacobi=False)
+    assert not report.converged
+    assert report.iterations < 200
+    assert report.relative_residual == pytest.approx(
+        abs(b[-1]) / np.linalg.norm(b), rel=1e-9)
+
+
+def test_gmres_iteration_cap_not_a_multiple_of_restart(rng):
+    n = 40
+    A = sp.csr_matrix(np.diag(np.linspace(1.0, 30.0, n))
+                      + 0.1 * rng.standard_normal((n, n)))
+    b = rng.standard_normal(n)
+    x, report = gmres(A, b, rel_tol=1e-14, max_iter=5, restart=3)
+    assert not report.converged
+    assert report.iterations == 5
+
+
 def test_solve_report_residual_definition(rng):
     n = 25
     A = sp.csr_matrix(random_spd(n, rng))
     b = rng.standard_normal(n)
-    x, report = cg_deflated(A, b, rel_tol=1e-12)
-    true_rel = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
-    assert report.relative_residual == pytest.approx(true_rel,
-                                                     abs=1e-12, rel=1e-3)
+    for solve in (cg_deflated, gmres):
+        x, report = solve(A, b, rel_tol=1e-12)
+        true_rel = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+        assert report.relative_residual == pytest.approx(
+            true_rel, abs=1e-12, rel=1e-3)
