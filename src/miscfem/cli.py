@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .forms import CoefficientBlowupError
 from .meshing import generate_disk_mesh, save_mesh
-from .studies import (ConfigError, StudyConfig, config_from_dict, load_config,
+from .studies import (MAX_MESH_M, ConfigError, StudyConfig, check_mesh_size,
+                      config_from_dict, load_config, make_output_dir,
                       run_single, run_spatial_study, run_temporal_study)
 from .timestepping import StepFailure
 
@@ -71,7 +71,8 @@ def _build_parser():
                            help="full table protocol")
         if verb == "mesh-gen":
             p.add_argument("--M", type=int, default=16,
-                           help="boundary node count (default 16)")
+                           help=f"boundary node count, 8..{MAX_MESH_M} "
+                                "(default 16)")
     return parser
 
 
@@ -116,10 +117,8 @@ def main(argv=None) -> int:
         if args.verb == "mesh-gen":
             if args.config is not None:
                 raise ConfigError("<flags>", "mesh-gen takes --M, not --config")
-            if args.M < 8:
-                raise ConfigError("M", f"must be >= 8, got {args.M}")
-            out = Path(args.out or "miscfem-mesh-gen")
-            out.mkdir(parents=True, exist_ok=True)
+            check_mesh_size("M", args.M)
+            out = make_output_dir("out", args.out or "miscfem-mesh-gen")
             mesh = generate_disk_mesh(M=args.M)
             path = out / f"mesh_M{args.M}.json"
             save_mesh(mesh, path)

@@ -36,6 +36,32 @@ class ConfigError(ValueError):
         self.path = path
 
 
+# Largest mesh resolution: four times the paper-exact M = 256, whose
+# study already takes minutes; memory and run time grow as M^2.
+MAX_MESH_M = 1024
+
+
+def check_mesh_size(path, m) -> None:
+    """Reject ``m`` unless it is an integer mesh resolution in
+    8..MAX_MESH_M."""
+    if not isinstance(m, int) or isinstance(m, bool) or not 8 <= m <= MAX_MESH_M:
+        raise ConfigError(path, f"must be an integer in 8..{MAX_MESH_M}, "
+                                f"got {m!r}")
+
+
+def make_output_dir(path, directory) -> Path:
+    """Create ``directory`` (and its parents) for the outputs; a path that
+    names a file, lies below one or cannot be created is a ConfigError
+    for the field ``path``."""
+    out = Path(directory)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(path, f"cannot create directory {directory}: "
+                                f"{exc.strerror}") from exc
+    return out
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Validated study/run configuration (see :func:`config_from_dict`)."""
@@ -87,7 +113,8 @@ def config_from_dict(data: dict) -> StudyConfig:
 
     Schema (all keys optional, defaults in parentheses):
       case: registered benchmark name ("disk-trig")
-      mesh_M: list of boundary node counts, each an integer >= 8 ([16])
+      mesh_M: list of boundary node counts, each an integer in
+              8..MAX_MESH_M = 1024 ([16])
       tau: list of time steps; each must divide T evenly, in at most
            2**53 steps ([1/32])
       T: final time (1.0)
@@ -119,8 +146,7 @@ def config_from_dict(data: dict) -> StudyConfig:
     if not mesh_sizes:
         raise ConfigError("mesh_M", "must be a nonempty list")
     for i, m in enumerate(mesh_sizes):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 8:
-            raise ConfigError(f"mesh_M[{i}]", f"must be an integer >= 8, got {m!r}")
+        check_mesh_size(f"mesh_M[{i}]", m)
 
     final_time = data.get("T", 1.0)
     if not _is_number(final_time) or final_time <= 0:
@@ -328,8 +354,7 @@ def _dump_state(out_dir, mesh, disc, state):
 
 
 def _prepare_out(config: StudyConfig):
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir("output_dir", config.output_dir)
     with open(out / "config-echo.json", "w") as f:
         json.dump(config.echo_dict(), f, indent=2, sort_keys=True)
         f.write("\n")

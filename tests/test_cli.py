@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from miscfem import load_mesh
+from miscfem import cli, load_mesh, studies
 from miscfem.cli import main
+from miscfem.studies import MAX_MESH_M
 
 
 def write_config(tmp_path, **extra):
@@ -32,6 +33,14 @@ def test_mesh_gen_writes_loadable_mesh(tmp_path, capsys):
 def test_mesh_gen_rejects_small_m(tmp_path, capsys):
     assert main(["mesh-gen", "--out", str(tmp_path), "--M", "5"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_mesh_gen_rejects_m_above_the_cap(tmp_path, capsys, monkeypatch):
+    """The cap is checked before any mesh is built."""
+    monkeypatch.setattr(cli, "generate_disk_mesh", _no_work)
+    assert main(["mesh-gen", "--out", str(tmp_path),
+                 "--M", str(MAX_MESH_M + 1)]) == 2
+    assert f"8..{MAX_MESH_M}" in capsys.readouterr().err
 
 
 def test_mesh_gen_rejects_config_flag(tmp_path, capsys):
@@ -97,6 +106,36 @@ def test_study_temporal_prints_csv(tmp_path, capsys):
     assert out_lines[0].startswith("tau,")
     data = json.loads((tmp_path / "out" / "report.json").read_text())
     assert data["refinement"] == [0.25, 0.125]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the inputs were checked")
+
+
+@pytest.mark.parametrize("verb", ["run", "study-spatial", "study-temporal",
+                                  "mesh-gen"])
+def test_output_path_at_or_below_a_file_exits_2(verb, tmp_path, capsys,
+                                                monkeypatch):
+    """An --out that names a file, or lies below one, is a configuration
+    error raised before any mesh is built or any row solved."""
+    monkeypatch.setattr(cli, "generate_disk_mesh", _no_work)
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "below"):
+        assert main([verb, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert str(out) in err
+
+
+def test_output_dir_of_a_config_below_a_file_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    (tmp_path / "blocker").write_text("")
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "blocker" / "x"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "'output_dir'" in capsys.readouterr().err
 
 
 def test_invalid_config_field_exits_2(tmp_path, capsys):

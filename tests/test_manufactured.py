@@ -1,12 +1,15 @@
 """Benchmark fields: internal consistency of the closed-form solution,
 finite-difference source recovery, and the wall-flux contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from miscfem import (CASES, ManufacturedSolution, disk_trig_case,
-                     fd_divergence, manufacture_sources,
-                     problem_coefficients, strong_residuals)
+from miscfem import (CASES, ManufacturedSolution, build_discretization,
+                     disk_trig_case, fd_divergence, generate_disk_mesh,
+                     manufacture_sources, problem_coefficients,
+                     strong_residuals)
 
 
 def disk_points(rng, n, sol):
@@ -140,14 +143,41 @@ def test_problem_coefficients_bundle(sol, rng):
 def test_concentration_source_omits_advection_when_uncoupled(sol, rng):
     """For the uncoupled benchmark g contains no u . grad c contribution:
     rebuilding it for an advection-coupled copy shifts g by exactly that
-    term."""
-    import dataclasses
+    term, for the finite-difference sources and for the closed-form ones
+    the driver gets."""
     coupled = dataclasses.replace(sol, velocity_coupling="advection")
-    g_none = manufacture_sources(sol).concentration_source
-    g_adv = manufacture_sources(coupled).concentration_source
     x, y = disk_points(rng, 200, sol)
     t = 0.25
     u = sol.velocity(x, y, t)
     term = np.einsum("...a,...a->...", u, sol.concentration_grad(x, y, t))
-    assert np.allclose(g_adv(x, y, t) - g_none(x, y, t), term,
-                       rtol=0, atol=1e-13)
+    for build in (manufacture_sources, problem_coefficients):
+        g_none = build(sol).concentration_source
+        g_adv = build(coupled).concentration_source
+        assert np.allclose(g_adv(x, y, t) - g_none(x, y, t), term,
+                           rtol=0, atol=1e-13)
+
+
+def test_closed_form_sources_match_the_finite_difference_oracle(sol, rng):
+    """problem_coefficients' sources equal manufacture_sources' within
+    1e-10 of their size at criterion 6's sample points and at every
+    quadrature point of the temporal M=128 row, and bit for bit where
+    the stencil straddles the kink x = t of |u|: there the stencil's
+    smeared value is what the computed errors are pinned to."""
+    oracle = manufacture_sources(sol)
+    coeffs = problem_coefficients(sol)
+    x, y = disk_points(rng, 1000, sol)      # criterion 6's draws
+    samples = [(x, y, rng.uniform(0.0, 1.0, 1000))]
+    disc = build_discretization(generate_disk_mesh(M=128))
+    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    samples += [(x, y, n / 32.0) for n in range(33)]
+    banded = 0
+    for x, y, t in samples:
+        for fd, closed in ((oracle.pressure_source, coeffs.pressure_source),
+                           (oracle.concentration_source,
+                            coeffs.concentration_source)):
+            want, got = fd(x, y, t), closed(x, y, t)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        band = np.abs(x - t) < 1e-5         # fd_step
+        banded += band.sum()
+        assert np.array_equal(got[band], want[band])
+    assert banded == 3                      # at t = 17/32 and 24/32

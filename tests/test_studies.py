@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from miscfem import (ConfigError, ConvergenceReport, ErrorRecord, RowResult,
                      StudyConfig, config_from_dict, load_config, run_single,
                      run_spatial_study, run_temporal_study, simulate_row)
+from miscfem.studies import MAX_MESH_M
 
 
 def test_defaults():
@@ -24,6 +25,14 @@ def test_defaults():
     assert cfg.mode == "direct"
     assert cfg.quad_degree == 4
     assert not cfg.dump_fields
+
+
+def test_mesh_size_cap_lies_above_the_paper_protocol():
+    """The cap admits the paper-exact M = 256 and is checked without
+    building a mesh."""
+    assert MAX_MESH_M > 256
+    assert config_from_dict({"mesh_M": [256, MAX_MESH_M]}).mesh_sizes == (
+        256, MAX_MESH_M)
 
 
 def test_scalars_are_listified():
@@ -76,6 +85,8 @@ def test_echo_dict_roundtrips():
     ({"T": 10 ** 400}, "T"),                       # beyond the float range
     ({"fd_step": 10 ** 400}, "fd_step"),
     ({"case": ["disk-trig"]}, "case"),
+    ({"mesh_M": [16, MAX_MESH_M + 1]}, "mesh_M[1]"),
+    ({"mesh_M": [10 ** 9]}, "mesh_M[0]"),
 ])
 def test_schema_violations_name_the_field(data, path):
     with pytest.raises(ConfigError) as info:
@@ -298,4 +309,17 @@ def test_spatial_report_matches_golden_file(tmp_path):
                             "T": 2.0 ** -5, "output_dir": str(tmp_path)})
     run_spatial_study(cfg)
     golden = Path(__file__).parent / "data" / "spatial_report.csv"
+    assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()
+
+
+def test_temporal_report_matches_golden_file(tmp_path):
+    """Refactor oracle: the CSV of a small temporal study, byte for byte.
+    tests/data/temporal_report.csv was written by
+    ``miscfem study-temporal --config`` with this configuration.  On this
+    mesh quadrature points lie within fd_step of the |u| kink x = t at
+    t = 1/8, 1/2, 5/32 and 27/32, so the file also pins the sources there."""
+    cfg = config_from_dict({"mesh_M": [48], "tau": [0.125, 0.0625, 0.03125],
+                            "output_dir": str(tmp_path)})
+    run_temporal_study(cfg)
+    golden = Path(__file__).parent / "data" / "temporal_report.csv"
     assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()
