@@ -25,8 +25,9 @@ import sys
 from .forms import CoefficientBlowupError
 from .meshing import generate_disk_mesh, save_mesh
 from .studies import (MAX_MESH_M, ConfigError, StudyConfig, check_mesh_size,
-                      config_from_dict, load_config, make_output_dir,
-                      run_single, run_spatial_study, run_temporal_study)
+                      check_output_file, config_from_dict, load_config,
+                      make_output_dir, run_single, run_spatial_study,
+                      run_temporal_study)
 from .timestepping import StepFailure
 
 _SPATIAL_NOTE = ("fast mode: tau = 2^-12 keeps the first-order time error "
@@ -119,8 +120,8 @@ def main(argv=None) -> int:
                 raise ConfigError("<flags>", "mesh-gen takes --M, not --config")
             check_mesh_size("M", args.M)
             out = make_output_dir("out", args.out or "miscfem-mesh-gen")
+            path = check_output_file("out", out / f"mesh_M{args.M}.json")
             mesh = generate_disk_mesh(M=args.M)
-            path = out / f"mesh_M{args.M}.json"
             save_mesh(mesh, path)
             print(f"wrote {path} ({mesh.num_vertices} vertices, "
                   f"{mesh.num_triangles} triangles)")

@@ -129,7 +129,8 @@ class Discretization:
 
     The ``edge_*`` arrays tabulate the boundary edges, each in its owning
     triangle's reference frame; they carry the wall-flux terms of both
-    systems and the skew boundary correction."""
+    systems and the skew boundary correction, which assembly adds into
+    the owner cells' blocks before the one cell scatter per system."""
 
     mesh: Mesh
     p1: DofMap
@@ -151,8 +152,6 @@ class Discretization:
     edge_points: np.ndarray        # (B, Qe, 2)
     edge_p1_values: np.ndarray     # (B, Qe, 3) traces of the owner's basis
     edge_p2_values: np.ndarray     # (B, Qe, 6)
-    edge_rows1: np.ndarray
-    edge_cols1: np.ndarray
 
     def p2_gradient(self, p_coeffs: np.ndarray) -> np.ndarray:
         """Gradient of the quadratic field with nodal values ``p_coeffs``
@@ -191,14 +190,11 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
 
     mass_p1 = from_triplets(p1.dof_count, p1.dof_count, rows1, cols1,
                             mass_local.ravel())
-    p2_basis_integrals = np.bincount(
-        cell2.ravel(),
-        weights=np.einsum("tq,qi->ti", cell_weights, p2_values).ravel(),
-        minlength=p2.dof_count)
+    p2_basis_integrals = _scatter(
+        p2, np.einsum("tq,qi->ti", cell_weights, p2_values))
 
     # boundary-edge tabulations in the owning triangle's reference frame
     s, ws = edge_quadrature()
-    B = mesh.num_boundary_edges
     owner = mesh.triangles[mesh.boundary_tris]
     ends = mesh.boundary_edges
     bary = ((1.0 - s)[None, :, None] * (owner == ends[:, :1])[:, None, :]
@@ -211,10 +207,6 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     edge_weights = ws[None, :] * lengths[:, None]
     edge_points = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
 
-    ecell1 = cell1[mesh.boundary_tris]
-    edge_rows1 = np.broadcast_to(ecell1[:, :, None], (B, 3, 3)).ravel()
-    edge_cols1 = np.broadcast_to(ecell1[:, None, :], (B, 3, 3)).ravel()
-
     return Discretization(
         mesh=mesh, p1=p1, p2=p2,
         cell_weights=cell_weights, quad_points=quad_points,
@@ -224,8 +216,13 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
         p2_basis_integrals=p2_basis_integrals,
         rows1=rows1, cols1=cols1, rows2=rows2, cols2=cols2,
         edge_weights=edge_weights, edge_points=edge_points,
-        edge_p1_values=edge_p1_values, edge_p2_values=edge_p2_values,
-        edge_rows1=edge_rows1, edge_cols1=edge_cols1)
+        edge_p1_values=edge_p1_values, edge_p2_values=edge_p2_values)
+
+
+def _scatter(dofmap: DofMap, loads: np.ndarray) -> np.ndarray:
+    """Global vector from per-cell loads (T, k); shared dofs are summed."""
+    return np.bincount(dofmap.cell_dofs.ravel(), weights=loads.ravel(),
+                       minlength=dofmap.dof_count)
 
 
 def _eval_field(func, x, y, t=None):
@@ -240,6 +237,13 @@ def _eval_wall_flux(disc, func, t):
     n = disc.mesh.boundary_normals
     out = func(ex, ey, t, n[:, None, 0], n[:, None, 1])
     return np.broadcast_to(np.asarray(out, dtype=np.float64), ex.shape)
+
+
+def _add_wall_loads(disc, loads, flux, edge_values):
+    """Add each boundary edge's load (flux, phi_i) into its owner cell's
+    row of the per-cell ``loads``."""
+    np.add.at(loads, disc.mesh.boundary_tris,
+              np.einsum("bq,bqi->bi", flux * disc.edge_weights, edge_values))
 
 
 def _mobility(disc, coeffs, c_prev):
@@ -280,19 +284,12 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
                        (coeffs.pressure_source, 1.0)):
         if func is not None:
             source += sign * _eval_field(func, x, y, t)
-    rhs = np.bincount(
-        disc.p2.cell_dofs.ravel(),
-        weights=np.einsum("tq,qi->ti", source * disc.cell_weights,
-                          disc.p2_values).ravel(),
-        minlength=n2)
-
+    loads = np.einsum("tq,qi->ti", source * disc.cell_weights, disc.p2_values)
     if coeffs.pressure_flux is not None:
-        flux = _eval_wall_flux(disc, coeffs.pressure_flux, t)
-        rhs -= np.bincount(
-            disc.p2.cell_dofs[disc.mesh.boundary_tris].ravel(),
-            weights=np.einsum("bq,bqi->bi", flux * disc.edge_weights,
-                              disc.edge_p2_values).ravel(),
-            minlength=n2)
+        _add_wall_loads(disc, loads,
+                        -_eval_wall_flux(disc, coeffs.pressure_flux, t),
+                        disc.edge_p2_values)
+    rhs = _scatter(disc.p2, loads)
 
     defect = abs(float(rhs.sum()))
     rhs_norm = float(np.linalg.norm(rhs))
@@ -361,22 +358,17 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
             if q_total.any():
                 local += (0.5 * q_total[:, None, :] * weighted_values
                           @ disc.p1_values)
+            if coeffs.pressure_flux is not None:
+                flux = _eval_wall_flux(disc, coeffs.pressure_flux, t)
+                np.add.at(local, disc.mesh.boundary_tris, np.einsum(
+                    "bq,bqi,bqj->bij", 0.5 * flux * disc.edge_weights,
+                    disc.edge_p1_values, disc.edge_p1_values))
         else:
             local += n1
     local += (gamma / tau) * disc.mass_local
 
-    rows, cols, vals = disc.rows1, disc.cols1, local.ravel()
-    if (mode == "skew" and coeffs.velocity_coupling == "advection"
-            and coeffs.pressure_flux is not None):
-        flux = _eval_wall_flux(disc, coeffs.pressure_flux, t)
-        edge_local = np.einsum("bq,bqi,bqj->bij",
-                               0.5 * flux * disc.edge_weights,
-                               disc.edge_p1_values, disc.edge_p1_values)
-        rows = np.concatenate([rows, disc.edge_rows1])
-        cols = np.concatenate([cols, disc.edge_cols1])
-        vals = np.concatenate([vals, edge_local.ravel()])
     n = disc.p1.dof_count
-    A = from_triplets(n, n, rows, cols, vals)
+    A = from_triplets(n, n, disc.rows1, disc.cols1, local.ravel())
 
     rhs = (gamma / tau) * (disc.mass_p1 @ c_prev)
     source = np.zeros(x.shape)
@@ -385,17 +377,13 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
                    * _eval_field(coeffs.injection, x, y, t))
     if coeffs.concentration_source is not None:
         source += _eval_field(coeffs.concentration_source, x, y, t)
-    if source.any():
-        rhs += np.bincount(
-            disc.p1.cell_dofs.ravel(),
-            weights=np.einsum("tq,qi->ti", source * disc.cell_weights,
-                              disc.p1_values).ravel(),
-            minlength=n)
-    if coeffs.concentration_flux is not None:
-        gflux = _eval_wall_flux(disc, coeffs.concentration_flux, t)
-        rhs += np.bincount(
-            disc.p1.cell_dofs[disc.mesh.boundary_tris].ravel(),
-            weights=np.einsum("bq,bqi->bi", gflux * disc.edge_weights,
-                              disc.edge_p1_values).ravel(),
-            minlength=n)
+    if source.any() or coeffs.concentration_flux is not None:
+        loads = np.einsum("tq,qi->ti", source * disc.cell_weights,
+                          disc.p1_values)
+        if coeffs.concentration_flux is not None:
+            _add_wall_loads(
+                disc, loads,
+                _eval_wall_flux(disc, coeffs.concentration_flux, t),
+                disc.edge_p1_values)
+        rhs += _scatter(disc.p1, loads)
     return ConcentrationSystem(matrix=A, rhs=rhs)

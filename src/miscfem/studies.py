@@ -51,15 +51,25 @@ def check_mesh_size(path, m) -> None:
 
 def make_output_dir(path, directory) -> Path:
     """Create ``directory`` (and its parents) for the outputs; a path that
-    names a file, lies below one or cannot be created is a ConfigError
-    for the field ``path``."""
+    names a file, lies below one, holds a NUL byte or cannot be created
+    is a ConfigError for the field ``path``."""
     out = Path(directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(path, f"cannot create directory {directory}: "
-                                f"{exc.strerror}") from exc
+    except (OSError, ValueError) as exc:    # ValueError: embedded NUL byte
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(path, f"cannot create directory "
+                                f"{str(directory)!r}: {reason}") from exc
     return out
+
+
+def check_output_file(path, target: Path) -> Path:
+    """Return ``target`` if a file can be written there; a directory (or
+    anything but a regular file) of that name is a ConfigError for the
+    field ``path``."""
+    if target.exists() and not target.is_file():
+        raise ConfigError(path, f"{str(target)!r} exists and is not a file")
+    return target
 
 
 @dataclass(frozen=True)
@@ -309,7 +319,10 @@ def _fmt(x: float) -> str:
 
 def simulate_row(config: StudyConfig, mesh_size: int, tau: float,
                  dump_dir=None) -> RowResult:
-    """One full simulation at a given refinement; returns its errors."""
+    """One full simulation at a given refinement; returns its errors.
+
+    With ``config.dump_fields``, VTK fields go to the existing directory
+    ``dump_dir``."""
     sol = CASES[config.case]()
     coeffs = problem_coefficients(sol, fd_step=config.fd_step)
     mesh = generate_disk_mesh(sol.domain_center, sol.domain_radius, mesh_size)
@@ -321,7 +334,7 @@ def simulate_row(config: StudyConfig, mesh_size: int, tau: float,
 
     observers = []
     if dump_dir is not None and config.dump_fields:
-        wanted = set(config.dump_steps) | {num_steps}
+        wanted = _dump_steps(config, tau)
 
         def dump(state):
             if state.step_index in wanted:
@@ -341,55 +354,79 @@ def simulate_row(config: StudyConfig, mesh_size: int, tau: float,
                                                   for h in history))
 
 
+def _dump_steps(config: StudyConfig, tau: float) -> set:
+    """Step indices whose fields a row with time step ``tau`` dumps: the
+    listed ones that the row reaches, and its last."""
+    last = int(round(config.final_time / tau))
+    return {k for k in config.dump_steps if k <= last} | {last}
+
+
 def _dump_state(out_dir, mesh, disc, state):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     speed = np.hypot(state.velocity.cell_values[..., 0],
                      state.velocity.cell_values[..., 1]).mean(axis=1)
-    write_vtk(out_dir / f"fields_step{state.step_index}.vtk", mesh,
+    write_vtk(Path(out_dir) / f"fields_step{state.step_index}.vtk", mesh,
               point_scalars={
                   "concentration": state.concentration,
                   "pressure": state.pressure[:mesh.num_vertices]},
               cell_scalars={"speed": speed})
 
 
-def _prepare_out(config: StudyConfig):
-    out = make_output_dir("output_dir", config.output_dir)
-    with open(out / "config-echo.json", "w") as f:
-        json.dump(config.echo_dict(), f, indent=2, sort_keys=True)
+def _write_json(path, data):
+    with open(path, "w") as f:
+        json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")
-    return out
+
+
+def _prepare_out(config: StudyConfig, reports, dumps):
+    """Check every output path before any mesh is built, then write
+    config-echo.json; returns the output directory and each row's dump
+    directory (None when fields are not dumped).
+
+    ``reports`` names the report files the command writes and ``dumps``
+    lists (dump subdirectory, tau) per row.  A path that cannot be
+    created, or a directory where a file goes, is a ConfigError."""
+    out = make_output_dir("output_dir", config.output_dir)
+    for name in ("config-echo.json",) + reports:
+        check_output_file("output_dir", out / name)
+    dump_dirs = [None] * len(dumps)
+    if config.dump_fields:
+        for i, (sub, tau) in enumerate(dumps):
+            dump_dirs[i] = make_output_dir("output_dir", out / sub)
+            for k in _dump_steps(config, tau):
+                check_output_file("output_dir",
+                                  dump_dirs[i] / f"fields_step{k}.vtk")
+    _write_json(out / "config-echo.json", config.echo_dict())
+    return out, dump_dirs
 
 
 def run_single(config: StudyConfig):
     """One simulation at (mesh_M[0], tau[0]); writes report.json."""
-    out = _prepare_out(config)
-    row = simulate_row(config, config.mesh_sizes[0], config.time_steps[0],
-                       dump_dir=out)
+    M, tau = config.mesh_sizes[0], config.time_steps[0]
+    out, (dump_dir,) = _prepare_out(config, ("report.json",), [("", tau)])
+    row = simulate_row(config, M, tau, dump_dir=dump_dir)
     report = {"kind": "single", "case": config.case, "mode": config.mode,
               "converged": True}
     report.update(row.row_dict())
-    with open(out / "report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "report.json", report)
     return row
+
+
+_STUDY_REPORTS = ("report.csv", "report.json")
 
 
 def _write_report(out, report: ConvergenceReport):
     with open(out / "report.csv", "w", newline="") as f:
         f.write(report.to_csv())
-    with open(out / "report.json", "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "report.json", report.to_json_dict())
 
 
 def run_spatial_study(config: StudyConfig, note: str = "") -> ConvergenceReport:
     """Refine the mesh over mesh_M at fixed tau = tau[0]."""
-    out = _prepare_out(config)
     tau = config.time_steps[0]
-    rows = [simulate_row(config, M, tau,
-                         dump_dir=out / f"M{M}" if config.dump_fields else None)
-            for M in config.mesh_sizes]
+    out, dump_dirs = _prepare_out(
+        config, _STUDY_REPORTS, [(f"M{M}", tau) for M in config.mesh_sizes])
+    rows = [simulate_row(config, M, tau, dump_dir=d)
+            for M, d in zip(config.mesh_sizes, dump_dirs)]
     report = ConvergenceReport(kind="spatial", case=config.case,
                                mode=config.mode, refinement_label="h",
                                refinement=[1.0 / M for M in config.mesh_sizes],
@@ -400,11 +437,12 @@ def run_spatial_study(config: StudyConfig, note: str = "") -> ConvergenceReport:
 
 def run_temporal_study(config: StudyConfig, note: str = "") -> ConvergenceReport:
     """Refine the time step over tau at fixed M = mesh_M[0]."""
-    out = _prepare_out(config)
     M = config.mesh_sizes[0]
-    rows = [simulate_row(config, M, tau,
-                         dump_dir=out / f"tau{i}" if config.dump_fields else None)
-            for i, tau in enumerate(config.time_steps)]
+    out, dump_dirs = _prepare_out(
+        config, _STUDY_REPORTS,
+        [(f"tau{i}", tau) for i, tau in enumerate(config.time_steps)])
+    rows = [simulate_row(config, M, tau, dump_dir=d)
+            for tau, d in zip(config.time_steps, dump_dirs)]
     report = ConvergenceReport(kind="temporal", case=config.case,
                                mode=config.mode, refinement_label="tau",
                                refinement=list(config.time_steps),

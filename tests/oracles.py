@@ -176,3 +176,64 @@ def transport_matrix_oracle(disc, coeffs, velocity, tau, t, mode):
                          disc.edge_p1_values, disc.edge_p1_values)
         out += _scatter(disc.p1.cell_dofs[disc.mesh.boundary_tris], edge, n)
     return out
+
+
+def _scatter_loads(cell_dofs, local, n):
+    """Dense global vector from per-cell (or per-edge) loads."""
+    out = np.zeros(n)
+    np.add.at(out, cell_dofs.ravel(), local.ravel())
+    return out
+
+
+def _wall_loads(disc, flux, edge_values, t):
+    """Per-edge loads (flux(x, y, t, n), phi_i) on the boundary edges, in
+    the owner triangles' bases."""
+    ex, ey = disc.edge_points[..., 0], disc.edge_points[..., 1]
+    nrm = disc.mesh.boundary_normals
+    g = flux(ex, ey, t, nrm[:, None, 0], nrm[:, None, 1])
+    return np.einsum("bq,bq,bqi->bi", np.broadcast_to(g, ex.shape),
+                     disc.edge_weights, edge_values)
+
+
+def pressure_rhs_oracle(disc, coeffs, t):
+    """Dense pressure load (q_I - q_P + f, v) - (u.n, v)_wall: per-cell
+    volume loads and per-edge wall loads, each scattered on its own."""
+    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    source = np.zeros(x.shape)
+    for func, sign in ((coeffs.injection, 1.0), (coeffs.production, -1.0),
+                       (coeffs.pressure_source, 1.0)):
+        if func is not None:
+            source = source + sign * func(x, y, t)
+    n = disc.p2.dof_count
+    out = _scatter_loads(disc.p2.cell_dofs, np.einsum(
+        "tq,tq,qi->ti", disc.cell_weights, source, disc.p2_values), n)
+    if coeffs.pressure_flux is not None:
+        out -= _scatter_loads(
+            disc.p2.cell_dofs[disc.mesh.boundary_tris],
+            _wall_loads(disc, coeffs.pressure_flux, disc.edge_p2_values, t), n)
+    return out
+
+
+def concentration_rhs_oracle(disc, coeffs, c_prev, tau, t):
+    """Dense transport load (gamma/tau) (c_prev, w) + (chat q_I + g, w)
+    + (D grad c . n, w)_wall: per-cell volume loads and per-edge wall
+    loads, each scattered on its own."""
+    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    w, phi = disc.cell_weights, disc.p1_values
+    c_q = np.einsum("qj,tj->tq", phi, c_prev[disc.p1.cell_dofs])
+    source = (coeffs.porosity / tau) * c_q
+    if coeffs.injection is not None and \
+            coeffs.injected_concentration is not None:
+        source = source + (coeffs.injected_concentration(x, y, t)
+                           * coeffs.injection(x, y, t))
+    if coeffs.concentration_source is not None:
+        source = source + coeffs.concentration_source(x, y, t)
+    n = disc.p1.dof_count
+    out = _scatter_loads(disc.p1.cell_dofs,
+                         np.einsum("tq,tq,qi->ti", w, source, phi), n)
+    if coeffs.concentration_flux is not None:
+        out += _scatter_loads(
+            disc.p1.cell_dofs[disc.mesh.boundary_tris],
+            _wall_loads(disc, coeffs.concentration_flux,
+                        disc.edge_p1_values, t), n)
+    return out

@@ -1,10 +1,16 @@
 """Command-line front end: verbs, flag handling, outputs, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from miscfem import cli, load_mesh, studies
 from miscfem.cli import main
@@ -138,6 +144,66 @@ def test_output_dir_of_a_config_below_a_file_exits_2(tmp_path, capsys,
     assert "'output_dir'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, name", [
+    ("run", "config-echo.json"), ("run", "report.json"),
+    ("study-spatial", "report.csv"), ("study-spatial", "report.json"),
+    ("study-temporal", "config-echo.json"), ("study-temporal", "report.csv")])
+def test_report_name_taken_by_a_directory_exits_2(verb, name, tmp_path, capsys,
+                                                 monkeypatch):
+    """A directory where a report file goes is refused before any row is
+    solved, not after the study as an IsADirectoryError."""
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main([verb, "--config", str(write_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert "'output_dir'" in err
+    assert name in err
+
+
+@pytest.mark.parametrize("verb, taken", [
+    ("study-spatial", "M8"), ("study-temporal", "tau0"),
+    ("run", "fields_step2.vtk"), ("study-temporal", "tau0/fields_step1.vtk")])
+def test_dump_path_taken_exits_2(verb, taken, tmp_path, capsys, monkeypatch):
+    """With --dump-fields, a file where a dump directory goes, or a
+    directory where a dump file goes, is refused before any row."""
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    blocker = tmp_path / "out" / taken
+    blocker.parent.mkdir(parents=True)
+    if taken.endswith(".vtk"):
+        blocker.mkdir()
+    else:
+        blocker.write_text("")
+    cfg = write_config(tmp_path, dump_steps=[1])
+    assert main([verb, "--config", str(cfg), "--dump-fields"]) == 2
+    assert taken.split("/")[-1] in capsys.readouterr().err
+
+
+def test_dump_directories_made_before_any_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    cfg = write_config(tmp_path, mesh_M=[8, 12])
+    with pytest.raises(AssertionError, match="work started"):
+        main(["study-spatial", "--config", str(cfg), "--dump-fields"])
+    assert (tmp_path / "out" / "M8").is_dir()
+    assert (tmp_path / "out" / "M12").is_dir()
+
+
+def test_output_dir_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    cfg = write_config(tmp_path, output_dir="o\u0000x")
+    assert main(["study-temporal", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'output_dir'" in err
+    assert "null byte" in err
+
+
+def test_mesh_gen_file_name_taken_by_a_directory_exits_2(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "generate_disk_mesh", _no_work)
+    (tmp_path / "mesh_M8.json").mkdir()
+    assert main(["mesh-gen", "--out", str(tmp_path), "--M", "8"]) == 2
+    assert "mesh_M8.json" in capsys.readouterr().err
+
+
 def test_invalid_config_field_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, mesh_M=[4])
     assert main(["run", "--config", str(cfg)]) == 2
@@ -202,3 +268,73 @@ def test_viscosity_blowup_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "coefficient failure" in err
     assert "at step 0" in err
+
+
+# obstacles the property may leave in the output directory "out" before a
+# command runs: each name is made a file or a directory
+_OUTPUT_NAMES = ("out", "out/config-echo.json", "out/report.csv",
+                 "out/report.json", "out/M8", "out/tau0",
+                 "out/fields_step2.vtk", "out/tau0/fields_step2.vtk",
+                 "out/mesh_M8.json")
+
+
+_DEFAULT_CONFIG = cli.default_config
+
+
+def _tiny_default_config(verb, paper_exact, out_dir, dump_fields):
+    """The built-in protocol of ``verb`` shrunk to one M=8 row of 2 steps."""
+    full = _DEFAULT_CONFIG(verb, paper_exact, out_dir, dump_fields)
+    return dataclasses.replace(full, mesh_sizes=(8,), time_steps=(0.25,),
+                               final_time=0.5)
+
+
+@settings(max_examples=250)
+@given(verb=st.sampled_from(["run", "study-spatial", "study-temporal",
+                             "mesh-gen"]),
+       flags=st.sets(st.sampled_from(["--config", "--out", "--dump-fields",
+                                      "--fast", "--paper-exact", "--M"])),
+       out=st.sampled_from(["out", "out/sub"]),
+       M=st.sampled_from(["8", "5", "2048"]),
+       config=st.fixed_dictionaries({
+           "mode": st.sampled_from(["direct", "skew"]),
+           "dump_fields": st.booleans(),
+           "dump_steps": st.sampled_from([[], [1], [10 ** 300]]),
+           "output_dir": st.sampled_from(["out", "o\u0000x", ""])}),
+       obstacles=st.dictionaries(st.sampled_from(_OUTPUT_NAMES),
+                                 st.sampled_from(["file", "dir"]),
+                                 max_size=3))
+def test_no_argv_ends_in_a_traceback(verb, flags, out, M, config, obstacles):
+    """Whatever the flags, the config and the files already in the output
+    directory, main returns 0, 2 or 3, or argparse exits with 2."""
+    argv = [verb] + sorted(flags & {"--dump-fields", "--fast",
+                                    "--paper-exact"})
+    if "--out" in flags:
+        argv += ["--out", out]
+    if "--M" in flags and (verb == "mesh-gen" or M == "5"):
+        # other verbs get only the stray "--M 5", which argparse refuses
+        argv += ["--M", M]
+    if "--config" in flags:
+        argv += ["--config", "config.json"]
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.setattr(cli, "default_config", _tiny_default_config)
+        Path("config.json").write_text(json.dumps(
+            dict(config, mesh_M=[8], tau=[0.25], T=0.5)))
+        for name, kind in sorted(obstacles.items()):
+            try:
+                if kind == "dir":
+                    Path(name).mkdir(parents=True)
+                else:
+                    Path(name).parent.mkdir(parents=True, exist_ok=True)
+                    Path(name).write_text("")
+            except OSError:     # an earlier obstacle is in the way
+                pass
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = "argparse" if exc.code == 2 else exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3, "argparse"), argv

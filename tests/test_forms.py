@@ -3,14 +3,17 @@ structural properties of the pressure and transport systems."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (p1_mass_oracle, p2_basis_polynomials, p2_stiffness_oracle,
-                     poly_int, pressure_matrix_oracle, transport_matrix_oracle,
-                     velocity_oracle, write_unit_triangle_mesh)
+from oracles import (concentration_rhs_oracle, p1_mass_oracle,
+                     p2_basis_polynomials, p2_stiffness_oracle, poly_int,
+                     pressure_matrix_oracle, pressure_rhs_oracle,
+                     transport_matrix_oracle, velocity_oracle,
+                     write_unit_triangle_mesh)
 
 from miscfem import (CoefficientBlowupError, DispersionParams,
                      ProblemCoefficients, ScalarDispersionParams,
@@ -288,6 +291,36 @@ def test_transport_matrix_matches_einsum_oracle(disc16, rng, mode, coupling,
     # tau = 1 keeps the mass part below the dispersion and convection
     oracle = transport_matrix_oracle(disc16, coeffs, vel, 1.0, 0.5, mode)
     assert max_relative_gap(system.matrix.toarray(), oracle) < 1e-13
+
+
+
+@pytest.mark.parametrize("mode", ["direct", "skew"])
+def test_load_vectors_match_scatter_oracle(disc16, rng, mode):
+    """Both right-hand sides agree with a dense scatter of per-cell volume
+    loads plus per-edge wall loads, with every source and both wall
+    fluxes set."""
+    coeffs = unit_coefficients(
+        porosity=0.7,
+        injection=lambda x, y, t: 1.0 + x + 0.0 * y,
+        production=lambda x, y, t: 0.5 + y + 0.0 * x,
+        injected_concentration=lambda x, y, t: 0.8 - x * y,
+        pressure_source=lambda x, y, t: np.sin(x + 2.0 * y + t),
+        concentration_source=lambda x, y, t: np.cos(3.0 * x - y * t),
+        pressure_flux=lambda x, y, t, nx, ny: 0.3 * nx - 0.2 * ny + x * y,
+        concentration_flux=lambda x, y, t, nx, ny: (1.0 + t) * nx * y - x)
+    c = rng.uniform(0.0, 0.5, disc16.p1.dof_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the data are not compatible
+        pressure = assemble_pressure(disc16, coeffs, c, t=0.5)
+    assert max_relative_gap(pressure.rhs,
+                            pressure_rhs_oracle(disc16, coeffs, 0.5)) < 1e-13
+
+    T, Q = disc16.cell_weights.shape
+    vel = VelocityField(cell_values=rng.standard_normal((T, Q, 2)))
+    transport = assemble_concentration(disc16, coeffs, c, vel, tau=0.25,
+                                       t=0.5, mode=mode)
+    oracle = concentration_rhs_oracle(disc16, coeffs, c, 0.25, 0.5)
+    assert max_relative_gap(transport.rhs, oracle) < 1e-13
 
 
 def rigid_motion(mesh, angle, shift):
