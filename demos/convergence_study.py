@@ -2,7 +2,7 @@
 
 Runs a small spatial refinement sweep (halving h at a fixed small time
 step) and a temporal sweep (halving tau on a fixed mesh), then prints
-the error tables with pairwise and least-squares observed orders.  The
+the error tables with pairwise and finest-pair observed orders.  The
 protocols here are deliberately light so the whole script finishes in
 well under a minute; pass ``--heavier`` to double the resolution of
 both sweeps.

@@ -19,15 +19,14 @@ Exit codes: 0 success, 2 configuration error (message names the field),
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 from .forms import CoefficientBlowupError
 from .meshing import generate_disk_mesh, save_mesh
 from .studies import (MAX_MESH_M, ConfigError, StudyConfig, check_mesh_size,
-                      check_output_file, config_from_dict, load_config,
-                      make_output_dir, run_single, run_spatial_study,
-                      run_temporal_study)
+                      check_output_file, load_config, make_output_dir,
+                      run_single, run_spatial_study, run_temporal_study)
 from .timestepping import StepFailure
 
 _SPATIAL_NOTE = ("fast mode: tau = 2^-12 keeps the first-order time error "
@@ -40,16 +39,14 @@ _TEMPORAL_NOTE_EXACT = "table protocol: M = 256"
 
 def default_config(verb: str, paper_exact: bool, out_dir: str,
                    dump_fields: bool) -> StudyConfig:
-    base = {"output_dir": out_dir, "dump_fields": dump_fields}
-    if verb == "run":
-        base.update(mesh_M=[16], tau=[1.0 / 32.0])
-    elif verb == "study-spatial":
-        base.update(mesh_M=[16, 32, 64],
-                    tau=[2.0 ** -14 if paper_exact else 2.0 ** -12])
+    grid = {}                           # run: the StudyConfig defaults
+    if verb == "study-spatial":
+        grid = dict(mesh_sizes=(16, 32, 64),
+                    time_steps=(2.0 ** -14 if paper_exact else 2.0 ** -12,))
     elif verb == "study-temporal":
-        base.update(mesh_M=[256 if paper_exact else 128],
-                    tau=[1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0])
-    return config_from_dict(base)
+        grid = dict(mesh_sizes=(256 if paper_exact else 128,),
+                    time_steps=(1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0))
+    return StudyConfig(output_dir=out_dir, dump_fields=dump_fields, **grid)
 
 
 def _build_parser():
@@ -78,24 +75,17 @@ def _build_parser():
 
 
 def _resolve_config(args) -> StudyConfig:
-    if args.config is not None:
-        if args.paper_exact:
-            raise ConfigError("<flags>", "--paper-exact only applies to "
-                                         "built-in defaults, not --config")
-        config = load_config(args.config)
-        overrides = {}
-        if args.out:
-            overrides["output_dir"] = args.out
-        if args.dump_fields:
-            overrides["dump_fields"] = True
-        if overrides:
-            data = config.echo_dict()
-            data.update(overrides)
-            config = config_from_dict(data)
-        return config
-    out_dir = args.out or f"miscfem-{args.verb}"
-    return default_config(args.verb, args.paper_exact, out_dir,
-                          args.dump_fields)
+    if args.config is None:
+        out_dir = f"miscfem-{args.verb}" if args.out is None else args.out
+        return default_config(args.verb, args.paper_exact, out_dir,
+                              args.dump_fields)
+    if args.paper_exact:
+        raise ConfigError("<flags>", "--paper-exact only applies to "
+                                     "built-in defaults, not --config")
+    overrides = {} if args.out is None else {"output_dir": args.out}
+    if args.dump_fields:
+        overrides["dump_fields"] = True
+    return dataclasses.replace(load_config(args.config), **overrides)
 
 
 def _print_report(report):
@@ -119,7 +109,8 @@ def main(argv=None) -> int:
             if args.config is not None:
                 raise ConfigError("<flags>", "mesh-gen takes --M, not --config")
             check_mesh_size("M", args.M)
-            out = make_output_dir("out", args.out or "miscfem-mesh-gen")
+            out = make_output_dir("out", "miscfem-mesh-gen"
+                                  if args.out is None else args.out)
             path = check_output_file("out", out / f"mesh_M{args.M}.json")
             mesh = generate_disk_mesh(M=args.M)
             save_mesh(mesh, path)

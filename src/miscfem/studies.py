@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,10 @@ def check_mesh_size(path, m) -> None:
 
 def make_output_dir(path, directory) -> Path:
     """Create ``directory`` (and its parents) for the outputs; a path that
-    names a file, lies below one, holds a NUL byte or cannot be created
-    is a ConfigError for the field ``path``."""
+    is empty, names a file, lies below one, holds a NUL byte or cannot be
+    created is a ConfigError for the field ``path``."""
+    if directory == "":     # Path("") would quietly mean "."
+        raise ConfigError(path, "must be a nonempty path")
     out = Path(directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -72,41 +74,6 @@ def check_output_file(path, target: Path) -> Path:
     return target
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    """Validated study/run configuration (see :func:`config_from_dict`)."""
-
-    case: str = "disk-trig"
-    mesh_sizes: tuple = (16,)
-    time_steps: tuple = (1.0 / 32.0,)
-    final_time: float = 1.0
-    mode: str = "direct"
-    pressure_tol: float = 1e-11
-    concentration_tol: float = 1e-10
-    fd_step: float = 1e-5
-    quad_degree: int = 4
-    dump_fields: bool = False
-    dump_steps: tuple = ()          # extra step indices; final step is implied
-    output_dir: str = "miscfem-out"
-
-    def echo_dict(self) -> dict:
-        """Schema-keyed dict of the full configuration.
-
-        Uses the input schema's key names, so an echoed config can be fed
-        back through ``--config`` / :func:`config_from_dict` verbatim."""
-        d = asdict(self)
-        d["mesh_M"] = list(d.pop("mesh_sizes"))
-        d["tau"] = list(d.pop("time_steps"))
-        d["T"] = d.pop("final_time")
-        d["dump_steps"] = list(self.dump_steps)
-        return d
-
-
-_SCHEMA_KEYS = {"case", "mesh_M", "tau", "T", "mode", "pressure_tol",
-                "concentration_tol", "fd_step", "quad_degree",
-                "dump_fields", "dump_steps", "output_dir"}
-
-
 def _is_number(value) -> bool:
     """A finite JSON number within the float range; booleans are not
     numbers here."""
@@ -118,101 +85,115 @@ def _is_number(value) -> bool:
         return False
 
 
+# the fields whose JSON schema key differs from the field name
+_SCHEMA_KEY = {"mesh_sizes": "mesh_M", "time_steps": "tau", "final_time": "T"}
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """Study/run configuration, validated on construction.
+
+    The fields are the JSON schema of :func:`config_from_dict`, under the
+    key names of ``_SCHEMA_KEY`` where those differ.  However a config is
+    built (from JSON, directly or by :func:`dataclasses.replace`), a bad
+    field is a ConfigError naming its schema key.  Numbers must be
+    finite; booleans never count as numbers.  A scalar mesh_M or tau
+    stands for a one-element list."""
+
+    case: str = "disk-trig"         # a registered benchmark name
+    mesh_sizes: tuple = (16,)       # mesh_M: integers in 8..MAX_MESH_M
+    time_steps: tuple = (1.0 / 32.0,)   # tau: each divides T, in <= 2**53 steps
+    final_time: float = 1.0         # T
+    mode: str = "direct"            # or "skew"
+    pressure_tol: float = 1e-11     # relative solver tolerances
+    concentration_tol: float = 1e-10
+    fd_step: float = 1e-5           # manufactured-source finite difference step
+    quad_degree: int = 4            # volume quadrature exactness, 1..6
+    dump_fields: bool = False       # write VTK fields
+    dump_steps: tuple = ()          # extra step indices; final step is implied
+    output_dir: str = "miscfem-out"
+
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        if not isinstance(self.case, str) or self.case not in CASES:
+            raise ConfigError("case", f"unknown case {self.case!r}; "
+                                      f"registered: {sorted(CASES)}")
+        for name in ("mesh_sizes", "time_steps"):
+            value = getattr(self, name)
+            put(name, tuple(value) if isinstance(value, (list, tuple))
+                else (value,))
+
+        if not self.mesh_sizes:
+            raise ConfigError("mesh_M", "must be a nonempty list")
+        for i, m in enumerate(self.mesh_sizes):
+            check_mesh_size(f"mesh_M[{i}]", m)
+
+        if not _is_number(self.final_time) or self.final_time <= 0:
+            raise ConfigError("T", f"must be a finite positive number, "
+                                   f"got {self.final_time!r}")
+        put("final_time", float(self.final_time))
+
+        if not self.time_steps:
+            raise ConfigError("tau", "must be a nonempty list")
+        for i, tau in enumerate(self.time_steps):
+            if not _is_number(tau) or tau <= 0:
+                raise ConfigError(f"tau[{i}]", f"must be a finite positive number, got {tau!r}")
+            steps = self.final_time / tau
+            # above 2**53 every double is an integer, so the check below
+            # would prove nothing
+            if steps > 2.0 ** 53:
+                raise ConfigError(f"tau[{i}]",
+                                  f"T/tau = {steps!r} exceeds 2**53 steps")
+            if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+                raise ConfigError(f"tau[{i}]",
+                                  f"T/tau = {steps!r} is not an integer")
+
+        if self.mode not in ("direct", "skew"):
+            raise ConfigError("mode", f"must be 'direct' or 'skew', got {self.mode!r}")
+        if isinstance(self.quad_degree, bool) or \
+                self.quad_degree not in (1, 2, 3, 4, 5, 6):
+            raise ConfigError("quad_degree", f"must be in 1..6, got {self.quad_degree!r}")
+        put("quad_degree", int(self.quad_degree))
+        if not isinstance(self.dump_fields, bool):
+            raise ConfigError("dump_fields", "must be a boolean")
+        if not isinstance(self.dump_steps, (list, tuple)) or \
+                any(not isinstance(s, int) or isinstance(s, bool) or s < 0
+                    for s in self.dump_steps):
+            raise ConfigError("dump_steps", "must be a list of step indices >= 0")
+        put("dump_steps", tuple(self.dump_steps))
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir", "must be a nonempty string")
+
+        for name in ("pressure_tol", "concentration_tol", "fd_step"):
+            v = getattr(self, name)
+            if not _is_number(v) or v <= 0:
+                raise ConfigError(name, f"must be a finite positive number, got {v!r}")
+            put(name, float(v))
+
+    def echo_dict(self) -> dict:
+        """Schema-keyed dict of the full configuration.
+
+        Uses the input schema's key names, so an echoed config can be fed
+        back through ``--config`` / :func:`config_from_dict` verbatim."""
+        return {_SCHEMA_KEY.get(name, name):
+                list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
+
+
 def config_from_dict(data: dict) -> StudyConfig:
-    """Validate a JSON-style dict against the config schema.
-
-    Schema (all keys optional, defaults in parentheses):
-      case: registered benchmark name ("disk-trig")
-      mesh_M: list of boundary node counts, each an integer in
-              8..MAX_MESH_M = 1024 ([16])
-      tau: list of time steps; each must divide T evenly, in at most
-           2**53 steps ([1/32])
-      T: final time (1.0)
-      mode: "direct" or "skew" ("direct")
-      pressure_tol / concentration_tol: relative solver tolerances
-      fd_step: manufactured-source finite difference step (1e-5)
-      quad_degree: volume quadrature exactness, 1..6 (4)
-      dump_fields: write VTK fields (false)
-      dump_steps: extra step indices to dump ([])
-      output_dir: report directory ("miscfem-out")
-
-    Numbers must be finite; booleans never count as numbers.
-    """
+    """Build a :class:`StudyConfig` from a JSON-style dict keyed by the
+    schema; every key is optional, and one outside the schema is a
+    ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("<root>", "must be a JSON object")
-    unknown = set(data) - _SCHEMA_KEYS
+    field_of = {_SCHEMA_KEY.get(f.name, f.name): f.name
+                for f in fields(StudyConfig)}
+    unknown = set(data) - set(field_of)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
-
-    def _as_list(key, value):
-        return value if isinstance(value, (list, tuple)) else [value]
-
-    case = data.get("case", "disk-trig")
-    if not isinstance(case, str) or case not in CASES:
-        raise ConfigError("case", f"unknown case {case!r}; "
-                                  f"registered: {sorted(CASES)}")
-
-    mesh_sizes = _as_list("mesh_M", data.get("mesh_M", [16]))
-    if not mesh_sizes:
-        raise ConfigError("mesh_M", "must be a nonempty list")
-    for i, m in enumerate(mesh_sizes):
-        check_mesh_size(f"mesh_M[{i}]", m)
-
-    final_time = data.get("T", 1.0)
-    if not _is_number(final_time) or final_time <= 0:
-        raise ConfigError("T", f"must be a finite positive number, got {final_time!r}")
-
-    time_steps = _as_list("tau", data.get("tau", [1.0 / 32.0]))
-    if not time_steps:
-        raise ConfigError("tau", "must be a nonempty list")
-    for i, tau in enumerate(time_steps):
-        if not _is_number(tau) or tau <= 0:
-            raise ConfigError(f"tau[{i}]", f"must be a finite positive number, got {tau!r}")
-        steps = final_time / tau
-        # above 2**53 every double is an integer, so the check below
-        # would prove nothing
-        if steps > 2.0 ** 53:
-            raise ConfigError(f"tau[{i}]",
-                              f"T/tau = {steps!r} exceeds 2**53 steps")
-        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
-            raise ConfigError(f"tau[{i}]",
-                              f"T/tau = {steps!r} is not an integer")
-
-    mode = data.get("mode", "direct")
-    if mode not in ("direct", "skew"):
-        raise ConfigError("mode", f"must be 'direct' or 'skew', got {mode!r}")
-
-    def _positive(key, default):
-        v = data.get(key, default)
-        if not _is_number(v) or v <= 0:
-            raise ConfigError(key, f"must be a finite positive number, got {v!r}")
-        return float(v)
-
-    quad_degree = data.get("quad_degree", 4)
-    if isinstance(quad_degree, bool) or quad_degree not in (1, 2, 3, 4, 5, 6):
-        raise ConfigError("quad_degree", f"must be in 1..6, got {quad_degree!r}")
-
-    dump_fields = data.get("dump_fields", False)
-    if not isinstance(dump_fields, bool):
-        raise ConfigError("dump_fields", "must be a boolean")
-    dump_steps = data.get("dump_steps", [])
-    if not isinstance(dump_steps, list) or \
-            any(not isinstance(s, int) or isinstance(s, bool) or s < 0
-                for s in dump_steps):
-        raise ConfigError("dump_steps", "must be a list of step indices >= 0")
-    output_dir = data.get("output_dir", "miscfem-out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir", "must be a nonempty string")
-
-    return StudyConfig(case=case, mesh_sizes=tuple(mesh_sizes),
-                       time_steps=tuple(time_steps), final_time=float(final_time),
-                       mode=mode,
-                       pressure_tol=_positive("pressure_tol", 1e-11),
-                       concentration_tol=_positive("concentration_tol", 1e-10),
-                       fd_step=_positive("fd_step", 1e-5),
-                       quad_degree=int(quad_degree),
-                       dump_fields=dump_fields, dump_steps=tuple(dump_steps),
-                       output_dir=output_dir)
+    return StudyConfig(**{field_of[key]: v for key, v in data.items()})
 
 
 def load_config(path) -> StudyConfig:

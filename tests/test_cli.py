@@ -135,6 +135,25 @@ def test_output_path_at_or_below_a_file_exits_2(verb, tmp_path, capsys,
         assert str(out) in err
 
 
+@pytest.mark.parametrize("verb", ["run", "study-spatial", "study-temporal",
+                                  "mesh-gen"])
+def test_empty_out_exits_2(verb, tmp_path, capsys, monkeypatch):
+    """--out "" is refused like an empty output_dir, not taken for an
+    absent --out, with or without --config."""
+    monkeypatch.setattr(cli, "generate_disk_mesh", _no_work)
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    field = "'out'" if verb == "mesh-gen" else "'output_dir'"
+    argvs = [[verb, "--out", ""]]
+    if verb != "mesh-gen":
+        argvs.append([verb, "--config", str(cfg), "--out", ""])
+    for argv in argvs:
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_output_dir_of_a_config_below_a_file_exits_2(tmp_path, capsys,
                                                      monkeypatch):
     monkeypatch.setattr(studies, "simulate_row", _no_work)
@@ -293,7 +312,7 @@ def _tiny_default_config(verb, paper_exact, out_dir, dump_fields):
                              "mesh-gen"]),
        flags=st.sets(st.sampled_from(["--config", "--out", "--dump-fields",
                                       "--fast", "--paper-exact", "--M"])),
-       out=st.sampled_from(["out", "out/sub"]),
+       out=st.sampled_from(["out", "out/sub", ""]),
        M=st.sampled_from(["8", "5", "2048"]),
        config=st.fixed_dictionaries({
            "mode": st.sampled_from(["direct", "skew"]),

@@ -1,6 +1,7 @@
 """Config schema validation, report formatting oracles, and the study
 pipeline end to end on desk-scale refinements."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -49,6 +50,10 @@ def test_echo_dict_roundtrips():
     assert config_from_dict(cfg.echo_dict()) == cfg
 
 
+# schema keys that differ from the StudyConfig field names
+RENAMED = {"mesh_M": "mesh_sizes", "tau": "time_steps", "T": "final_time"}
+
+
 @pytest.mark.parametrize("data,path", [
     ({"bogus": 1}, "bogus"),
     ({"case": "nope"}, "case"),
@@ -89,10 +94,26 @@ def test_echo_dict_roundtrips():
     ({"mesh_M": [10 ** 9]}, "mesh_M[0]"),
 ])
 def test_schema_violations_name_the_field(data, path):
+    """The same field is named whether the config comes from JSON or is
+    built directly under the dataclass field names."""
+    builders = [lambda: config_from_dict(data)]
+    if path != "bogus":
+        fields = {RENAMED.get(key, key): v for key, v in data.items()}
+        builders.append(lambda: StudyConfig(**fields))
+    for build in builders:
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert info.value.path == path
+        assert f"config field '{path}'" in str(info.value)
+
+
+def test_direct_construction_is_the_json_config():
+    assert StudyConfig(mesh_sizes=[8, 16], time_steps=[0.25],
+                       final_time=0.5) == config_from_dict(
+        {"mesh_M": [8, 16], "tau": [0.25], "T": 0.5})
     with pytest.raises(ConfigError) as info:
-        config_from_dict(data)
-    assert info.value.path == path
-    assert f"config field '{path}'" in str(info.value)
+        dataclasses.replace(StudyConfig(), time_steps=(0.3,))
+    assert info.value.path == "tau[0]"
 
 
 JSON_VALUES = st.recursive(
