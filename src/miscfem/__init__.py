@@ -5,7 +5,7 @@ manufactured-solution convergence harness."""
 
 from .dispersion import (DispersionParams, ScalarDispersionParams,
                          bear_scheidegger, dispersion_eigenvalues,
-                         dispersion_matrices, scalar_dispersion)
+                         dispersion_matrices)
 from .elements import (DofMap, QuadratureRule, build_dofmap, edge_quadrature,
                        evaluate, interpolate, quadrature_rule,
                        reference_basis)

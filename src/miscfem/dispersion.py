@@ -1,19 +1,17 @@
-"""Velocity-dependent diffusion-dispersion models.
+"""The velocity-dependent Bear-Scheidegger diffusion-dispersion tensor
 
-Two interchangeable models feed the assembly:
+    D(u) = gamma*d_m*I + |u| ( alpha_T*I + (alpha_L - alpha_T) * (u x u) / |u|^2 ),
 
-* the full tensor  D(u) = gamma*d_m*I + |u| ( alpha_T*I
-                          + (alpha_L - alpha_T) * (u x u) / |u|^2 ),
-  whose eigenpairs are gamma*d_m + alpha_L*|u| along u and
-  gamma*d_m + alpha_T*|u| across it;
-* a scalar isotropic law  d(u) = base + slope*|u|  (times identity).
-
-Both evaluate pointwise at quadrature points through
-``dispersion_matrices``, returning 2x2 matrices.
+whose eigenpairs are gamma*d_m + alpha_L*|u| along u and
+gamma*d_m + alpha_T*|u| across it.  With alpha_L = alpha_T it is the
+isotropic law (gamma*d_m + alpha*|u|) I.  ``bear_scheidegger`` (also
+``dispersion_matrices``) evaluates it pointwise at quadrature points,
+returning 2x2 matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,38 +20,37 @@ import numpy as np
 @dataclass(frozen=True)
 class DispersionParams:
     """Bear-Scheidegger coefficients: molecular gamma*d_m > 0 and
-    longitudinal/transverse dispersivities alpha_l >= 0, alpha_t >= 0."""
+    longitudinal/transverse dispersivities alpha_l >= 0, alpha_t >= 0,
+    all finite numbers (booleans are refused)."""
 
     gamma_dm: float
     alpha_l: float
     alpha_t: float
 
     def __post_init__(self):
+        for name in ("gamma_dm", "alpha_l", "alpha_t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be a finite number")
         if self.gamma_dm <= 0:
             raise ValueError("gamma_dm must be positive")
         if self.alpha_l < 0 or self.alpha_t < 0:
             raise ValueError("dispersivities must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ScalarDispersionParams:
-    """Isotropic law d(u) = base + slope*|u| with base > 0, slope >= 0."""
-
-    base: float
-    slope: float
-
-    def __post_init__(self):
-        if self.base <= 0:
-            raise ValueError("base diffusivity must be positive")
-        if self.slope < 0:
-            raise ValueError("slope must be nonnegative")
+def ScalarDispersionParams(base: float, slope: float) -> DispersionParams:
+    """The isotropic law d(u) = base + slope*|u| (times identity): the
+    tensor with gamma_dm = base and alpha_l = alpha_t = slope."""
+    return DispersionParams(gamma_dm=base, alpha_l=slope, alpha_t=slope)
 
 
 def bear_scheidegger(u, params: DispersionParams) -> np.ndarray:
     """Evaluate the tensor at velocities u of shape (..., 2) -> (..., 2, 2).
 
     Continuous at u = 0 where it degenerates to gamma_dm * I; the rank-one
-    term u x u / |u| is evaluated as outer(u, u) / |u| to avoid 0/0.
+    term u x u / |u| is evaluated as outer(u, u) / |u| to avoid 0/0.  An
+    isotropic tensor (alpha_l == alpha_t) skips that term, which is then
+    exactly zero.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != 2:
@@ -63,6 +60,8 @@ def bear_scheidegger(u, params: DispersionParams) -> np.ndarray:
     iso = params.gamma_dm + params.alpha_t * speed
     out[..., 0, 0] = iso
     out[..., 1, 1] = iso
+    if params.alpha_l == params.alpha_t:
+        return out
     safe = np.where(speed > 0.0, speed, 1.0)
     scale = (params.alpha_l - params.alpha_t) / safe
     # one shared off-diagonal keeps the matrix symmetric to the last bit
@@ -74,29 +73,12 @@ def bear_scheidegger(u, params: DispersionParams) -> np.ndarray:
     return out
 
 
+dispersion_matrices = bear_scheidegger
+
+
 def dispersion_eigenvalues(u, params: DispersionParams):
     """Longitudinal and transverse eigenvalues of D(u) for u of shape (..., 2)."""
     u = np.asarray(u, dtype=np.float64)
     speed = np.hypot(u[..., 0], u[..., 1])
     return (params.gamma_dm + params.alpha_l * speed,
             params.gamma_dm + params.alpha_t * speed)
-
-
-def scalar_dispersion(u, params: ScalarDispersionParams) -> np.ndarray:
-    """Scalar diffusivity base + slope*|u| for u of shape (..., 2)."""
-    u = np.asarray(u, dtype=np.float64)
-    return params.base + params.slope * np.hypot(u[..., 0], u[..., 1])
-
-
-def dispersion_matrices(u, params) -> np.ndarray:
-    """Model-independent evaluation: (..., 2) velocities -> (..., 2, 2)."""
-    if isinstance(params, DispersionParams):
-        return bear_scheidegger(u, params)
-    if isinstance(params, ScalarDispersionParams):
-        u = np.asarray(u, dtype=np.float64)
-        d = scalar_dispersion(u, params)
-        out = np.zeros(u.shape[:-1] + (2, 2))
-        out[..., 0, 0] = d
-        out[..., 1, 1] = d
-        return out
-    raise TypeError(f"unknown dispersion model {type(params).__name__}")

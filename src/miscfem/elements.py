@@ -183,19 +183,20 @@ def interpolate(dofmap: DofMap, f) -> np.ndarray:
     return values
 
 
-def triangle_geometry(mesh: Mesh):
-    """Affine map data per triangle: |det J| and inverse-transpose J.
+def triangle_geometry(corners):
+    """Affine map data per triangle from corner coordinates (T, 3, 2):
+    |det J| and inverse-transpose J.
 
     J columns are the edge vectors (v1 - v0, v2 - v0); physical gradients
     of a reference basis function g are invJT @ g.
     """
-    p = mesh.vertices[mesh.triangles]
+    p = np.asarray(corners, dtype=np.float64)
     j00 = p[:, 1, 0] - p[:, 0, 0]
     j10 = p[:, 1, 1] - p[:, 0, 1]
     j01 = p[:, 2, 0] - p[:, 0, 0]
     j11 = p[:, 2, 1] - p[:, 0, 1]
     det = j00 * j11 - j01 * j10
-    invJT = np.empty((mesh.num_triangles, 2, 2))
+    invJT = np.empty((p.shape[0], 2, 2))
     invJT[:, 0, 0] = j11 / det
     invJT[:, 0, 1] = -j10 / det
     invJT[:, 1, 0] = -j01 / det
@@ -211,16 +212,7 @@ def evaluate(dofmap: DofMap, mesh: Mesh, coeffs: np.ndarray, tri_index: int,
         raise ValueError(f"expected {dofmap.dof_count} coefficients")
     values, grads = reference_basis(dofmap.order, np.asarray(bary))
     local = coeffs[dofmap.cell_dofs[tri_index]]
-    _, invJT = _single_geometry(mesh, tri_index)
+    _, invJT = triangle_geometry(mesh.vertices[mesh.triangles[[tri_index]]])
     value = float(local @ values)
-    grad = invJT @ (local @ grads)
+    grad = invJT[0] @ (local @ grads)
     return value, grad
-
-
-def _single_geometry(mesh: Mesh, t: int):
-    p = mesh.vertices[mesh.triangles[t]]
-    J = np.array([[p[1, 0] - p[0, 0], p[2, 0] - p[0, 0]],
-                  [p[1, 1] - p[0, 1], p[2, 1] - p[0, 1]]])
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    invJT = np.array([[J[1, 1], -J[1, 0]], [-J[0, 1], J[0, 0]]]) / det
-    return abs(det), invJT

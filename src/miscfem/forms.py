@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .dispersion import dispersion_matrices
+from .dispersion import DispersionParams, dispersion_matrices
 from .elements import (DofMap, build_dofmap, edge_quadrature, quadrature_rule,
                        reference_basis, triangle_geometry)
 from .meshing import Mesh
@@ -69,7 +69,7 @@ class ProblemCoefficients:
     viscosity: Callable             # mu(c) > 0
     viscosity_bounds: tuple
     porosity: float                 # gamma > 0
-    dispersion: object              # DispersionParams or ScalarDispersionParams
+    dispersion: DispersionParams
     initial_concentration: Callable  # c0(x, y)
     injection: Optional[Callable] = None          # q_I(x, y, t) >= 0
     production: Optional[Callable] = None         # q_P(x, y, t) >= 0
@@ -169,10 +169,10 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
 
     p1_values, p1_ref_grads = reference_basis(1, rule.points)
     p2_values, p2_ref_grads = reference_basis(2, rule.points)
-    detJ, invJT = triangle_geometry(mesh)
+    corners = mesh.vertices[mesh.triangles]
+    detJ, invJT = triangle_geometry(corners)
 
     cell_weights = rule.weights[None, :] * detJ[:, None]
-    corners = mesh.vertices[mesh.triangles]
     quad_points = np.einsum("qi,tid->tqd", rule.points, corners)
     p1_grads = np.einsum("tab,ib->tia", invJT, p1_ref_grads[0])
     # (T, 6, Q, 2) so that the stiffness kernel's (T, 6, 2Q) view is free

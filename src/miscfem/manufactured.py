@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dispersion import ScalarDispersionParams, dispersion_matrices
+from .dispersion import DispersionParams, dispersion_matrices
 from .forms import ProblemCoefficients
 
 
@@ -52,7 +52,7 @@ class ManufacturedSolution:
     permeability: Callable            # k(x, y)
     viscosity: Callable               # mu(c)
     viscosity_bounds: tuple
-    dispersion: object
+    dispersion: DispersionParams
     pressure: Callable                # p(x, y, t)
     pressure_grad: Callable           # (x, y, t) -> (..., 2)
     concentration: Callable           # c(x, y, t)
@@ -99,8 +99,9 @@ def disk_trig_case() -> ManufacturedSolution:
         p = 100 (x - t)^2 exp(-t),
         c = 1/2 + 1/5 exp(-t) cos(x) sin(y),
 
-    with permeability 2, viscosity mu(c) = 1 + c and scalar dispersion
-    1 + |u|/10.  The concentration stays in [0.3, 0.7], so viscosity
+    with permeability 2, viscosity mu(c) = 1 + c and the isotropic
+    Bear-Scheidegger tensor (1 + |u|/10) I (gamma_dm = 1, alpha_l =
+    alpha_t = 1/10).  The concentration stays in [0.3, 0.7], so viscosity
     stays in [1.3, 1.7].
 
     Transport carries no advective term (``velocity_coupling="none"``):
@@ -174,7 +175,7 @@ def disk_trig_case() -> ManufacturedSolution:
         domain_center=(0.5, 0.5), domain_radius=0.5, porosity=1.0,
         permeability=permeability, viscosity=viscosity,
         viscosity_bounds=(1.3, 1.7),
-        dispersion=ScalarDispersionParams(base=1.0, slope=0.1),
+        dispersion=DispersionParams(gamma_dm=1.0, alpha_l=0.1, alpha_t=0.1),
         pressure=pressure, pressure_grad=pressure_grad,
         concentration=concentration, concentration_grad=concentration_grad,
         concentration_dt=concentration_dt,

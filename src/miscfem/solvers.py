@@ -4,7 +4,7 @@ Storage is scipy CSR.  The CG loop is written out here because the pressure
 solver needs deflation against a weighted mean constraint; GMRES runs each
 restart cycle through ``scipy.sparse.linalg.gmres``.  Both solvers report
 iteration counts and true relative residuals in a fixed, reproducible way,
-and both take Jacobi scaling or any preconditioner v -> M^{-1} v.  The time
+and both take any preconditioner v -> M^{-1} v.  The time
 stepper passes GMRES the solve of an exact sparse LU factor of each step's
 transport matrix, so GMRES converges in one iteration and still reports its
 residual; it passes CG the solve of a lagged LU factor of the bordered
@@ -59,7 +59,7 @@ def _symmetry_defect(A) -> float:
 
 
 def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
-                jacobi=False, precond=None):
+                precond=None):
     """Conjugate gradients, optionally deflated against one vector.
 
     With ``deflate = m`` the iteration runs in the subspace orthogonal to m
@@ -74,11 +74,9 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     A : scipy sparse matrix, symmetric (checked) positive definite on the
         iteration subspace
     deflate : vector m or None
-    jacobi : precondition with inverse diagonal (projected PCG)
     precond : callable v -> M^{-1} v, symmetric positive definite on the
-        iteration subspace; replaces the Jacobi scaling when given
-        (``jacobi`` is then ignored).  The preconditioned residual is
-        projected like every other iterate.
+        iteration subspace, or None for plain CG.  The preconditioned
+        residual is projected like every other iterate.
 
     Returns
     -------
@@ -107,15 +105,6 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     else:
         def project(v):
             return v
-
-    if precond is None and jacobi:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise ValueError("Jacobi preconditioning needs positive diagonal")
-        dinv = 1.0 / diag
-
-        def precond(v):
-            return dinv * v
 
     pb = project(b)
     bnorm = float(np.linalg.norm(pb))
@@ -152,14 +141,14 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     return x, SolveReport(iterations, rnorm / bnorm, False)
 
 
-def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, jacobi=True,
-          x0=None, precond=None):
+def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
+          precond=None):
     """Restarted GMRES: one ``scipy.sparse.linalg.gmres`` cycle per restart.
 
-    Right Jacobi preconditioning by default, so the monitored residual is
-    the true residual of the original system.  ``precond``, a callable
-    v -> M^{-1} v, replaces the Jacobi scaling as the right preconditioner
-    when given (``jacobi`` is then ignored).  Each cycle solves
+    Right preconditioning, so the monitored residual is the true residual
+    of the original system.  ``precond``, a callable v -> M^{-1} v, is the
+    right preconditioner; by default it is Jacobi scaling, which a zero
+    diagonal entry makes undefined (ValueError).  Each cycle solves
     A M^{-1} y = r for the current residual r and adds M^{-1} y to x;
     scipy's own ``M=`` would precondition on the left and monitor M^{-1} r
     instead.  Stagnation across a restart cycle (no measurable residual
@@ -176,7 +165,7 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, jacobi=True,
     if max_iter is None:
         max_iter = 10 * n
 
-    if precond is None and jacobi:
+    if precond is None:
         diag = A.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry: Jacobi preconditioner "
@@ -185,9 +174,6 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, jacobi=True,
 
         def precond(v):
             return dinv * v
-    elif precond is None:
-        def precond(v):
-            return v
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:

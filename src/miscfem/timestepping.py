@@ -21,6 +21,8 @@ norm history.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -54,16 +56,24 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, final_time] with num_steps steps."""
+    """Uniform grid on [0, final_time] with num_steps steps.
+
+    final_time is a positive finite real and num_steps a positive
+    integral value, stored as ``int``; booleans are refused."""
 
     final_time: float
     num_steps: int
 
     def __post_init__(self):
-        if self.final_time <= 0:
-            raise ValueError("final_time must be positive")
-        if int(self.num_steps) != self.num_steps or self.num_steps < 1:
+        time, steps = self.final_time, self.num_steps
+        if (isinstance(time, bool) or not isinstance(time, numbers.Real)
+                or not 0 < time < math.inf):
+            raise ValueError("final_time must be a positive finite number")
+        integral = (isinstance(steps, numbers.Integral)
+                    or (isinstance(steps, float) and steps.is_integer()))
+        if isinstance(steps, bool) or not integral or steps < 1:
             raise ValueError("num_steps must be a positive integer")
+        object.__setattr__(self, "num_steps", int(steps))
 
     @property
     def tau(self) -> float:

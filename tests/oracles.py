@@ -87,6 +87,26 @@ def write_unit_triangle_mesh(path):
     return path
 
 
+def bear_scheidegger_oracle(u, params):
+    """The Bear-Scheidegger tensor by the general formula for every
+    parameter set: the rank-one term (alpha_l - alpha_t) u x u / |u| is
+    always added, also when it is zero."""
+    u = np.asarray(u, dtype=np.float64)
+    speed = np.hypot(u[..., 0], u[..., 1])
+    out = np.zeros(u.shape[:-1] + (2, 2))
+    iso = params.gamma_dm + params.alpha_t * speed
+    out[..., 0, 0] = iso
+    out[..., 1, 1] = iso
+    safe = np.where(speed > 0.0, speed, 1.0)
+    scale = (params.alpha_l - params.alpha_t) / safe
+    off = scale * (u[..., 0] * u[..., 1])
+    out[..., 0, 0] += scale * u[..., 0] * u[..., 0]
+    out[..., 0, 1] += off
+    out[..., 1, 0] += off
+    out[..., 1, 1] += scale * u[..., 1] * u[..., 1]
+    return out
+
+
 def p2_dofmap_oracle(mesh):
     """Quadratic dof layout by a plain walk over the triangles: vertex
     dofs first, then one dof per undirected edge, numbered in the order

@@ -1,12 +1,21 @@
-"""Velocity-dependent dispersion tensors: spectral structure, frame
-indifference and the scalar isotropic variant."""
+"""The Bear-Scheidegger dispersion tensor: spectral structure, frame
+indifference, its isotropic case against the general formula, a golden
+anisotropic march, and the demo that tours it."""
+
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import bear_scheidegger_oracle
 
-from miscfem import (DispersionParams, ScalarDispersionParams,
-                     bear_scheidegger, dispersion_eigenvalues,
-                     dispersion_matrices, scalar_dispersion)
+from miscfem import (DispersionParams, ProblemCoefficients,
+                     ScalarDispersionParams, TimeGrid, bear_scheidegger,
+                     disk_trig_case, dispersion_eigenvalues,
+                     dispersion_matrices, run)
 
 PARAMS = DispersionParams(gamma_dm=0.3, alpha_l=1.4, alpha_t=0.2)
 
@@ -69,10 +78,9 @@ def test_spd_floor(rng):
 
 def test_scalar_dispersion_isotropic(rng):
     params = ScalarDispersionParams(base=1.0, slope=0.1)
+    assert params == DispersionParams(gamma_dm=1.0, alpha_l=0.1, alpha_t=0.1)
     u = random_velocities(rng, 300)
     speed = np.hypot(u[..., 0], u[..., 1])
-    assert np.allclose(scalar_dispersion(u, params), 1.0 + 0.1 * speed,
-                       atol=1e-14)
     D = dispersion_matrices(u, params)
     assert np.allclose(D[..., 0, 0], 1.0 + 0.1 * speed, atol=1e-14)
     assert np.allclose(D[..., 1, 1], D[..., 0, 0], atol=0)
@@ -81,11 +89,78 @@ def test_scalar_dispersion_isotropic(rng):
 
 
 def test_dispersion_matrices_dispatch(rng):
+    """``dispersion_matrices``, the name assembly calls, is the tensor."""
     u = random_velocities(rng, 50)
     full = dispersion_matrices(u, PARAMS)
     assert np.allclose(full, bear_scheidegger(u, PARAMS), atol=0)
-    with pytest.raises(TypeError):
-        dispersion_matrices(u, object())
+
+
+def _oracle_velocities():
+    """Log-uniform speeds from 1e-300 to 1e300 at random angles, plus
+    u = 0 (with signed zeros) and axis-aligned speeds of 1e300."""
+    rng = np.random.default_rng(5)
+    u = random_velocities(rng, 2000, scale=1.0)
+    u *= 10.0 ** rng.uniform(-300, 300, size=(2000, 1))
+    extremes = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [1e300, 0.0],
+                [0.0, -1e300], [-1e300, -0.0], [7e299, 7e299]]
+    return np.vstack([u, extremes])
+
+
+ORACLE_VELOCITIES = _oracle_velocities()
+dispersivity = st.floats(0.0, 1e3)
+
+
+@given(gamma_dm=st.floats(1e-8, 1e3), alpha_l=dispersivity,
+       alpha_t=dispersivity, isotropic=st.booleans())
+def test_evaluator_matches_general_formula_bit_for_bit(gamma_dm, alpha_l,
+                                                       alpha_t, isotropic):
+    """Skipping the rank-one term of an isotropic tensor changes no bit:
+    the term is exactly +-0 there.  The one exception is where the
+    general formula's off-diagonal product u_x u_y overflows (|u| above
+    about 1e154): 0 * inf gives NaN in the oracle, and the isotropic
+    evaluator gives the exact 0."""
+    params = DispersionParams(gamma_dm, alpha_l,
+                              alpha_l if isotropic else alpha_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bear_scheidegger(ORACLE_VELOCITIES, params)
+        want = bear_scheidegger_oracle(ORACLE_VELOCITIES, params)
+    if params.alpha_l == params.alpha_t:
+        overflow = np.isnan(want)
+        assert np.all(got[overflow] == 0.0)
+        want[overflow] = 0.0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_skew_plume_golden(disc16):
+    """Pins the anisotropic evaluator inside a march: a Gaussian plume
+    carried in skew form by a dipole-driven Darcy flow on M=16, with
+    alpha_l != alpha_t.  The digits were recorded with the general
+    formula before the isotropic case got its own return."""
+    sol = disk_trig_case()
+    w, xq = disc16.cell_weights, disc16.quad_points[..., 0]
+    xbar = float((w * xq).sum() / w.sum())
+    coeffs = ProblemCoefficients(
+        permeability=sol.permeability, viscosity=sol.viscosity,
+        viscosity_bounds=(0.5, 3.0), porosity=1.0,
+        dispersion=DispersionParams(gamma_dm=0.002, alpha_l=0.01,
+                                    alpha_t=0.001),
+        initial_concentration=lambda x, y: 0.4 * np.exp(
+            -50.0 * ((x - 0.35) ** 2 + (y - 0.5) ** 2)),
+        pressure_source=lambda x, y, t: 40.0 * (x - xbar) + 0.0 * y)
+    state, history = run(disc16, coeffs, TimeGrid(final_time=0.25,
+                                                  num_steps=16), mode="skew")
+    mass = float(np.sum(disc16.mass_p1 @ state.concentration))
+    assert repr(history[-1].concentration_l2) == "0.02704919100887453"
+    assert repr(mass) == "0.005329060845576322"
+
+
+def test_dispersion_tensor_demo_runs(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "dispersion_tensor.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "|u| =  10.0:  D = [[10.010, 0.000], [0.000, 1.010]]" in out
+    gaps = [float(g) for g in re.findall(r"max gap (\S+)", out)]
+    assert len(gaps) == 2 and max(gaps) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [
@@ -93,6 +168,13 @@ def test_dispersion_matrices_dispatch(rng):
     dict(gamma_dm=-1.0, alpha_l=1.0, alpha_t=1.0),
     dict(gamma_dm=1.0, alpha_l=-0.1, alpha_t=1.0),
     dict(gamma_dm=1.0, alpha_l=1.0, alpha_t=-0.1),
+    dict(gamma_dm=float("nan"), alpha_l=0.1, alpha_t=0.1),
+    dict(gamma_dm=float("inf"), alpha_l=0.1, alpha_t=0.1),
+    dict(gamma_dm=1.0, alpha_l=float("inf"), alpha_t=0.1),
+    dict(gamma_dm=1.0, alpha_l=0.1, alpha_t=-float("inf")),
+    dict(gamma_dm=1.0, alpha_l=0.1, alpha_t=float("nan")),
+    dict(gamma_dm=True, alpha_l=0.1, alpha_t=0.1),
+    dict(gamma_dm=1.0, alpha_l=False, alpha_t=0.1),
 ])
 def test_tensor_params_validated(bad):
     with pytest.raises(ValueError):
@@ -100,7 +182,9 @@ def test_tensor_params_validated(bad):
 
 
 @pytest.mark.parametrize("bad", [dict(base=0.0, slope=0.1),
-                                 dict(base=1.0, slope=-1.0)])
+                                 dict(base=1.0, slope=-1.0),
+                                 dict(base=float("inf"), slope=float("nan")),
+                                 dict(base=1.0, slope=True)])
 def test_scalar_params_validated(bad):
     with pytest.raises(ValueError):
         ScalarDispersionParams(**bad)

@@ -86,7 +86,8 @@ def test_cg_bordered_factor_preconditioner(rng):
         return factor.solve(np.append(r, 0.0))[:n]
 
     tol = 1e-12
-    x_jac, jac = cg_deflated(A, b, deflate=m, rel_tol=tol, jacobi=True)
+    x_jac, jac = cg_deflated(A, b, deflate=m, rel_tol=tol,
+                             precond=lambda v: v / A.diagonal())
     x, report = cg_deflated(A, b, deflate=m, rel_tol=tol,
                             precond=bordered_solve)
     assert jac.converged and jac.iterations > 1
@@ -128,7 +129,9 @@ def test_cg_jacobi_preconditioning_converges(rng):
     A = (A * scales).T * scales          # badly scaled SPD
     A = 0.5 * (A + A.T)
     b = rng.standard_normal(n)
-    x, report = cg_deflated(sp.csr_matrix(A), b, rel_tol=1e-12, jacobi=True)
+    A = sp.csr_matrix(A)
+    x, report = cg_deflated(A, b, rel_tol=1e-12,
+                            precond=lambda v: v / A.diagonal())
     assert report.converged
     assert np.allclose(A @ x, b, atol=1e-7 * np.linalg.norm(b))
 
@@ -158,9 +161,9 @@ def test_gmres_restart_still_converges(rng):
 def test_gmres_zero_diagonal_rejected_with_jacobi():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        gmres(A, np.ones(2), jacobi=True)
+        gmres(A, np.ones(2))
     # without the preconditioner the same system is solvable
-    x, report = gmres(A, np.array([1.0, 2.0]), jacobi=False)
+    x, report = gmres(A, np.array([1.0, 2.0]), precond=lambda v: v)
     assert report.converged
     assert np.allclose(x, [2.0, 1.0], atol=1e-10)
 
@@ -201,7 +204,8 @@ def test_gmres_stagnation_stops_early(rng):
     d[-1] = 0.0
     A = sp.csr_matrix(np.diag(d))
     b = rng.standard_normal(n)
-    x, report = gmres(A, b, restart=5, max_iter=10_000, jacobi=False)
+    x, report = gmres(A, b, restart=5, max_iter=10_000,
+                      precond=lambda v: v)
     assert not report.converged
     assert report.iterations < 200
     assert report.relative_residual == pytest.approx(

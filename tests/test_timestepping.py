@@ -1,10 +1,13 @@
 """Time-marching driver: lagging pattern, conservation and stability
 properties of the discrete transport step, and failure reporting."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from miscfem import (CoefficientBlowupError, ProblemCoefficients,
                      ScalarDispersionParams, SolveReport,
@@ -49,6 +52,24 @@ class TestTimeGrid:
     def test_rejects_bad_grids(self, bad):
         with pytest.raises(ValueError):
             TimeGrid(**bad)
+
+    @given(final_time=st.one_of(st.floats(), st.integers(-3, 10**6),
+                                st.booleans()),
+           num_steps=st.one_of(st.floats(), st.integers(-3, 10**6),
+                               st.booleans()))
+    def test_accepts_exactly_finite_times_and_integral_steps(
+            self, final_time, num_steps):
+        def is_real(v):
+            return not isinstance(v, bool) and math.isfinite(v)
+
+        if (is_real(final_time) and final_time > 0 and is_real(num_steps)
+                and num_steps == int(num_steps) and num_steps >= 1):
+            grid = TimeGrid(final_time=final_time, num_steps=num_steps)
+            assert type(grid.num_steps) is int
+            assert grid.num_steps == num_steps
+        else:
+            with pytest.raises(ValueError):
+                TimeGrid(final_time=final_time, num_steps=num_steps)
 
 
 def test_initialize_state(disc16):
