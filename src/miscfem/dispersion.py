@@ -64,8 +64,10 @@ def bear_scheidegger(u, params: DispersionParams) -> np.ndarray:
         return out
     safe = np.where(speed > 0.0, speed, 1.0)
     scale = (params.alpha_l - params.alpha_t) / safe
-    # one shared off-diagonal keeps the matrix symmetric to the last bit
-    off = scale * (u[..., 0] * u[..., 1])
+    # one shared off-diagonal keeps the matrix symmetric to the last bit;
+    # scale * u_x is at most |alpha_l - alpha_t|, so the product overflows
+    # only where the entry itself does
+    off = (scale * u[..., 0]) * u[..., 1]
     out[..., 0, 0] += scale * u[..., 0] * u[..., 0]
     out[..., 0, 1] += off
     out[..., 1, 0] += off

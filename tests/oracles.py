@@ -99,7 +99,7 @@ def bear_scheidegger_oracle(u, params):
     out[..., 1, 1] = iso
     safe = np.where(speed > 0.0, speed, 1.0)
     scale = (params.alpha_l - params.alpha_t) / safe
-    off = scale * (u[..., 0] * u[..., 1])
+    off = (scale * u[..., 0]) * u[..., 1]
     out[..., 0, 0] += scale * u[..., 0] * u[..., 0]
     out[..., 0, 1] += off
     out[..., 1, 0] += off

@@ -2,6 +2,7 @@
 indifference, its isotropic case against the general formula, a golden
 anisotropic march, and the demo that tours it."""
 
+import math
 import re
 import runpy
 from pathlib import Path
@@ -115,20 +116,25 @@ dispersivity = st.floats(0.0, 1e3)
 def test_evaluator_matches_general_formula_bit_for_bit(gamma_dm, alpha_l,
                                                        alpha_t, isotropic):
     """Skipping the rank-one term of an isotropic tensor changes no bit:
-    the term is exactly +-0 there.  The one exception is where the
-    general formula's off-diagonal product u_x u_y overflows (|u| above
-    about 1e154): 0 * inf gives NaN in the oracle, and the isotropic
-    evaluator gives the exact 0."""
+    the term is exactly +-0 there, up to |u| = 1e300."""
     params = DispersionParams(gamma_dm, alpha_l,
                               alpha_l if isotropic else alpha_t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = bear_scheidegger(ORACLE_VELOCITIES, params)
-        want = bear_scheidegger_oracle(ORACLE_VELOCITIES, params)
-    if params.alpha_l == params.alpha_t:
-        overflow = np.isnan(want)
-        assert np.all(got[overflow] == 0.0)
-        want[overflow] = 0.0
+    got = bear_scheidegger(ORACLE_VELOCITIES, params)
+    want = bear_scheidegger_oracle(ORACLE_VELOCITIES, params)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.0, 2.5, -2.2])
+def test_anisotropic_tensor_finite_at_huge_speed(angle):
+    """At |u| = 1e200 the off-diagonal (alpha_l - alpha_t) u_x u_y / |u|
+    is about 1e200: finite, although u_x u_y alone would overflow."""
+    u = 1e200 * np.array([math.cos(angle), math.sin(angle)])
+    D = bear_scheidegger(u, PARAMS)
+    assert np.all(np.isfinite(D))
+    rank_one = (PARAMS.alpha_l - PARAMS.alpha_t) * 1e200
+    assert D[0, 1] == D[1, 0]
+    assert D[0, 1] == pytest.approx(
+        rank_one * math.cos(angle) * math.sin(angle), rel=1e-14)
 
 
 def test_skew_plume_golden(disc16):
