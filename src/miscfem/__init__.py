@@ -22,7 +22,8 @@ from .manufactured import (CASES, ManufacturedSolution, SourceSet,
 from .meshing import (Mesh, MeshConstructionError, MeshFormatError,
                       QualityReport, generate_disk_mesh, load_mesh,
                       mesh_quality, save_mesh)
-from .solvers import SolveReport, cg_deflated, from_triplets, gmres
+from .solvers import (SolveReport, SparsityPattern, cg_deflated,
+                      from_triplets, gmres, sparsity_pattern)
 from .studies import (ConfigError, ConvergenceReport, RowResult, StudyConfig,
                       config_from_dict, load_config, run_single,
                       run_spatial_study, run_temporal_study, simulate_row)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshing import Mesh, edge_table
+from .meshing import Mesh
 
 # Symmetric positive-weight rules on the reference triangle, exact through
 # the stated polynomial degree.  Points are barycentric; weights sum to the
@@ -154,13 +154,15 @@ class DofMap:
 
 def build_dofmap(mesh: Mesh, order: int) -> DofMap:
     """Number dofs: vertices first, then (P2) one dof per undirected edge,
-    in the order of :func:`~miscfem.meshing.edge_table`."""
+    in the order of ``mesh.edges``, which :func:`~miscfem.meshing.edge_table`
+    numbered."""
     if order == 1:
         cell_dofs = mesh.triangles.copy()
         coords = mesh.vertices.copy()
     elif order == 2:
-        edges, _, _, cell_edges = edge_table(mesh.triangles)
-        cell_dofs = np.hstack([mesh.triangles, mesh.num_vertices + cell_edges])
+        edges = mesh.edges
+        cell_dofs = np.hstack([mesh.triangles,
+                               mesh.num_vertices + mesh.cell_edges])
         mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
         coords = np.vstack([mesh.vertices, mids])
     else:

@@ -27,14 +27,19 @@ correction takes u.n from the prescribed ``pressure_flux`` datum, so no
 velocity trace on the boundary is ever formed.
 
 A ``Discretization`` bundles everything reusable across time steps:
-dof maps, quadrature tabulations, per-triangle affine geometry, scatter
-index patterns, the (time-independent) linear mass matrix, the
-quadratic load vector of basis integrals, and the boundary-edge traces
-of the bases that the wall-flux terms need.
+dof maps, quadrature tabulations, per-triangle affine geometry, the
+sparsity patterns of both systems, the (time-independent) linear mass
+matrix, the quadratic load vector of basis integrals, and the
+boundary-edge traces of the bases that the wall-flux terms need.  The
+mesh and the dof maps never change, so neither does the structure of
+either matrix: each assembly sums its cell blocks into the slots of its
+pattern (see :class:`~miscfem.solvers.SparsityPattern`), and no step
+converts triplets to CSR.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -46,7 +51,10 @@ from .dispersion import DispersionParams, dispersion_matrices
 from .elements import (DofMap, build_dofmap, edge_quadrature, quadrature_rule,
                        reference_basis, triangle_geometry)
 from .meshing import Mesh
-from .solvers import from_triplets
+# from_triplets is no longer called here, but the benchmark's span
+# recorder (perfbench/spans.py) rebinds this name
+from .solvers import (SparsityPattern, from_triplets,  # noqa: F401
+                      sparsity_pattern)
 
 
 class CoefficientBlowupError(RuntimeError):
@@ -90,8 +98,9 @@ class ProblemCoefficients:
     velocity_coupling: str = "advection"
 
     def __post_init__(self):
-        if self.porosity <= 0:
-            raise ValueError("porosity must be positive")
+        porosity = self.porosity
+        if isinstance(porosity, bool) or not 0 < porosity < math.inf:
+            raise ValueError("porosity must be a positive finite number")
         lo, hi = self.viscosity_bounds
         if not (0 < lo <= hi):
             raise ValueError("viscosity bounds must satisfy 0 < lo <= hi")
@@ -127,7 +136,9 @@ class ConcentrationSystem:
 class Discretization:
     """Geometry- and space-dependent data reused across all time steps.
 
-    The ``edge_*`` arrays tabulate the boundary edges, each in its owning
+    ``p1_pattern`` and ``p2_pattern`` are the fixed sparsity patterns of
+    the transport and pressure matrices, built from the dof maps; the
+    ``edge_*`` arrays tabulate the boundary edges, each in its owning
     triangle's reference frame; they carry the wall-flux terms of both
     systems and the skew boundary correction, which assembly adds into
     the owner cells' blocks before the one cell scatter per system."""
@@ -144,10 +155,8 @@ class Discretization:
     mass_local: np.ndarray         # (T, 3, 3) linear element mass blocks
     mass_p1: sp.csr_matrix
     p2_basis_integrals: np.ndarray
-    rows1: np.ndarray
-    cols1: np.ndarray
-    rows2: np.ndarray
-    cols2: np.ndarray
+    p1_pattern: SparsityPattern
+    p2_pattern: SparsityPattern
     edge_weights: np.ndarray       # (B, Qe) arc weight * edge length
     edge_points: np.ndarray        # (B, Qe, 2)
     edge_p1_values: np.ndarray     # (B, Qe, 3) traces of the owner's basis
@@ -162,7 +171,7 @@ class Discretization:
 
 
 def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
-    """Tabulate bases, geometry and scatter patterns for a mesh."""
+    """Tabulate bases, geometry and sparsity patterns for a mesh."""
     p1 = build_dofmap(mesh, 1)
     p2 = build_dofmap(mesh, 2)
     rule = quadrature_rule(quad_degree)
@@ -173,8 +182,12 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     detJ, invJT = triangle_geometry(corners)
 
     cell_weights = rule.weights[None, :] * detJ[:, None]
-    quad_points = np.einsum("qi,tid->tqd", rule.points, corners)
-    p1_grads = np.einsum("tab,ib->tia", invJT, p1_ref_grads[0])
+    # the barycentric combination, summed in the order einsum sums it
+    lam = rule.points[:, :, None]
+    quad_points = (lam[:, 0] * corners[:, None, 0]
+                   + lam[:, 1] * corners[:, None, 1]
+                   + lam[:, 2] * corners[:, None, 2])
+    p1_grads = p1_ref_grads[0] @ invJT.transpose(0, 2, 1)
     # (T, 6, Q, 2) so that the stiffness kernel's (T, 6, 2Q) view is free
     T, Q = cell_weights.shape
     p2_ref_rows = p2_ref_grads.transpose(1, 0, 2).reshape(6 * Q, 2)
@@ -182,14 +195,10 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
 
     mass_local = np.einsum("tq,qi,qj->tij", cell_weights, p1_values, p1_values)
 
-    cell1, cell2 = p1.cell_dofs, p2.cell_dofs
-    rows1 = np.broadcast_to(cell1[:, :, None], (T, 3, 3)).ravel()
-    cols1 = np.broadcast_to(cell1[:, None, :], (T, 3, 3)).ravel()
-    rows2 = np.broadcast_to(cell2[:, :, None], (T, 6, 6)).ravel()
-    cols2 = np.broadcast_to(cell2[:, None, :], (T, 6, 6)).ravel()
-
-    mass_p1 = from_triplets(p1.dof_count, p1.dof_count, rows1, cols1,
-                            mass_local.ravel())
+    p2_pattern = sparsity_pattern(p2.dof_count, p2.cell_dofs)
+    # P2 numbers its vertex dofs, which are the P1 dofs, first
+    p1_pattern = p2_pattern.leading_block(p1.dof_count, 3)
+    mass_p1 = p1_pattern.assemble(mass_local)
     p2_basis_integrals = _scatter(
         p2, np.einsum("tq,qi->ti", cell_weights, p2_values))
 
@@ -214,7 +223,7 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
         p1_grads=p1_grads, p2_grads=p2_grads,
         mass_local=mass_local, mass_p1=mass_p1,
         p2_basis_integrals=p2_basis_integrals,
-        rows1=rows1, cols1=cols1, rows2=rows2, cols2=cols2,
+        p1_pattern=p1_pattern, p2_pattern=p2_pattern,
         edge_weights=edge_weights, edge_points=edge_points,
         edge_p1_values=edge_p1_values, edge_p2_values=edge_p2_values)
 
@@ -276,8 +285,7 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     weighted = (mobility * disc.cell_weights)[:, None, :, None] * disc.p2_grads
     grads = disc.p2_grads.reshape(T, 6, -1)
     local = weighted.reshape(T, 6, -1) @ grads.transpose(0, 2, 1)
-    n2 = disc.p2.dof_count
-    A = from_triplets(n2, n2, disc.rows2, disc.cols2, local.ravel())
+    A = disc.p2_pattern.assemble(local)
 
     source = np.zeros(x.shape)
     for func, sign in ((coeffs.injection, 1.0), (coeffs.production, -1.0),
@@ -367,8 +375,7 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
             local += n1
     local += (gamma / tau) * disc.mass_local
 
-    n = disc.p1.dof_count
-    A = from_triplets(n, n, disc.rows1, disc.cols1, local.ravel())
+    A = disc.p1_pattern.assemble(local)
 
     rhs = (gamma / tau) * (disc.mass_p1 @ c_prev)
     source = np.zeros(x.shape)

@@ -42,6 +42,10 @@ class Mesh:
     boundary_tris    : (B,) int array, owning triangle of each boundary edge
     boundary_normals : (B, 2) float array of unit outward normals
     h_nominal        : nominal mesh size 1/M, with M the boundary node count
+    edges            : (E, 2) int array, the undirected edges numbered as
+                       by :func:`edge_table`
+    cell_edges       : (T, 3) int array, the edge numbers of each
+                       triangle's local edges (k, (k + 1) % 3)
     """
 
     vertices: np.ndarray
@@ -50,6 +54,8 @@ class Mesh:
     boundary_tris: np.ndarray
     boundary_normals: np.ndarray
     h_nominal: float
+    edges: np.ndarray
+    cell_edges: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -88,7 +94,8 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 def _freeze(mesh: Mesh) -> Mesh:
     for arr in (mesh.vertices, mesh.triangles, mesh.boundary_edges,
-                mesh.boundary_tris, mesh.boundary_normals):
+                mesh.boundary_tris, mesh.boundary_normals, mesh.edges,
+                mesh.cell_edges):
         arr.flags.writeable = False
     return mesh
 
@@ -115,14 +122,14 @@ def edge_table(triangles):
             counts[order], number[inverse].reshape(-1, 3))
 
 
-def _boundary_structure(vertices, triangles, start_vertex=None):
-    """Extract the boundary cycle, owning triangles and outward normals.
+def _boundary_structure(vertices, edges, owners, counts, start_vertex=None):
+    """Extract the boundary cycle, owning triangles and outward normals
+    from the triangles' :func:`edge_table`.
 
     Requires counterclockwise triangles; the directed edges of the cycle
     then have the domain on their left, so the outward normal of edge
     (a, b) is the tangent rotated by -90 degrees.
     """
-    edges, owners, counts, _ = edge_table(triangles)
     if counts.max() > 2:
         i = np.argmax(counts > 2)
         raise MeshConstructionError(f"edge {tuple(sorted(edges[i].tolist()))} "
@@ -205,7 +212,9 @@ def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
     if np.any(areas <= 1e-12 * areas.max()):
         raise MeshConstructionError("degenerate triangle in generated mesh")
 
-    edges, tris, normals = _boundary_structure(points, triangles, start_vertex=0)
+    all_edges, owners, counts, cell_edges = edge_table(triangles)
+    edges, tris, normals = _boundary_structure(points, all_edges, owners,
+                                               counts, start_vertex=0)
     if edges.shape[0] != M or not np.array_equal(np.sort(edges[:, 0]), np.arange(M)):
         raise MeshConstructionError(
             f"expected {M} boundary edges on the first {M} vertices, "
@@ -213,7 +222,8 @@ def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
 
     return _freeze(Mesh(vertices=points, triangles=triangles,
                         boundary_edges=edges, boundary_tris=tris,
-                        boundary_normals=normals, h_nominal=1.0 / M))
+                        boundary_normals=normals, h_nominal=1.0 / M,
+                        edges=all_edges, cell_edges=cell_edges))
 
 
 def mesh_quality(mesh: Mesh) -> QualityReport:
@@ -309,9 +319,10 @@ def load_mesh(path) -> Mesh:
         if np.any(areas <= 0):
             raise MeshFormatError("file contains a non-counterclockwise or "
                                   "degenerate triangle")
+        all_edges, owners, counts, cell_edges = edge_table(triangles)
         try:
-            edges, tris, normals = _boundary_structure(vertices, triangles,
-                                                       int(pairs[0, 0]))
+            edges, tris, normals = _boundary_structure(
+                vertices, all_edges, owners, counts, int(pairs[0, 0]))
         except MeshConstructionError as exc:
             raise MeshFormatError(str(exc)) from exc
     if not np.array_equal(edges, pairs):
@@ -324,4 +335,5 @@ def load_mesh(path) -> Mesh:
     return _freeze(Mesh(vertices=vertices, triangles=triangles,
                         boundary_edges=edges, boundary_tris=tris,
                         boundary_normals=normals,
-                        h_nominal=1.0 / edges.shape[0]))
+                        h_nominal=1.0 / edges.shape[0],
+                        edges=all_edges, cell_edges=cell_edges))

@@ -1,14 +1,18 @@
 """Sparse matrix construction and the two Krylov solvers used by the scheme.
 
-Storage is scipy CSR.  The CG loop is written out here because the pressure
-solver needs deflation against a weighted mean constraint; GMRES runs each
-restart cycle through ``scipy.sparse.linalg.gmres``.  Both solvers report
-iteration counts and true relative residuals in a fixed, reproducible way,
-and both take any preconditioner v -> M^{-1} v.  The time
-stepper passes GMRES the solve of an exact sparse LU factor of each step's
-transport matrix, so GMRES converges in one iteration and still reports its
-residual; it passes CG the solve of a lagged LU factor of the bordered
-Neumann pressure system, which CG keeps across steps while the
+Storage is scipy CSR.  A matrix assembled from per-cell blocks over a
+fixed dof map is written into a :class:`SparsityPattern` built once from
+that map: each step sums the blocks into the pattern's slots, and the
+pattern's transpose permutation makes both the symmetry check and the CSC
+form a gather of the data.  The CG loop is written out here because the
+pressure solver needs deflation against a weighted mean constraint; GMRES
+runs each restart cycle through ``scipy.sparse.linalg.gmres``.  Both
+solvers report iteration counts and true relative residuals in a fixed,
+reproducible way, and both take any preconditioner v -> M^{-1} v.  The
+time stepper passes GMRES the solve of an exact sparse LU factor of each
+step's transport matrix, so GMRES converges in one iteration and still
+reports its residual; it passes CG the solve of a lagged LU factor of the
+bordered Neumann pressure system, which CG keeps across steps while the
 concentration drifts.
 """
 
@@ -45,6 +49,104 @@ def from_triplets(n_rows, n_cols, rows, cols, values) -> sp.csr_matrix:
     return sp.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
 
 
+@dataclass(frozen=True)
+class SparsityPattern:
+    """Canonical CSR structure of an n x n matrix assembled from per-cell
+    (k, k) blocks.  ``slots[t, i, j]`` is the position in the matrix data
+    of block entry (i, j) of cell t, and ``transpose[s]`` the position of
+    the entry mirroring position s: the structure of such a matrix is
+    symmetric, so A.T has the same ``indptr`` and ``indices`` as A, with
+    data ``A.data[transpose]``.  The index arrays are read-only."""
+
+    size: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray              # (T, k, k)
+    transpose: np.ndarray          # (nnz,)
+
+    def assemble(self, local) -> sp.csr_matrix:
+        """The matrix whose cell blocks are ``local`` (T, k, k), duplicate
+        entries summed in cell order."""
+        data = np.bincount(self.slots.ravel(), weights=local.ravel(),
+                           minlength=self.indices.size)
+        A = sp.csr_matrix((data, self.indices, self.indptr),
+                          shape=(self.size, self.size))
+        A.pattern = self
+        return A
+
+    def to_csc(self, A) -> sp.csc_matrix:
+        """A matrix assembled on this pattern, in CSC form."""
+        return sp.csc_matrix((A.data[self.transpose], self.indices,
+                              self.indptr), shape=A.shape)
+
+    def leading_block(self, m, k) -> SparsityPattern:
+        """The pattern of the leading m x m block, assembled from the first
+        k local dofs of each cell, which must be the cell's only dofs below
+        m (as P2 numbers the vertices before the edges): the same arrays
+        as ``sparsity_pattern(m, cell_dofs[:, :k])``, without a sort."""
+        inner = np.flatnonzero(self.indices[:self.indptr[m]] < m)
+        renumber = np.full(self.indices.size, -1, dtype=np.intp)
+        renumber[inner] = np.arange(inner.size)
+        slots = renumber[self.slots[:, :k, :k]]
+        hit = np.zeros(inner.size + 1, dtype=bool)
+        hit[slots] = True               # a slot outside the block hits hit[-1]
+        if hit[-1] or not hit[:-1].all():
+            raise ValueError(f"the first {k} local dofs of each cell are "
+                             f"not its only dofs below {m}")
+        block = (np.searchsorted(inner, self.indptr[:m + 1]).astype(
+            self.indptr.dtype), self.indices[inner], slots,
+            renumber[self.transpose[inner]])
+        for arr in block:
+            arr.flags.writeable = False
+        return SparsityPattern(m, *block)
+
+
+def sparsity_pattern(n, cell_dofs) -> SparsityPattern:
+    """The pattern of an n x n matrix assembled from per-cell blocks on
+    ``cell_dofs`` (T, k): one sort of the (row, column) keys of all block
+    entries numbers the distinct ones in row-major order."""
+    cell_dofs = np.asarray(cell_dofs, dtype=np.int64)
+    if cell_dofs.size and (cell_dofs.min() < 0 or cell_dofs.max() >= n):
+        raise ValueError(f"dof index out of range [0, {n})")
+    count = cell_dofs.size * cell_dofs.shape[-1]
+    shift = count.bit_length()
+    if n * n << shift <= np.iinfo(np.int64).max:
+        # key row * n + col with the entry's position in its low bits: one
+        # plain sort, about half the cost of an argsort, orders both
+        keys = ((cell_dofs * (n << shift))[:, :, None]
+                + (cell_dofs << shift)[:, None, :]).ravel()
+        keys |= np.arange(count)
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
+    else:
+        keys = (cell_dofs[:, :, None] * n + cell_dofs[:, None, :]).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+    new = np.empty(count, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = np.compress(new, keys)
+    rank = new.astype(np.intp)      # rank[s]: the distinct key at s
+    rank[:1] = 0
+    np.cumsum(rank, out=rank)
+    slots = np.empty(count, dtype=np.intp)
+    slots[order] = rank
+    rows = distinct // n
+    # scipy's own index type, so that assembly never converts the arrays
+    index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max \
+        else np.int64
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index)
+    indices = (distinct - rows * n).astype(index)
+    slot3 = slots.reshape(cell_dofs.shape + cell_dofs.shape[-1:])
+    transpose = np.empty(indices.size, dtype=np.intp)
+    transpose[slot3.transpose(0, 2, 1)] = slot3
+    for arr in (indptr, indices, slot3, transpose):
+        arr.flags.writeable = False
+    return SparsityPattern(size=n, indptr=indptr, indices=indices,
+                           slots=slot3, transpose=transpose)
+
+
 def _check_square(A, b):
     n, m = A.shape
     if n != m:
@@ -54,8 +156,14 @@ def _check_square(A, b):
 
 
 def _symmetry_defect(A) -> float:
-    d = A - A.T
-    return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
+    # a matrix from SparsityPattern.assemble keeps the pattern's structure
+    # unless its index arrays were replaced: they are read-only
+    pattern = getattr(A, "pattern", None)
+    if pattern is not None and A.indptr is pattern.indptr:
+        d = A.data - A.data[pattern.transpose]
+    else:
+        d = (A - A.T).data
+    return float(np.max(np.abs(d))) if d.size else 0.0
 
 
 def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,

@@ -201,7 +201,7 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
                                     velocity, grid.tau, grid.time(n), mode)
     # the matrix changes every step with D(u) and the convection, and one
     # exact factor of it costs less than a Jacobi-GMRES solve
-    factor = splu(system.matrix.tocsc())
+    factor = splu(disc.p1_pattern.to_csc(system.matrix))
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
                         max_iter=options.max_iter,

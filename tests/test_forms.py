@@ -157,6 +157,20 @@ def test_velocity_coupling_validated():
         unit_coefficients(velocity_coupling="upwind")
 
 
+@given(porosity=st.one_of(st.floats(), st.integers(-3, 10**6),
+                          st.booleans()))
+def test_porosity_accepted_exactly_when_positive_and_finite(porosity):
+    """NaN, +-inf, booleans and nonpositive values are refused, as
+    DispersionParams and TimeGrid refuse theirs."""
+    valid = (not isinstance(porosity, bool)
+             and 0 < porosity < math.inf)
+    if valid:
+        assert unit_coefficients(porosity=porosity).porosity == porosity
+    else:
+        with pytest.raises(ValueError, match="porosity"):
+            unit_coefficients(porosity=porosity)
+
+
 def test_transport_matrix_symmetric_without_advection(disc16):
     sol = disk_trig_case()
     coeffs = problem_coefficients(sol)

@@ -7,7 +7,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from miscfem import cg_deflated, from_triplets, gmres
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from miscfem import cg_deflated, from_triplets, gmres, sparsity_pattern
+from miscfem.solvers import _symmetry_defect
 
 
 def random_spd(n, rng, cond=50.0):
@@ -31,6 +35,131 @@ def test_from_triplets_rejects_out_of_range():
         from_triplets(2, 2, [0, 2], [0, 0], [1.0, 1.0])
     with pytest.raises(ValueError):
         from_triplets(2, 2, [0, -1], [0, 0], [1.0, 1.0])
+
+
+@st.composite
+def cell_maps(draw):
+    """(n, cell_dofs, seed): T cells of k = 3 (P1-like) or 6 (P2-like)
+    dofs drawn from n, so dofs repeat across and within cells."""
+    k = draw(st.sampled_from([3, 6]))
+    n = draw(st.integers(1, 3 * k))
+    T = draw(st.integers(1, 6))
+    dofs = draw(st.lists(st.integers(0, n - 1), min_size=T * k,
+                         max_size=T * k))
+    return n, np.array(dofs).reshape(T, k), draw(st.integers(0, 2**32 - 1))
+
+
+def triplet_matrix(n, cell_dofs, local):
+    T, k = cell_dofs.shape
+    rows = np.broadcast_to(cell_dofs[:, :, None], (T, k, k))
+    cols = np.broadcast_to(cell_dofs[:, None, :], (T, k, k))
+    return from_triplets(n, n, rows, cols, local)
+
+
+@settings(max_examples=300)
+@given(cell_maps())
+def test_pattern_assembly_matches_from_triplets(case):
+    """The fixed pattern has from_triplets' canonical structure.  The two
+    sum duplicates in different orders: with d positive summands every
+    order rounds d - 1 partial sums, none above the result, so an entry
+    differs by at most (d - 1)/2 (ulp(a) + ulp(b)) -- 4 units in the last
+    place where at most five meet -- and by nothing when every partial
+    sum is exact.  The transpose permutation gives the data of the
+    transposed assembly."""
+    n, cell_dofs, seed = case
+    rng = np.random.default_rng(seed)
+    pattern = sparsity_pattern(n, cell_dofs)
+    local = rng.uniform(1.0, 2.0, size=cell_dofs.shape + cell_dofs.shape[-1:])
+    A, B = pattern.assemble(local), triplet_matrix(n, cell_dofs, local)
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    summands = np.bincount(pattern.slots.ravel())
+    ulps = 0.5 * (np.spacing(A.data) + np.spacing(B.data))
+    assert np.all(np.abs(A.data - B.data) <= (summands - 1) * ulps)
+
+    # integers: every order of summation gives the same bits
+    whole = rng.integers(-2**20, 2**20, size=local.shape).astype(float)
+    A, B = pattern.assemble(whole), triplet_matrix(n, cell_dofs, whole)
+    assert np.array_equal(A.data, B.data)
+    At = pattern.assemble(whole.transpose(0, 2, 1))
+    assert np.array_equal(A.data[pattern.transpose], At.data)
+    assert np.array_equal(A.data[pattern.transpose], B.T.tocsr().data)
+    assert np.array_equal(pattern.to_csc(A).toarray(), B.toarray())
+
+
+@settings(max_examples=100)
+@given(cell_maps())
+def test_pattern_symmetry_check(case):
+    """On a pattern the symmetry defect is read off a permutation of the
+    data; it equals the defect of A - A.T, and CG still refuses a
+    nonsymmetric matrix."""
+    n, cell_dofs, seed = case
+    i, j = cell_dofs[0, :2]
+    assume(i != j)
+    rng = np.random.default_rng(seed)
+    local = rng.uniform(1.0, 2.0, size=cell_dofs.shape + cell_dofs.shape[-1:])
+    pattern = sparsity_pattern(n, cell_dofs)
+    symmetric = local + local.transpose(0, 2, 1)
+    S = pattern.assemble(symmetric)
+    assert S.pattern is pattern and S.indptr is pattern.indptr
+    assert _symmetry_defect(S) == _symmetry_defect(S.copy()) < 1e-12
+    symmetric[0, 0, 1] += 1.0     # entry (i, j) of cell 0, not (j, i)
+    A = pattern.assemble(symmetric)
+    assert _symmetry_defect(A) == _symmetry_defect(A.copy()) > 0.5
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        cg_deflated(A, np.ones(n))
+
+
+@st.composite
+def two_level_maps(draw):
+    """Cell maps numbered as P2 numbers its dofs: the first three local
+    dofs of each cell below m, the other three at or above it."""
+    m, extra, T = (draw(st.integers(1, 8)) for _ in range(3))
+    low = draw(st.lists(st.integers(0, m - 1), min_size=3 * T,
+                        max_size=3 * T))
+    high = draw(st.lists(st.integers(m, m + extra - 1), min_size=3 * T,
+                         max_size=3 * T))
+    cell_dofs = np.hstack([np.reshape(low, (T, 3)), np.reshape(high, (T, 3))])
+    return m, m + extra, cell_dofs
+
+
+@given(two_level_maps())
+def test_leading_block_is_the_pattern_of_the_leading_dofs(case):
+    m, n, cell_dofs = case
+    block = sparsity_pattern(n, cell_dofs).leading_block(m, 3)
+    direct = sparsity_pattern(m, cell_dofs[:, :3])
+    assert block.size == direct.size == m
+    for name in ("indptr", "indices", "slots", "transpose"):
+        assert np.array_equal(getattr(block, name), getattr(direct, name))
+
+
+@pytest.mark.parametrize("cell_dofs, m", [
+    ([[0, 1, 2, 3], [2, 3, 0, 1]], 2),     # leading dofs 2, 3 above m
+    ([[0, 1, 2, 3]], 3),                   # trailing dof 2 below m
+])
+def test_leading_block_refuses_maps_not_numbered_leading_first(cell_dofs, m):
+    pattern = sparsity_pattern(4, cell_dofs)
+    with pytest.raises(ValueError, match="not its only dofs below"):
+        pattern.leading_block(m, 2)
+
+
+def test_sparsity_pattern_without_room_to_pack_positions():
+    """When n * n with the entry positions in its low bits would overflow
+    int64, the keys are argsorted instead, with the same result."""
+    cell_dofs = np.random.default_rng(3).integers(0, 5000, (28000, 6))
+    small = sparsity_pattern(5000, cell_dofs)
+    large = sparsity_pattern(3_500_000, cell_dofs)
+    assert (3_500_000 ** 2) << (cell_dofs.size * 6).bit_length() > 2**63
+    assert np.array_equal(large.indptr[:5001], small.indptr)
+    for name in ("indices", "slots", "transpose"):
+        assert np.array_equal(getattr(large, name), getattr(small, name))
+
+
+def test_sparsity_pattern_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        sparsity_pattern(2, [[0, 2, 1]])
+    with pytest.raises(ValueError):
+        sparsity_pattern(2, [[0, -1, 1]])
 
 
 @pytest.mark.parametrize("n", [5, 20, 50])

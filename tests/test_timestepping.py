@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from miscfem import (CoefficientBlowupError, ProblemCoefficients,
                      ScalarDispersionParams, SolveReport,
                      SolverOptions, StepFailure, TimeGrid, finalize_pressure,
-                     initialize, interpolate, run, step, timestepping)
+                     forms, initialize, interpolate, run, solvers, step,
+                     timestepping)
 
 
 def make_coefficients(disc, velocity="on", **overrides):
@@ -198,6 +199,30 @@ def test_viscosity_evaluated_once_per_pressure_level(disc16):
     coeffs = make_coefficients(disc16, viscosity=viscosity)
     run(disc16, coeffs, TimeGrid(final_time=0.1, num_steps=4))
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("mode", ["skew", "direct"])
+def test_march_never_converts_triplets(disc16, monkeypatch, mode):
+    """Both systems are summed into the discretization's fixed sparsity
+    patterns, so no step converts COO triplets to CSR; every CG call still
+    checks symmetry, on the pattern's transpose permutation."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_triplets called while marching")
+
+    monkeypatch.setattr(forms, "from_triplets", refuse)
+    monkeypatch.setattr(solvers, "from_triplets", refuse)
+    checked = []
+    original = solvers._symmetry_defect
+
+    def defect(A):
+        checked.append(A.pattern is disc16.p2_pattern)
+        return original(A)
+
+    monkeypatch.setattr(solvers, "_symmetry_defect", defect)
+    state, history = run(disc16, make_coefficients(disc16),
+                         TimeGrid(final_time=0.1, num_steps=4), mode=mode)
+    assert len(history) == 5 and state.concentration_report.converged
+    assert checked == [True] * 5       # one pressure solve per level
 
 
 def count_pressure_factorizations(monkeypatch, disc):
