@@ -261,7 +261,7 @@ def _mobility(disc, coeffs, c_prev):
     c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
     mu = np.asarray(coeffs.viscosity(c_q), dtype=np.float64)
     lo, hi = coeffs.viscosity_bounds
-    if mu.min() < 0.5 * lo or mu.max() > 2.0 * hi:
+    if not (mu.min() >= 0.5 * lo and mu.max() <= 2.0 * hi):   # NaN too
         raise CoefficientBlowupError(
             f"viscosity range [{mu.min():.6g}, {mu.max():.6g}] left the "
             f"admissible band [{0.5 * lo:.6g}, {2.0 * hi:.6g}]")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
+from .solvers import number_pairs
+
 
 class MeshFormatError(ValueError):
     """A mesh file could not be parsed or fails basic consistency checks."""
@@ -109,17 +111,17 @@ def edge_table(triangles):
     each triangle's local edges."""
     tails = triangles.ravel()
     heads = triangles[:, [1, 2, 0]].ravel()
-    keys = (np.minimum(tails, heads) * (int(triangles.max()) + 1)
-            + np.maximum(tails, heads))
-    _, first, inverse, counts = np.unique(keys, return_index=True,
-                                          return_inverse=True,
-                                          return_counts=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    first = first[order]
+    _, first, inverse = number_pairs(np.minimum(tails, heads),
+                                     np.maximum(tails, heads),
+                                     int(triangles.max()) + 1)
+    # renumber the edges from sorted order to the order of the walk
+    met = np.zeros(tails.size, dtype=bool)
+    met[first] = True
+    cell_edges = (np.cumsum(met)[first] - 1)[inverse]
+    first = np.flatnonzero(met)
     return (np.column_stack([tails[first], heads[first]]), first // 3,
-            counts[order], number[inverse].reshape(-1, 3))
+            np.bincount(cell_edges, minlength=first.size),
+            cell_edges.reshape(-1, 3))
 
 
 def _boundary_structure(vertices, edges, owners, counts, start_vertex=None):

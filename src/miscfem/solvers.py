@@ -10,14 +10,17 @@ runs each restart cycle through ``scipy.sparse.linalg.gmres``.  Both
 solvers report iteration counts and true relative residuals in a fixed,
 reproducible way, and both take any preconditioner v -> M^{-1} v.  The
 time stepper passes GMRES the solve of an exact sparse LU factor of each
-step's transport matrix, so GMRES converges in one iteration and still
-reports its residual; it passes CG the solve of a lagged LU factor of the
+step's transport matrix; GMRES first tries one correction x0 + M^{-1} r0,
+which is then one exact solve plus a true-residual check that reports
+one iteration, with its restart cycles as the fallback should that check
+miss the tolerance.  It passes CG the solve of a lagged LU factor of the
 bordered Neumann pressure system, which CG keeps across steps while the
 concentration drifts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,37 +104,51 @@ class SparsityPattern:
         return SparsityPattern(m, *block)
 
 
-def sparsity_pattern(n, cell_dofs) -> SparsityPattern:
-    """The pattern of an n x n matrix assembled from per-cell blocks on
-    ``cell_dofs`` (T, k): one sort of the (row, column) keys of all block
-    entries numbers the distinct ones in row-major order."""
-    cell_dofs = np.asarray(cell_dofs, dtype=np.int64)
-    if cell_dofs.size and (cell_dofs.min() < 0 or cell_dofs.max() >= n):
-        raise ValueError(f"dof index out of range [0, {n})")
-    count = cell_dofs.size * cell_dofs.shape[-1]
+def number_pairs(rows, cols, n):
+    """Number the distinct (row, col) pairs of two broadcast integer
+    arrays with entries in [0, n), in row-major order, from one sort of
+    the keys row * n + col.  Returns ``distinct``, the sorted distinct
+    keys; ``first``, the flat position of each one's first occurrence; and
+    ``inverse``, the number of the pair at each flat position: what
+    ``np.unique`` returns as its values, ``return_index`` and
+    ``return_inverse`` for the keys."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    shape = np.broadcast_shapes(rows.shape, cols.shape)
+    count = math.prod(shape)
     shift = count.bit_length()
     if n * n << shift <= np.iinfo(np.int64).max:
-        # key row * n + col with the entry's position in its low bits: one
-        # plain sort, about half the cost of an argsort, orders both
-        keys = ((cell_dofs * (n << shift))[:, :, None]
-                + (cell_dofs << shift)[:, None, :]).ravel()
+        # the key with its position in the low bits: one plain sort, about
+        # half the cost of an argsort, orders both, equal keys by position
+        keys = (rows * (n << shift) + (cols << shift)).ravel()
         keys |= np.arange(count)
         keys.sort()
         order = keys & ((1 << shift) - 1)
         keys >>= shift
     else:
-        keys = (cell_dofs[:, :, None] * n + cell_dofs[:, None, :]).ravel()
-        order = np.argsort(keys)
+        keys = (rows * n + cols).ravel()
+        order = np.argsort(keys, kind="stable")
         keys = keys[order]
     new = np.empty(count, dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    distinct = np.compress(new, keys)
     rank = new.astype(np.intp)      # rank[s]: the distinct key at s
     rank[:1] = 0
     np.cumsum(rank, out=rank)
-    slots = np.empty(count, dtype=np.intp)
-    slots[order] = rank
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = rank
+    return np.compress(new, keys), np.compress(new, order), inverse
+
+
+def sparsity_pattern(n, cell_dofs) -> SparsityPattern:
+    """The pattern of an n x n matrix assembled from per-cell blocks on
+    ``cell_dofs`` (T, k): :func:`number_pairs` numbers the distinct
+    (row, column) pairs of all block entries in row-major order."""
+    cell_dofs = np.asarray(cell_dofs, dtype=np.int64)
+    if cell_dofs.size and (cell_dofs.min() < 0 or cell_dofs.max() >= n):
+        raise ValueError(f"dof index out of range [0, {n})")
+    distinct, _, slots = number_pairs(cell_dofs[:, :, None],
+                                      cell_dofs[:, None, :], n)
     rows = distinct // n
     # scipy's own index type, so that assembly never converts the arrays
     index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max \
@@ -175,7 +192,9 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     every residual), which makes a consistent singular system whose kernel
     is not m-orthogonal solvable; the returned solution x satisfies
     m^T x = 0 up to roundoff and the report carries the projected residual
-    ||P(b - A x)|| / ||P b||.
+    ||P(b - A x)|| / ||P b||.  A curvature p^T A p that is not positive
+    and finite (lost definiteness, or non-finite data) ends the iteration
+    with converged=False.
 
     Parameters
     ----------
@@ -232,8 +251,10 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     for _ in range(max_iter):
         Ap = project(A @ p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            break  # lost positive definiteness: report non-convergence
+        if not 0.0 < pAp < np.inf:
+            # lost positive definiteness, or non-finite data: report
+            # non-convergence
+            break
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -259,9 +280,13 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
     diagonal entry makes undefined (ValueError).  Each cycle solves
     A M^{-1} y = r for the current residual r and adds M^{-1} y to x;
     scipy's own ``M=`` would precondition on the left and monitor M^{-1} r
-    instead.  Stagnation across a restart cycle (no measurable residual
-    decrease) terminates the iteration with converged=False rather than
-    spinning.
+    instead.  Before the first cycle GMRES tries the one correction
+    x0 + M^{-1} r0 and returns it, as one iteration, when its true
+    residual meets ``rel_tol``; otherwise the cycles start from x0, so an
+    inexact preconditioner yields the same iterates as without that try.
+    Stagnation across a restart cycle (no measurable residual decrease)
+    or a non-finite residual terminates the iteration with
+    converged=False rather than spinning.
 
     Returns
     -------
@@ -287,17 +312,26 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    r = b - A @ x
+    res = float(np.linalg.norm(r)) / bnorm
+    if rel_tol < res < np.inf and max_iter > 0:
+        # one correction x + M^{-1} r first: with an exact factor as M^{-1}
+        # it is the solution, and its true residual shows whether the
+        # cycles, which start from x unchanged, are needed at all
+        x1 = x + precond(r)
+        res1 = float(np.linalg.norm(b - A @ x1)) / bnorm
+        if res1 <= rel_tol:
+            return x1, SolveReport(1, res1, True)
     AMinv = spla.LinearOperator(A.shape, matvec=lambda v: A @ precond(v),
                                 dtype=np.float64)
 
     history = []        # scipy's residual estimate, one per iteration
     last = np.inf
     while True:
-        r = b - A @ x
-        res = float(np.linalg.norm(r)) / bnorm
         if res <= rel_tol:
             return x, SolveReport(len(history), res, True)
-        if res >= last * (1.0 - 1e-12) or len(history) >= max_iter:
+        # no measurable decrease, or a non-finite residual
+        if not res < last * (1.0 - 1e-12) or len(history) >= max_iter:
             return x, SolveReport(len(history), res, False)
         last = res
         y, _ = spla.gmres(AMinv, r, rtol=0.0, atol=rel_tol * bnorm,
@@ -305,3 +339,5 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
                           maxiter=1, callback=history.append,
                           callback_type="pr_norm")
         x += precond(y)
+        r = b - A @ x
+        res = float(np.linalg.norm(r)) / bnorm

@@ -43,15 +43,28 @@ REFACTOR_ITERATIONS = 10
 
 
 class StepFailure(RuntimeError):
-    """A linear solve inside one time step did not converge."""
+    """A linear solve inside one time step did not converge (``report``
+    says how far it got), or its matrix could not be factored (``report``
+    is None and ``reason`` gives the factorization's error)."""
 
-    def __init__(self, step_index, what, report):
-        super().__init__(
-            f"{what} solve failed at step {step_index}: "
-            f"residual {report.relative_residual:.3e} after "
-            f"{report.iterations} iterations")
+    def __init__(self, step_index, what, report=None, reason=None):
+        if reason is None:
+            reason = (f"residual {report.relative_residual:.3e} after "
+                      f"{report.iterations} iterations")
+        super().__init__(f"{what} solve failed at step {step_index}: {reason}")
         self.step_index = step_index
         self.report = report
+
+
+def _factor(matrix, step_index, what, **options) -> SuperLU:
+    """``splu(matrix, **options)``; a matrix that cannot be factored (e.g.
+    an exactly singular one, or one holding NaN) fails step
+    ``step_index`` with :class:`StepFailure`."""
+    try:
+        return splu(matrix, **options)
+    except RuntimeError as exc:
+        raise StepFailure(step_index, what,
+                          reason=f"LU factorization: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -87,9 +100,10 @@ class TimeGrid:
 class SolverOptions:
     """Tolerances of the pressure CG, which is preconditioned by a lagged
     sparse LU factor of the bordered Neumann system, and of the transport
-    GMRES, which is right-preconditioned by an exact sparse LU factor of
-    each step's matrix, and an iteration cap for both (None: solver
-    default)."""
+    solve: one exact solve with a sparse LU factor of each step's matrix
+    plus a true-residual check against ``concentration_tol``, with GMRES
+    right-preconditioned by that factor as the fallback; and an iteration
+    cap for both (None: solver default)."""
 
     pressure_tol: float = 1e-11
     concentration_tol: float = 1e-10
@@ -126,13 +140,14 @@ class StepRecord:
     concentration_iterations: int
 
 
-def _bordered_factor(system) -> SuperLU:
+def _bordered_factor(system, step_index) -> SuperLU:
     """LU factor of [[A, m], [m^T, 0]] for the pressure system; the
     bordered matrix itself is not kept."""
     m = system.mass_vector[:, None]
     bordered = sp.bmat([[system.matrix, m], [m.T, None]], format="csc")
     # minimum degree on A^T + A fills about half as much as COLAMD here
-    return splu(bordered, permc_spec="MMD_AT_PLUS_A")
+    return _factor(bordered, step_index, "pressure",
+                   permc_spec="MMD_AT_PLUS_A")
 
 
 def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None,
@@ -144,7 +159,7 @@ def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None,
     try:
         system = assemble_pressure(disc, coeffs, c, t)
         if factor is None:
-            factor = _bordered_factor(system)
+            factor = _bordered_factor(system, n)
         n2 = system.rhs.size
 
         def precond(r):
@@ -200,8 +215,17 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
     system = assemble_concentration(disc, coeffs, state.concentration,
                                     velocity, grid.tau, grid.time(n), mode)
     # the matrix changes every step with D(u) and the convection, and one
-    # exact factor of it costs less than a Jacobi-GMRES solve
-    factor = splu(disc.p1_pattern.to_csc(system.matrix))
+    # exact factor of it costs less than a Jacobi-GMRES solve: GMRES's
+    # first correction with it is the solution, which GMRES checks by its
+    # true residual before it would start a cycle.  The pattern is
+    # structurally symmetric, so minimum degree on A^T + A with diagonal
+    # pivots fits the symmetric matrix of velocity_coupling="none" and
+    # the advective one alike, and fills less than COLAMD; the small
+    # nonzero threshold still pivots off a weak diagonal.
+    factor = _factor(disc.p1_pattern.to_csc(system.matrix), n,
+                     "concentration", permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.01,
+                     options=dict(SymmetricMode=True))
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
                         max_iter=options.max_iter,

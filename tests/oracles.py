@@ -9,6 +9,7 @@ import json
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 
 def exact_monomial(a: int, b: int) -> float:
@@ -257,3 +258,46 @@ def concentration_rhs_oracle(disc, coeffs, c_prev, tau, t):
             _wall_loads(disc, coeffs.concentration_flux,
                         disc.edge_p1_values, t), n)
     return out
+
+
+def edge_table_oracle(triangles):
+    """Edge numbering by ``np.unique`` on the undirected edge keys, in the
+    order a walk over (triangle, local edge) first meets each edge: the
+    same four arrays as :func:`miscfem.meshing.edge_table`."""
+    tails = triangles.ravel()
+    heads = triangles[:, [1, 2, 0]].ravel()
+    keys = (np.minimum(tails, heads) * (int(triangles.max()) + 1)
+            + np.maximum(tails, heads))
+    _, first, inverse, counts = np.unique(keys, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    first = first[order]
+    return (np.column_stack([tails[first], heads[first]]), first // 3,
+            counts[order], number[inverse].reshape(-1, 3))
+
+
+def gmres_cycles_oracle(A, b, rel_tol, restart, max_iter, x0, precond):
+    """Restarted, right-preconditioned GMRES as bare scipy cycles, with no
+    first correction: the loop :func:`miscfem.solvers.gmres` falls back
+    to when that correction misses ``rel_tol``.  Returns x, the number of
+    inner iterations and the true relative residual."""
+    bnorm = float(np.linalg.norm(b))
+    x = np.asarray(x0, dtype=np.float64).copy()
+    AMinv = spla.LinearOperator(A.shape, matvec=lambda v: A @ precond(v),
+                                dtype=np.float64)
+    history = []
+    last = np.inf
+    while True:
+        res = float(np.linalg.norm(b - A @ x)) / bnorm
+        if (res <= rel_tol or res >= last * (1.0 - 1e-12)
+                or len(history) >= max_iter):
+            return x, len(history), res
+        last = res
+        y, _ = spla.gmres(AMinv, b - A @ x, rtol=0.0, atol=rel_tol * bnorm,
+                          restart=min(restart, max_iter - len(history)),
+                          maxiter=1, callback=history.append,
+                          callback_type="pr_norm")
+        x += precond(y)

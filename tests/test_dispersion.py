@@ -146,7 +146,12 @@ def test_skew_plume_golden(disc16):
     systems came to be summed into fixed sparsity patterns: np.bincount
     sums duplicate entries in cell order, where the COO-to-CSR
     conversion summed them in the order of an unstable sort.
-    test_pattern_assembly_matches_from_triplets bounds that gap."""
+    test_pattern_assembly_matches_from_triplets bounds that gap.  Both
+    were re-recorded again (the L2 norm by 4 ulp, the mass by 3) when
+    the transport LU took minimum-degree ordering with diagonal pivots
+    and GMRES came to return the one exact correction x0 + LU^{-1} r0
+    itself: the pivot order and the final rounding of the solve
+    changed, not the evaluator this test pins."""
     sol = disk_trig_case()
     w, xq = disc16.cell_weights, disc16.quad_points[..., 0]
     xbar = float((w * xq).sum() / w.sum())
@@ -161,8 +166,8 @@ def test_skew_plume_golden(disc16):
     state, history = run(disc16, coeffs, TimeGrid(final_time=0.25,
                                                   num_steps=16), mode="skew")
     mass = float(np.sum(disc16.mass_p1 @ state.concentration))
-    assert repr(history[-1].concentration_l2) == "0.02704919100887454"
-    assert repr(mass) == "0.005329060845576321"
+    assert repr(history[-1].concentration_l2) == "0.027049191008874526"
+    assert repr(mass) == "0.005329060845576318"
 
 
 def test_dispersion_tensor_demo_runs(capsys):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import edge_table_oracle
 
 from miscfem import (Mesh, MeshConstructionError, MeshFormatError,
                      generate_disk_mesh, load_mesh, mesh_quality, save_mesh)
-from miscfem.meshing import signed_areas
+from miscfem.meshing import edge_table, signed_areas
 
 
 @pytest.mark.parametrize("M", [8, 16, 32, 64])
@@ -74,6 +75,19 @@ def test_mesh_quality_bands(M, min_angle, h_band):
     assert lo / M <= q.h_max <= hi / M
     assert q.h_min > 0.5 / M
     assert q.shape_regularity < 6.0
+
+
+@pytest.mark.parametrize("M", [8, 16, 64])
+def test_edge_table_matches_np_unique(M):
+    """The packed-key numbering gives np.unique's edge table, dtypes
+    included, and it is the one the mesh keeps."""
+    mesh = generate_disk_mesh(M=M)
+    got = edge_table(mesh.triangles)
+    for a, b in zip(got, edge_table_oracle(mesh.triangles)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert np.array_equal(mesh.edges, got[0])
+    assert np.array_equal(mesh.cell_edges, got[3])
 
 
 def test_mesh_arrays_read_only(mesh16):

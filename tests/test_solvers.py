@@ -5,13 +5,15 @@ algebra on small random systems."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import gmres_cycles_oracle
+
 from miscfem import cg_deflated, from_triplets, gmres, sparsity_pattern
-from miscfem.solvers import _symmetry_defect
+from miscfem.solvers import _symmetry_defect, number_pairs
 
 
 def random_spd(n, rng, cond=50.0):
@@ -153,6 +155,25 @@ def test_sparsity_pattern_without_room_to_pack_positions():
     assert np.array_equal(large.indptr[:5001], small.indptr)
     for name in ("indices", "slots", "transpose"):
         assert np.array_equal(getattr(large, name), getattr(small, name))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40), st.booleans(), st.data())
+def test_number_pairs_matches_np_unique(count, wide, data):
+    """Sorted distinct keys, first occurrences and inverse as np.unique
+    gives them, whether the positions are packed into the keys' low bits
+    or, for n this wide, the keys are argsorted."""
+    n = 3_000_000_000 if wide else data.draw(st.integers(1, 12))
+    pairs = st.lists(st.integers(0, min(n, 12) - 1), min_size=count,
+                     max_size=count)
+    rows, cols = (np.array(data.draw(pairs)) for _ in range(2))
+    if wide:
+        rows = rows * 250_000_000      # spread over [0, n)
+    keys = rows * n + cols
+    distinct, first, inverse = number_pairs(rows, cols, n)
+    want = np.unique(keys, return_index=True, return_inverse=True)
+    for got, expected in zip((distinct, first, inverse), want):
+        assert np.array_equal(got, expected)
 
 
 def test_sparsity_pattern_rejects_out_of_range():
@@ -300,17 +321,77 @@ def test_gmres_zero_diagonal_rejected_with_jacobi():
 def test_gmres_exact_preconditioner_takes_one_iteration(rng):
     """An exact LU solve as the right preconditioner replaces the Jacobi
     scaling (this matrix has a zero diagonal, which Jacobi rejects) and
-    GMRES converges in one iteration."""
+    GMRES converges in one iteration: the first correction x0 + M^{-1} r0
+    is the solution, so the factor is applied once and no cycle runs."""
     n = 30
     dense = rng.standard_normal((n, n))
     np.fill_diagonal(dense, 0.0)
     A = sp.csc_matrix(dense)
     b = rng.standard_normal(n)
-    x, report = gmres(A, b, rel_tol=1e-12, precond=splu(A).solve)
+    factor = splu(A)
+    applications = []
+
+    def precond(v):
+        applications.append(1)
+        return factor.solve(v)
+
+    x, report = gmres(A, b, rel_tol=1e-12, precond=precond,
+                      x0=rng.standard_normal(n))
     assert report.converged
     assert report.iterations == 1
+    assert len(applications) == 1
     assert report.relative_residual <= 1e-12
+    assert report.relative_residual == pytest.approx(
+        np.linalg.norm(A @ x - b) / np.linalg.norm(b), rel=1e-12)
     assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-10, rtol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "ilu"])
+def test_gmres_inexact_preconditioner_keeps_the_cycle_iterates(rng, kind):
+    """When the first correction misses the tolerance, the cycles start
+    from x0 as if it had not been tried: x, the iteration count and the
+    residual equal those of the bare cycle loop, bit for bit."""
+    n = 60
+    A = sp.csc_matrix(np.diag(np.linspace(1.0, 30.0, n))
+                      + 0.3 * rng.standard_normal((n, n)))
+    b = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    if kind == "jacobi":
+        dinv = 1.0 / A.diagonal()
+        precond, passed = (lambda v: dinv * v), None
+    else:
+        precond = passed = spilu(A, drop_tol=0.1, fill_factor=1.0).solve
+    first = x0 + precond(b - A @ x0)
+    assert np.linalg.norm(b - A @ first) > 1e-11 * np.linalg.norm(b)
+    want, iterations, res = gmres_cycles_oracle(
+        A, b, rel_tol=1e-11, restart=7, max_iter=10 * n, x0=x0,
+        precond=precond)
+    x, report = gmres(A, b, rel_tol=1e-11, restart=7, x0=x0,
+                      precond=passed)
+    assert report.converged
+    assert iterations > 1
+    assert np.array_equal(x, want)
+    assert report.iterations == iterations
+    assert report.relative_residual == res
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_stop_at_non_finite_data(rng, bad):
+    """A non-finite right-hand side ends either solve at once, reported
+    as not converged, instead of running to the iteration cap."""
+    n = 40
+    A = sp.csr_matrix(random_spd(n, rng))
+    b = rng.standard_normal(n)
+    b[7] = bad
+    for solve in (cg_deflated, gmres):
+        x, report = solve(A, b, rel_tol=1e-12)
+        assert not report.converged
+        assert report.iterations <= 1
+        x, report = solve(A, b, rel_tol=1e-12,
+                          precond=splu(sp.csc_matrix(A)).solve)
+        assert not report.converged
+        assert report.iterations <= 1
 
 
 def test_gmres_reports_nonconvergence(rng):

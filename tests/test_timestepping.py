@@ -6,13 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miscfem import (CoefficientBlowupError, ProblemCoefficients,
-                     ScalarDispersionParams, SolveReport,
-                     SolverOptions, StepFailure, TimeGrid, finalize_pressure,
-                     forms, initialize, interpolate, run, solvers, step,
+from scipy.sparse.linalg import splu
+
+from miscfem import (CoefficientBlowupError, DispersionParams,
+                     ProblemCoefficients, ScalarDispersionParams,
+                     SolveReport, SolverOptions, StepFailure, TimeGrid,
+                     disk_trig_case, finalize_pressure, forms, initialize,
+                     interpolate, problem_coefficients, run, solvers, step,
                      timestepping)
 
 
@@ -318,3 +321,127 @@ def test_viscosity_blowup_names_the_step(disc16):
         step(disc16, coeffs, grid, wild)
     with pytest.raises(CoefficientBlowupError, match="at step 1: viscosity"):
         finalize_pressure(disc16, coeffs, grid, wild)
+
+
+def record_transport_factors(monkeypatch, disc):
+    """Record (matrix, factor) of every ``timestepping.splu`` call on a
+    matrix of the transport system's size."""
+    calls = []
+    original = timestepping.splu
+
+    def recording(matrix, *args, **kwargs):
+        factor = original(matrix, *args, **kwargs)
+        if matrix.shape == (disc.p1.dof_count,) * 2:
+            calls.append((matrix, factor))
+        return factor
+
+    monkeypatch.setattr(timestepping, "splu", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["disk-trig", "skew-plume"])
+def test_transport_factor_fills_less_than_colamd(disc16, monkeypatch, case):
+    """One LU policy serves the symmetric transport matrix of the
+    disk-trig case (no advection, direct form) and the nonsymmetric one
+    of an anisotropic plume in skew form: minimum degree on A^T + A with
+    diagonal pivots fills less than scipy's default COLAMD ordering with
+    partial pivoting, and the solve it gives is exact."""
+    if case == "disk-trig":
+        coeffs, mode = problem_coefficients(disk_trig_case()), "direct"
+    else:
+        coeffs = make_coefficients(
+            disc16, dispersion=DispersionParams(gamma_dm=0.002, alpha_l=0.01,
+                                                alpha_t=0.001),
+            initial_concentration=lambda x, y: 0.4 * np.exp(
+                -50.0 * ((x - 0.35) ** 2 + (y - 0.5) ** 2)))
+        mode = "skew"
+    calls = record_transport_factors(monkeypatch, disc16)
+    grid = TimeGrid(final_time=0.25, num_steps=16)
+    state = step(disc16, coeffs, grid, initialize(disc16, coeffs, grid),
+                 mode=mode)
+    [(matrix, factor)] = calls
+    defect = abs(matrix - matrix.T).max()
+    assert (defect < 1e-14) == (case == "disk-trig")
+    colamd = splu(matrix)
+    assert factor.L.nnz + factor.U.nnz < colamd.L.nnz + colamd.U.nnz
+    assert state.concentration_report.iterations == 1
+    assert state.concentration_report.relative_residual < 1e-12
+
+
+def test_singular_matrices_fail_the_step(disc8):
+    """A matrix that LU finds exactly singular fails the step that
+    factors it as a StepFailure naming the system: a permeability of
+    zero the pressure system at step 0, and a porosity and molecular
+    diffusion small enough to round the transport matrix to zero the
+    transport system at step 1."""
+    grid = TimeGrid(final_time=1.0, num_steps=2)
+    coeffs = make_coefficients(disc8, permeability=lambda x, y: 0.0 * x * y)
+    with pytest.raises(StepFailure, match="pressure solve failed at step 0: "
+                       "LU factorization: .*singular") as info:
+        run(disc8, coeffs, grid)
+    assert info.value.step_index == 0 and info.value.report is None
+    coeffs = make_coefficients(
+        disc8, porosity=5e-324, velocity_coupling="none",
+        dispersion=DispersionParams(gamma_dm=5e-324, alpha_l=0.0,
+                                    alpha_t=0.0))
+    with pytest.raises(StepFailure, match="concentration solve failed at "
+                       "step 1: LU factorization: .*singular") as info:
+        run(disc8, coeffs, grid)
+    assert info.value.step_index == 1 and info.value.report is None
+
+
+def poisoned(func, points, value):
+    """``func`` with ``value`` written at the given flat positions (taken
+    modulo the size) of every array it returns."""
+    def wrapped(*args):
+        out = np.array(func(*args), dtype=np.float64)
+        out.flat[np.asarray(points) % out.size] = value
+        return out
+    return wrapped
+
+
+def poisoned_coefficients(disc, field, points, value):
+    coeffs = make_coefficients(
+        disc, concentration_source=lambda x, y, t: 0.0 * x * y)
+    return replace(coeffs, **{field: poisoned(getattr(coeffs, field),
+                                              points, value)})
+
+
+def expect_typed_failure(disc, coeffs):
+    """Run two steps; they must end in a typed failure, and a failed
+    solve must have stopped at once."""
+    with pytest.raises((StepFailure, CoefficientBlowupError)) as info:
+        run(disc, coeffs, TimeGrid(final_time=0.1, num_steps=2))
+    report = getattr(info.value, "report", None)
+    assert report is None or report.iterations <= 1
+    return info.value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field, failure, what", [
+    ("viscosity", CoefficientBlowupError, "at step 0: viscosity range"),
+    ("pressure_source", StepFailure, "pressure solve failed at step 0"),
+    ("concentration_source", StepFailure,
+     "concentration solve failed at step 1"),
+])
+def test_nan_data_fails_fast_with_a_typed_error(disc8, field, failure, what):
+    """One NaN in the viscosity, the pressure source or the concentration
+    source ends the run in the step that meets it, with a typed error:
+    the viscosity guard refuses NaN, and CG and GMRES stop at the first
+    non-finite residual instead of running to their iteration caps."""
+    coeffs = poisoned_coefficients(disc8, field, [5], np.nan)
+    err = expect_typed_failure(disc8, coeffs)
+    assert isinstance(err, failure)
+    assert what in str(err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40)
+@given(field=st.sampled_from(["permeability", "viscosity", "pressure_source",
+                              "concentration_source"]),
+       points=st.lists(st.integers(0, 10**4), min_size=1, max_size=4),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_data_ends_in_a_typed_failure(disc8, field, points,
+                                                 value):
+    expect_typed_failure(
+        disc8, poisoned_coefficients(disc8, field, points, value))
