@@ -228,18 +228,20 @@ def test_march_never_converts_triplets(disc16, monkeypatch, mode):
     assert checked == [True] * 5       # one pressure solve per level
 
 
-def count_pressure_factorizations(monkeypatch, disc):
-    """Record every ``timestepping.splu`` call on a matrix of the bordered
-    pressure system's size, n2 + 1."""
+def record_factorizations(monkeypatch, size):
+    """Record (matrix, factor) of every ``timestepping.splu`` call on a
+    size x size matrix: n2 + 1 for the bordered pressure system, n1 for
+    the transport system."""
     calls = []
     original = timestepping.splu
 
-    def counting(matrix, *args, **kwargs):
-        if matrix.shape == (disc.p2.dof_count + 1,) * 2:
-            calls.append(matrix.shape)
-        return original(matrix, *args, **kwargs)
+    def recording(matrix, *args, **kwargs):
+        factor = original(matrix, *args, **kwargs)
+        if matrix.shape == (size, size):
+            calls.append((matrix, factor))
+        return factor
 
-    monkeypatch.setattr(timestepping, "splu", counting)
+    monkeypatch.setattr(timestepping, "splu", recording)
     return calls
 
 
@@ -247,7 +249,8 @@ def test_one_pressure_factor_serves_the_whole_run(disc16, monkeypatch):
     """mu(c) drifts with the concentration, yet the factor built for the
     initial pressure preconditions every later level within a few CG
     iterations, so the run factors the pressure system once."""
-    factorizations = count_pressure_factorizations(monkeypatch, disc16)
+    factorizations = record_factorizations(monkeypatch,
+                                           disc16.p2.dof_count + 1)
     coeffs = make_coefficients(
         disc16, viscosity=lambda c: 1.0 + 0.5 * np.asarray(c, dtype=float),
         viscosity_bounds=(0.5, 2.0),
@@ -267,7 +270,8 @@ def test_viscosity_jump_triggers_a_refactor(disc16, monkeypatch):
     from level 1 on makes the level-0 factor a poor preconditioner: the
     level-1 solve takes more than REFACTOR_ITERATIONS, drops the factor,
     and the level-2 solve factors its own matrix."""
-    factorizations = count_pressure_factorizations(monkeypatch, disc16)
+    factorizations = record_factorizations(monkeypatch,
+                                           disc16.p2.dof_count + 1)
     levels = []
 
     def viscosity(c):
@@ -323,22 +327,6 @@ def test_viscosity_blowup_names_the_step(disc16):
         finalize_pressure(disc16, coeffs, grid, wild)
 
 
-def record_transport_factors(monkeypatch, disc):
-    """Record (matrix, factor) of every ``timestepping.splu`` call on a
-    matrix of the transport system's size."""
-    calls = []
-    original = timestepping.splu
-
-    def recording(matrix, *args, **kwargs):
-        factor = original(matrix, *args, **kwargs)
-        if matrix.shape == (disc.p1.dof_count,) * 2:
-            calls.append((matrix, factor))
-        return factor
-
-    monkeypatch.setattr(timestepping, "splu", recording)
-    return calls
-
-
 @pytest.mark.parametrize("case", ["disk-trig", "skew-plume"])
 def test_transport_factor_fills_less_than_colamd(disc16, monkeypatch, case):
     """One LU policy serves the symmetric transport matrix of the
@@ -355,7 +343,7 @@ def test_transport_factor_fills_less_than_colamd(disc16, monkeypatch, case):
             initial_concentration=lambda x, y: 0.4 * np.exp(
                 -50.0 * ((x - 0.35) ** 2 + (y - 0.5) ** 2)))
         mode = "skew"
-    calls = record_transport_factors(monkeypatch, disc16)
+    calls = record_factorizations(monkeypatch, disc16.p1.dof_count)
     grid = TimeGrid(final_time=0.25, num_steps=16)
     state = step(disc16, coeffs, grid, initialize(disc16, coeffs, grid),
                  mode=mode)
