@@ -27,9 +27,9 @@ from .solvers import (SolveReport, SparsityPattern, cg_deflated,
 from .studies import (ConfigError, ConvergenceReport, RowResult, StudyConfig,
                       config_from_dict, load_config, run_single,
                       run_spatial_study, run_temporal_study, simulate_row)
-from .timestepping import (SolverOptions, StepFailure, StepRecord, TimeGrid,
-                           TimeStepState, finalize_pressure, initialize, run,
-                           step)
+from .timestepping import (PressureLevel, SolverOptions, StepFailure,
+                           StepRecord, TimeGrid, TimeStepState,
+                           finalize_pressure, initialize, run, step)
 from .vtkio import write_vtk
 
 __version__ = "0.1.0"

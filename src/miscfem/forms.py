@@ -58,8 +58,10 @@ from .solvers import (SparsityPattern, from_triplets,  # noqa: F401
 
 
 class CoefficientBlowupError(RuntimeError):
-    """Viscosity left its admissible band: the transported concentration
-    has overshot far enough that the coefficient model is meaningless."""
+    """Viscosity left its admissible band, so the transported
+    concentration has overshot far enough that the coefficient model is
+    meaningless; or the permeability made k/mu zero, negative or not
+    finite."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,8 @@ class ProblemCoefficients:
     ``None`` for a source/flux means identically zero (and is skipped in
     assembly).  ``viscosity_bounds = (mu_min, mu_max)`` is the physical
     band of mu; assembly fails with :class:`CoefficientBlowupError` when
-    evaluated viscosities leave [mu_min/2, 2*mu_max].
+    evaluated viscosities leave [mu_min/2, 2*mu_max], or when k/mu is not
+    positive and finite at some quadrature point.
     """
 
     permeability: Callable          # k(x, y) > 0
@@ -257,7 +260,8 @@ def _add_wall_loads(disc, loads, flux, edge_values):
 
 def _mobility(disc, coeffs, c_prev):
     """k/mu(c_prev) at the volume quadrature points from nodal
-    concentrations, with the viscosity blow-up guard."""
+    concentrations, with the viscosity blow-up guard and a guard that
+    k/mu is positive and finite."""
     c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
     mu = np.asarray(coeffs.viscosity(c_q), dtype=np.float64)
     lo, hi = coeffs.viscosity_bounds
@@ -266,7 +270,12 @@ def _mobility(disc, coeffs, c_prev):
             f"viscosity range [{mu.min():.6g}, {mu.max():.6g}] left the "
             f"admissible band [{0.5 * lo:.6g}, {2.0 * hi:.6g}]")
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    return _eval_field(coeffs.permeability, x, y) / mu
+    mobility = _eval_field(coeffs.permeability, x, y) / mu
+    if not (mobility.min() > 0.0 and mobility.max() < math.inf):  # NaN too
+        raise CoefficientBlowupError(
+            f"permeability gives k/mu in [{mobility.min():.6g}, "
+            f"{mobility.max():.6g}], which is not positive and finite")
+    return mobility
 
 
 def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,

@@ -2,30 +2,34 @@
 
 Storage is scipy CSR.  A matrix assembled from per-cell blocks over a
 fixed dof map is written into a :class:`SparsityPattern` built once from
-that map: each step sums the blocks into the pattern's slots, and the
-pattern's transpose permutation makes both the symmetry check and the CSC
-form a gather of the data.  The CG loop is written out here because the
-pressure solver needs deflation against a weighted mean constraint; GMRES
-runs each restart cycle through ``scipy.sparse.linalg.gmres``.  Both
-solvers report iteration counts and true relative residuals in a fixed,
-reproducible way, and both take any preconditioner v -> M^{-1} v.  The
-time stepper passes GMRES the solve of an exact sparse LU factor of each
-step's transport matrix; GMRES first tries one correction x0 + M^{-1} r0,
-which is then one exact solve plus a true-residual check that reports
-one iteration, with its restart cycles as the fallback should that check
-miss the tolerance.  It passes CG the solve of a lagged LU factor of the
-bordered Neumann pressure system, which CG keeps across steps while the
-concentration drifts.
+that map: each step sums the blocks into the pattern's slots, and two
+permutations of the data, both fixed with the pattern, give the symmetry
+check and the CSC form of the matrix reordered by its minimum-degree
+ordering, which a sparse LU factors in its natural order.  The CG loop is
+written out here because the pressure solver needs deflation against a
+weighted mean constraint; GMRES runs each restart cycle through
+``scipy.sparse.linalg.gmres``.  Both solvers report iteration counts and
+true relative residuals in a fixed, reproducible way, and both take any
+preconditioner v -> M^{-1} v.  The time stepper passes GMRES the solve
+of an exact sparse LU factor of each step's transport matrix; GMRES
+first tries one correction x0 + M^{-1} r0, which is then one exact solve
+plus a true-residual check that reports one iteration, with its restart
+cycles as the fallback should that check miss the tolerance.  It passes
+CG the solve of a lagged LU factor of the bordered Neumann pressure
+system, rescaled to the diagonal of each level's matrix, which CG keeps
+across steps while the concentration drifts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import splu
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,32 @@ def from_triplets(n_rows, n_cols, rows, cols, values) -> sp.csr_matrix:
     return sp.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
 
 
+# SuperLU options for the matrices on a SparsityPattern, whose structure
+# is symmetric: diagonal pivots unless one falls below 0.01 of the largest
+# entry of its column
+SYMMETRIC_LU = dict(diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
+
+
+@dataclass(frozen=True)
+class SymmetricOrdering:
+    """A symmetric permutation A -> B = A[q][:, q] of the matrices on one
+    :class:`SparsityPattern`: ``order`` is q and ``position`` its inverse,
+    the new index of each old one, so A x = b is B y = b[q] with
+    x = y[position].  B's CSC structure is ``indptr``/``indices`` and its
+    data ``A.data[gather]``.  The arrays are read-only."""
+
+    order: np.ndarray
+    position: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+
+    def permute(self, A) -> sp.csc_matrix:
+        """B = A[q][:, q] in CSC form, for A assembled on the pattern."""
+        return sp.csc_matrix((A.data[self.gather], self.indices,
+                              self.indptr), shape=A.shape)
+
+
 @dataclass(frozen=True)
 class SparsityPattern:
     """Canonical CSR structure of an n x n matrix assembled from per-cell
@@ -59,7 +89,9 @@ class SparsityPattern:
     of block entry (i, j) of cell t, and ``transpose[s]`` the position of
     the entry mirroring position s: the structure of such a matrix is
     symmetric, so A.T has the same ``indptr`` and ``indices`` as A, with
-    data ``A.data[transpose]``.  The index arrays are read-only."""
+    data ``A.data[transpose]``.  ``minimum_degree`` is the fill-reducing
+    ordering of all of its matrices, computed at its first use.  The
+    index arrays are read-only."""
 
     size: int
     indptr: np.ndarray
@@ -77,10 +109,36 @@ class SparsityPattern:
         A.pattern = self
         return A
 
-    def to_csc(self, A) -> sp.csc_matrix:
-        """A matrix assembled on this pattern, in CSC form."""
-        return sp.csc_matrix((A.data[self.transpose], self.indices,
-                              self.indptr), shape=A.shape)
+    @cached_property
+    def minimum_degree(self) -> SymmetricOrdering:
+        """The fill-reducing ordering that ``splu(A, permc_spec=
+        "MMD_AT_PLUS_A", **SYMMETRIC_LU)`` chooses for every matrix A on
+        this pattern.  Minimum degree on A^T + A and the elimination-tree
+        postorder read only the structure, so the factor of one diagonally
+        dominant matrix on the pattern gives the same ``perm_c`` as any
+        other; it is computed at the first use and kept."""
+        n = self.size
+        counts = np.diff(self.indptr)
+        rows = np.repeat(np.arange(n, dtype=self.indices.dtype), counts)
+        data = np.where(self.indices == rows, counts[rows] + 1.0, -1.0)
+        dummy = sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        position = splu(dummy, permc_spec="MMD_AT_PLUS_A",
+                        **SYMMETRIC_LU).perm_c
+        # B = A[q][:, q] with q = argsort(perm_c), whose NATURAL factor is
+        # the minimum-degree factor of A.  Entry s of A, at (row, col),
+        # lands at (position[row], position[col]) of B: sorting the
+        # entries by B's column, then row, gives B's CSC data as a gather.
+        position = position.astype(np.intp)
+        order = np.argsort(position)
+        new_rows = position[rows]
+        gather = np.argsort(position[self.indices] * n + new_rows)
+        indptr = np.zeros(n + 1, dtype=self.indptr.dtype)
+        np.cumsum(counts[order], out=indptr[1:])   # the structure is symmetric
+        ordering = (order, position, indptr,
+                    new_rows[gather].astype(self.indices.dtype), gather)
+        for arr in ordering:
+            arr.flags.writeable = False
+        return SymmetricOrdering(*ordering)
 
     def leading_block(self, m, k) -> SparsityPattern:
         """The pattern of the leading m x m block, assembled from the first
@@ -183,6 +241,13 @@ def _symmetry_defect(A) -> float:
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
+# both Krylov loops stop at the first non-finite curvature or residual
+# and say so in their report, so numpy's warnings on the arithmetic that
+# made it are noise
+_QUIET_NON_FINITE = np.errstate(invalid="ignore", over="ignore")
+
+
+@_QUIET_NON_FINITE
 def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
                 precond=None):
     """Conjugate gradients, optionally deflated against one vector.
@@ -270,6 +335,7 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     return x, SolveReport(iterations, rnorm / bnorm, False)
 
 
+@_QUIET_NON_FINITE
 def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
           precond=None):
     """Restarted GMRES: one ``scipy.sparse.linalg.gmres`` cycle per restart.

@@ -7,12 +7,21 @@ concentration: the state after n steps carries the pressure at level n-1
 the end-time pressure and velocity.
 
 The pressure CG is preconditioned by an LU factor of the bordered Neumann
-system [[A, m], [m^T, 0]] (A the stiffness, m the basis integrals), whose
-solve with right-hand side [r, 0] inverts the m-deflated stiffness on
-m-orthogonal vectors.  The factor is built at one level and carried to
-the next in the state, so CG converges in a few iterations while the
-concentration drifts; it is dropped, and built afresh at the next level,
-once a solve takes more than ``REFACTOR_ITERATIONS`` iterations.
+system [[A0, m], [m^T, 0]] (A0 the stiffness at the level it was built,
+m the basis integrals), whose solve B0 with right-hand side [r, 0]
+inverts the m-deflated stiffness on m-orthogonal vectors.  The factor is
+carried from level to level in the state's :class:`PressureLevel`, with
+the diagonal of A0, and each later level applies s B0 s with
+s = sqrt(diag(A0) / diag(A)), which follows the drift of k/mu(c) in the
+matrix A of that level.  CG starts from the extrapolated pressure
+2 p(n-1) - p(n-2), so it converges in a few iterations; the factor is
+dropped, and built afresh at the next level, once a solve takes more than
+``REFACTOR_ITERATIONS`` iterations.
+
+The transport matrix changes its values every step but never its
+structure, so its fill-reducing ordering is computed once per sparsity
+pattern (:attr:`~miscfem.solvers.SparsityPattern.minimum_degree`) and
+each step factors the reordered matrix in its natural order.
 
 Memory stays O(1) in the number of steps; anything that must be recorded
 along the way goes through observer callables or the returned per-step
@@ -35,7 +44,7 @@ from .forms import (CoefficientBlowupError, Discretization,
                     ProblemCoefficients, VelocityField,
                     assemble_concentration, assemble_pressure,
                     compute_velocity)
-from .solvers import SolveReport, cg_deflated, gmres
+from .solvers import SYMMETRIC_LU, SolveReport, cg_deflated, gmres
 
 # a pressure solve on a lagged factor that needs more CG iterations than
 # this drops the factor; the next pressure level factors its own matrix
@@ -111,24 +120,52 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
+class PressureLevel:
+    """The pressure solve at time level ``index`` and what the next
+    level's solve reuses: ``previous``, the pressure one level before
+    (None at level 0), for the extrapolated CG start; and ``factor``, the
+    LU factor of the bordered system that preconditions the next solve,
+    with ``factor_diagonal``, the diagonal of the stiffness it was built
+    from, or None for both when that solve must factor its own matrix."""
+
+    index: int
+    pressure: np.ndarray
+    velocity: VelocityField
+    report: SolveReport
+    previous: Optional[np.ndarray]
+    factor: Optional[SuperLU]
+    factor_diagonal: Optional[np.ndarray]
+
+
+@dataclass(frozen=True)
 class TimeStepState:
     """Solution data after ``step_index`` transport steps.
 
-    ``pressure``/``velocity`` live at level ``pressure_level`` (normally
-    step_index - 1, the lag the scheme prescribes; equal to step_index
-    only for the initial state and after ``finalize_pressure``).
-    ``pressure_factor`` is the LU factor of the bordered pressure system
-    that the next pressure solve uses as its preconditioner, or None when
-    that solve must factor its own matrix."""
+    ``level`` is the pressure solve at ``pressure_level``: normally
+    step_index - 1, the lag the scheme prescribes, and equal to step_index
+    only for the initial state and after ``finalize_pressure``.
+    ``pressure``, ``velocity`` and ``pressure_report`` are its fields."""
 
     step_index: int
-    pressure_level: int
-    pressure: np.ndarray
-    velocity: VelocityField
     concentration: np.ndarray
-    pressure_report: SolveReport
     concentration_report: Optional[SolveReport]
-    pressure_factor: Optional[SuperLU] = None
+    level: PressureLevel
+
+    @property
+    def pressure_level(self) -> int:
+        return self.level.index
+
+    @property
+    def pressure(self) -> np.ndarray:
+        return self.level.pressure
+
+    @property
+    def velocity(self) -> VelocityField:
+        return self.level.velocity
+
+    @property
+    def pressure_report(self) -> SolveReport:
+        return self.level.report
 
 
 @dataclass(frozen=True)
@@ -150,21 +187,34 @@ def _bordered_factor(system, step_index) -> SuperLU:
                    permc_spec="MMD_AT_PLUS_A")
 
 
-def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None,
-                           factor=None):
-    """Pressure solve and Darcy velocity for the concentration c at time t;
-    a failed solve or a viscosity blow-up names step n.  ``factor`` is the
-    lagged bordered-system factor (None: factor this level's matrix); the
-    factor the next level should use is returned with the solution."""
+def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
+    """The pressure level after ``last`` (None: level 0) for the
+    concentration c, with its Darcy velocity; a failed solve or a
+    coefficient blow-up names step n."""
+    index = 0 if last is None else last.index + 1
     try:
-        system = assemble_pressure(disc, coeffs, c, t)
-        if factor is None:
+        system = assemble_pressure(disc, coeffs, c, grid.time(index))
+        diagonal = system.matrix.diagonal()
+        if last is None or last.factor is None:
             factor = _bordered_factor(system, n)
-        n2 = system.rhs.size
+            factor_diagonal = diagonal
+        else:
+            factor, factor_diagonal = last.factor, last.factor_diagonal
+        # the lagged factor B0 of A0, rescaled to this level's k/mu(c):
+        # s B0 s with s = sqrt(diag(A0) / diag(A)) is symmetric positive
+        # definite on m-orthogonal vectors, and the identity scaling at
+        # the factor's own level
+        scale = np.sqrt(factor_diagonal / diagonal)
 
         def precond(r):
-            return factor.solve(np.append(r, 0.0))[:n2]
+            return scale * factor.solve(np.append(scale * r, 0.0))[:-1]
 
+        if last is None:
+            x0 = None
+        elif last.previous is None:
+            x0 = last.pressure
+        else:
+            x0 = 2.0 * last.pressure - last.previous
         p, report = cg_deflated(system.matrix, system.rhs,
                                 deflate=system.mass_vector,
                                 rel_tol=options.pressure_tol,
@@ -173,12 +223,14 @@ def _pressure_and_velocity(disc, coeffs, c, t, options, n, x0=None,
         if not report.converged:
             raise StepFailure(n, "pressure", report)
         if report.iterations > REFACTOR_ITERATIONS:
-            factor = None
+            factor = factor_diagonal = None
         velocity = compute_velocity(disc, coeffs, c, p,
                                     mobility=system.mobility)
-        return p, velocity, report, factor
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
+    return PressureLevel(index, p, velocity, report,
+                         previous=None if last is None else last.pressure,
+                         factor=factor, factor_diagonal=factor_diagonal)
 
 
 def initialize(disc: Discretization, coeffs: ProblemCoefficients,
@@ -186,12 +238,10 @@ def initialize(disc: Discretization, coeffs: ProblemCoefficients,
                options: SolverOptions = SolverOptions()) -> TimeStepState:
     """Interpolate the initial concentration and solve the initial pressure."""
     c0 = interpolate(disc.p1, coeffs.initial_concentration)
-    p0, velocity, report, factor = _pressure_and_velocity(
-        disc, coeffs, c0, 0.0, options, 0)
-    return TimeStepState(step_index=0, pressure_level=0,
-                         pressure=p0, velocity=velocity, concentration=c0,
-                         pressure_report=report, concentration_report=None,
-                         pressure_factor=factor)
+    return TimeStepState(step_index=0, concentration=c0,
+                         concentration_report=None,
+                         level=_solve_pressure(disc, coeffs, grid, c0,
+                                               options, 0))
 
 
 def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
@@ -202,18 +252,14 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
     if n > grid.num_steps:
         raise ValueError(f"time grid has only {grid.num_steps} steps")
 
-    if state.pressure_level == state.step_index:
-        # pressure at the lagged level is already in the state
-        p, velocity, p_report, p_factor = (state.pressure, state.velocity,
-                                           state.pressure_report,
-                                           state.pressure_factor)
-    else:
-        p, velocity, p_report, p_factor = _pressure_and_velocity(
-            disc, coeffs, state.concentration, grid.time(state.step_index),
-            options, n, x0=state.pressure, factor=state.pressure_factor)
+    level = state.level
+    if level.index < state.step_index:
+        level = _solve_pressure(disc, coeffs, grid, state.concentration,
+                                options, n, level)
 
     system = assemble_concentration(disc, coeffs, state.concentration,
-                                    velocity, grid.tau, grid.time(n), mode)
+                                    level.velocity, grid.tau, grid.time(n),
+                                    mode)
     # the matrix changes every step with D(u) and the convection, and one
     # exact factor of it costs less than a Jacobi-GMRES solve: GMRES's
     # first correction with it is the solution, which GMRES checks by its
@@ -221,22 +267,25 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
     # structurally symmetric, so minimum degree on A^T + A with diagonal
     # pivots fits the symmetric matrix of velocity_coupling="none" and
     # the advective one alike, and fills less than COLAMD; the small
-    # nonzero threshold still pivots off a weak diagonal.
-    factor = _factor(disc.p1_pattern.to_csc(system.matrix), n,
-                     "concentration", permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.01,
-                     options=dict(SymmetricMode=True))
+    # nonzero threshold still pivots off a weak diagonal.  That ordering
+    # reads only the structure, so the pattern keeps it, and each step
+    # factors the reordered matrix in its natural order.
+    ordering = disc.p1_pattern.minimum_degree
+    factor = _factor(ordering.permute(system.matrix), n, "concentration",
+                     permc_spec="NATURAL", **SYMMETRIC_LU)
+
+    def precond(v):
+        return factor.solve(v[ordering.order])[ordering.position]
+
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
                         max_iter=options.max_iter,
-                        x0=state.concentration, precond=factor.solve)
+                        x0=state.concentration, precond=precond)
     if not c_report.converged:
         raise StepFailure(n, "concentration", c_report)
 
-    return TimeStepState(step_index=n, pressure_level=n - 1,
-                         pressure=p, velocity=velocity, concentration=c,
-                         pressure_report=p_report, concentration_report=c_report,
-                         pressure_factor=p_factor)
+    return TimeStepState(step_index=n, concentration=c,
+                         concentration_report=c_report, level=level)
 
 
 def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
@@ -245,13 +294,9 @@ def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     """Extra pressure solve so pressure and concentration share a level."""
     if state.pressure_level == state.step_index:
         return state
-    p, velocity, report, factor = _pressure_and_velocity(
-        disc, coeffs, state.concentration, grid.time(state.step_index),
-        options, state.step_index, x0=state.pressure,
-        factor=state.pressure_factor)
-    return replace(state, pressure_level=state.step_index, pressure=p,
-                   velocity=velocity, pressure_report=report,
-                   pressure_factor=factor)
+    return replace(state, level=_solve_pressure(
+        disc, coeffs, grid, state.concentration, options, state.step_index,
+        state.level))
 
 
 def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,

@@ -151,7 +151,12 @@ def test_skew_plume_golden(disc16):
     the transport LU took minimum-degree ordering with diagonal pivots
     and GMRES came to return the one exact correction x0 + LU^{-1} r0
     itself: the pivot order and the final rounding of the solve
-    changed, not the evaluator this test pins."""
+    changed, not the evaluator this test pins.  They were re-recorded
+    once more (the L2 norm by 8e-14 relative, the mass by 6e-13) when the
+    pressure CG came to start from the extrapolated pressure with the
+    lagged factor rescaled to each level's k/mu: CG now stops at another
+    iterate inside ``pressure_tol``, so the velocity moves within that
+    tolerance."""
     sol = disk_trig_case()
     w, xq = disc16.cell_weights, disc16.quad_points[..., 0]
     xbar = float((w * xq).sum() / w.sum())
@@ -166,8 +171,8 @@ def test_skew_plume_golden(disc16):
     state, history = run(disc16, coeffs, TimeGrid(final_time=0.25,
                                                   num_steps=16), mode="skew")
     mass = float(np.sum(disc16.mass_p1 @ state.concentration))
-    assert repr(history[-1].concentration_l2) == "0.027049191008874526"
-    assert repr(mass) == "0.005329060845576318"
+    assert repr(history[-1].concentration_l2) == "0.027049191008876775"
+    assert repr(mass) == "0.00532906084557952"
 
 
 def test_dispersion_tensor_demo_runs(capsys):

@@ -216,6 +216,26 @@ def test_viscosity_blowup_guard(disc16):
                          np.zeros(disc16.p2.dof_count))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_permeability_guard(disc16, bad):
+    """k/mu must be positive and finite at every quadrature point: one
+    zero, negative or non-finite permeability value is refused, before
+    any matrix is built, by an error that names the permeability."""
+    base = problem_coefficients(disk_trig_case())
+
+    def permeability(x, y):
+        k = np.array(base.permeability(x, y), dtype=float)
+        k.flat[7] = bad
+        return k
+
+    coeffs = dataclasses.replace(base, permeability=permeability)
+    c = np.full(disc16.p1.dof_count, 0.5)
+    with pytest.raises(CoefficientBlowupError, match="permeability"):
+        assemble_pressure(disc16, coeffs, c, t=0.0)
+    with pytest.raises(CoefficientBlowupError, match="permeability"):
+        compute_velocity(disc16, coeffs, c, np.zeros(disc16.p2.dof_count))
+
+
 def test_wall_flux_receives_discrete_normals(disc16):
     seen = {}
 

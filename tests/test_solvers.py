@@ -2,6 +2,8 @@
 out, restarted GMRES over scipy cycles), checked against dense linear
 algebra on small random systems."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -86,7 +88,43 @@ def test_pattern_assembly_matches_from_triplets(case):
     At = pattern.assemble(whole.transpose(0, 2, 1))
     assert np.array_equal(A.data[pattern.transpose], At.data)
     assert np.array_equal(A.data[pattern.transpose], B.T.tocsr().data)
-    assert np.array_equal(pattern.to_csc(A).toarray(), B.toarray())
+
+
+@st.composite
+def covering_maps(draw):
+    """(n, cell_dofs, seed) like ``cell_maps``, but every dof of n is in
+    some cell, so that every diagonal entry is in the pattern."""
+    k = draw(st.sampled_from([3, 6]))
+    T = draw(st.integers(1, 6))
+    n = draw(st.integers(1, T * k))
+    extra = draw(st.lists(st.integers(0, n - 1), min_size=T * k - n,
+                          max_size=T * k - n))
+    dofs = draw(st.permutations(list(range(n)) + extra))
+    return n, np.array(dofs).reshape(T, k), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100)
+@given(covering_maps())
+def test_minimum_degree_ordering_permutes_the_pattern(case):
+    """The pattern keeps one ordering, read off a diagonally dominant
+    matrix on it: ``order`` and ``position`` are inverse permutations, and
+    ``permute`` gathers A[q][:, q] in canonical CSC form from the data of
+    any A on the pattern."""
+    n, cell_dofs, seed = case
+    rng = np.random.default_rng(seed)
+    pattern = sparsity_pattern(n, cell_dofs)
+    ordering = pattern.minimum_degree
+    assert pattern.minimum_degree is ordering
+    q = ordering.order
+    assert np.array_equal(np.sort(q), np.arange(n))
+    assert np.array_equal(ordering.position[q], np.arange(n))
+    local = rng.uniform(-1.0, 1.0,
+                        size=cell_dofs.shape + cell_dofs.shape[-1:])
+    A = pattern.assemble(local)
+    B = ordering.permute(A)
+    assert B.format == "csc" and B.has_canonical_format
+    assert np.array_equal(B.toarray(), A.toarray()[q][:, q])
+    assert np.array_equal(B.indices, sp.csc_matrix(A[q][:, q]).indices)
 
 
 @settings(max_examples=100)
@@ -375,23 +413,28 @@ def test_gmres_inexact_preconditioner_keeps_the_cycle_iterates(rng, kind):
     assert report.relative_residual == res
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solvers_stop_at_non_finite_data(rng, bad):
     """A non-finite right-hand side ends either solve at once, reported
-    as not converged, instead of running to the iteration cap."""
+    as not converged, instead of running to the iteration cap, and
+    without a numpy warning: the report is the whole diagnosis."""
     n = 40
     A = sp.csr_matrix(random_spd(n, rng))
     b = rng.standard_normal(n)
     b[7] = bad
-    for solve in (cg_deflated, gmres):
-        x, report = solve(A, b, rel_tol=1e-12)
-        assert not report.converged
-        assert report.iterations <= 1
-        x, report = solve(A, b, rel_tol=1e-12,
-                          precond=splu(sp.csc_matrix(A)).solve)
-        assert not report.converged
-        assert report.iterations <= 1
+    m = np.linspace(-1.0, 1.0, n)   # a zero entry: inf * 0 is NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for solve, kwargs in ((cg_deflated, {}), (cg_deflated, {"deflate": m}),
+                              (gmres, {})):
+            x, report = solve(A, b, rel_tol=1e-12, **kwargs)
+            assert not report.converged
+            assert report.iterations <= 1
+            x, report = solve(A, b, rel_tol=1e-12,
+                              precond=splu(sp.csc_matrix(A)).solve, **kwargs)
+            assert not report.converged
+            assert report.iterations <= 1
+    assert [str(w.message) for w in caught] == []
 
 
 def test_gmres_reports_nonconvergence(rng):
