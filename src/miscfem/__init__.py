@@ -9,8 +9,8 @@ from .dispersion import (DispersionParams, ScalarDispersionParams,
 from .elements import (DofMap, QuadratureRule, build_dofmap, edge_quadrature,
                        evaluate, interpolate, quadrature_rule,
                        reference_basis)
-from .errors import (ErrorRecord, discrete_lp_norm, error_scalar,
-                     error_velocity, measure_errors, observed_orders)
+from .errors import (ErrorRecord, error_scalar, error_velocity,
+                     measure_errors, observed_orders)
 from .forms import (CoefficientBlowupError, ConcentrationSystem,
                     Discretization, PressureSystem, ProblemCoefficients,
                     VelocityField, assemble_concentration, assemble_pressure,

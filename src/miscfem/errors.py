@@ -1,4 +1,4 @@
-"""Error norms against closed-form fields, and discrete-in-time norms.
+"""Error norms against closed-form fields.
 
 Spatial norms integrate with the discretization's quadrature rule; the
 max norm is approximated over all quadrature points plus the Lagrange
@@ -89,21 +89,6 @@ def error_velocity(disc: Discretization, velocity: VelocityField, exact,
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def discrete_lp_norm(values, tau: float, p) -> float:
-    """Discrete-in-time norm (sum_n tau * v_n^p)^(1/p), or max for p=inf."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("need at least one value")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if p == np.inf or p == "inf":
-        return float(np.max(values))
-    p = float(p)
-    if p <= 1:
-        raise ValueError(f"exponent must lie in (1, inf], got {p}")
-    return float((tau * np.sum(values ** p)) ** (1.0 / p))
-
-
 def observed_orders(errors, ratio: float = 2.0) -> np.ndarray:
     """Pairwise convergence orders log(e_i / e_{i+1}) / log(ratio).
 
@@ -121,37 +106,35 @@ def measure_errors(disc: Discretization, state, grid, sol) -> ErrorRecord:
     """All-column :class:`ErrorRecord` of a driver state against a
     closed-form benchmark solution.
 
-    Concentration is compared at the state's own time level, pressure and
-    velocity at their (possibly lagged) level.  The discrete pressure has
-    zero mean, so the exact pressure is shifted by its quadrature mean
-    over the mesh before comparison.
+    Every field is compared at the state's time level.  The discrete
+    pressure has zero mean, so the exact pressure is shifted by its
+    quadrature mean over the mesh before comparison.
     """
-    t_c = grid.time(state.step_index)
-    t_p = grid.time(state.pressure_level)
+    t = grid.time(state.step_index)
 
     c_l2 = error_scalar(disc, disc.p1, state.concentration,
-                        sol.concentration, t_c, "l2")
+                        sol.concentration, t, "l2")
     c_linf = error_scalar(disc, disc.p1, state.concentration,
-                          sol.concentration, t_c, "linf")
+                          sol.concentration, t, "linf")
     c_h1 = error_scalar(disc, disc.p1, state.concentration,
-                        sol.concentration, t_c, "gradlq",
+                        sol.concentration, t, "gradlq",
                         exact_grad=sol.concentration_grad, q=2.0)
-    u_l2 = error_velocity(disc, state.velocity, sol.velocity, t_p, "l2")
-    u_linf = error_velocity(disc, state.velocity, sol.velocity, t_p, "linf")
+    u_l2 = error_velocity(disc, state.velocity, sol.velocity, t, "l2")
+    u_linf = error_velocity(disc, state.velocity, sol.velocity, t, "linf")
 
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     area = float(disc.cell_weights.sum())
-    p_mean = float(np.sum(disc.cell_weights * sol.pressure(x, y, t_p))) / area
+    p_mean = float(np.sum(disc.cell_weights * sol.pressure(x, y, t))) / area
 
     def shifted_pressure(xx, yy, tt):
         return sol.pressure(xx, yy, tt) - p_mean
 
     p_l2 = error_scalar(disc, disc.p2, state.pressure, shifted_pressure,
-                        t_p, "l2")
+                        t, "l2")
     p_grad_l4 = error_scalar(disc, disc.p2, state.pressure, shifted_pressure,
-                             t_p, "gradlq", exact_grad=sol.pressure_grad,
+                             t, "gradlq", exact_grad=sol.pressure_grad,
                              q=4.0)
-    return ErrorRecord(step_index=state.step_index, time=t_c,
+    return ErrorRecord(step_index=state.step_index, time=t,
                        c_l2=c_l2, c_linf=c_linf, c_h1semi=c_h1,
                        u_l2=u_l2, u_linf=u_linf,
                        p_l2=p_l2, p_grad_l4=p_grad_l4)

@@ -61,7 +61,7 @@ class CoefficientBlowupError(RuntimeError):
     """Viscosity left its admissible band, so the transported
     concentration has overshot far enough that the coefficient model is
     meaningless; or the permeability made k/mu zero, negative or not
-    finite."""
+    finite; or the data made a load vector not finite."""
 
 
 @dataclass(frozen=True)
@@ -283,9 +283,10 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     """Stiffness system for the mean-constrained pressure at time t.
 
     Weak form: ( (k/mu(c_prev)) grad p, grad v ) = ( q_I - q_P + f, v )
-    - boundary term from the prescribed wall flux u.n.  The right-hand
-    side must be compatible (sum ~ 0); a warning is emitted when the
-    defect exceeds 1e-2 of the right-hand side norm.
+    - boundary term from the prescribed wall flux u.n.  A right-hand
+    side that is not finite is a :class:`CoefficientBlowupError`; a
+    finite one must be compatible (sum ~ 0), and a warning is emitted
+    when the defect exceeds 1e-2 of its norm.
     """
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     mobility = _mobility(disc, coeffs, c_prev)
@@ -307,6 +308,8 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
                         -_eval_wall_flux(disc, coeffs.pressure_flux, t),
                         disc.edge_p2_values)
     rhs = _scatter(disc.p2, loads)
+    if not np.isfinite(rhs).all():      # before the sum below can warn
+        raise CoefficientBlowupError("pressure load vector is not finite")
 
     defect = abs(float(rhs.sum()))
     rhs_norm = float(np.linalg.norm(rhs))
@@ -342,7 +345,9 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     The unknown is the new concentration; diffusion uses the dispersion
     model evaluated at the lagged velocity, convection enters in the
     chosen form (see module docstring), and the right-hand side carries
-    (gamma/tau) M c_prev plus sources chat*q_I + g and the wall flux.
+    (gamma/tau) M c_prev plus sources chat*q_I + g and the wall flux;
+    a right-hand side that is not finite is a
+    :class:`CoefficientBlowupError`.
     """
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
@@ -402,4 +407,6 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
                 _eval_wall_flux(disc, coeffs.concentration_flux, t),
                 disc.edge_p1_values)
         rhs += _scatter(disc.p1, loads)
+    if not np.isfinite(rhs).all():
+        raise CoefficientBlowupError("concentration load vector is not finite")
     return ConcentrationSystem(matrix=A, rhs=rhs)

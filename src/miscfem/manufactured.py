@@ -193,6 +193,14 @@ def fd_divergence(flux, x, y, t, step: float):
     return (dx + dy) / (2.0 * step)
 
 
+def _normal_component(field):
+    """The wall datum field(x, y, t) . n as flux(x, y, t, nx, ny)."""
+    def flux(x, y, t, nx, ny):
+        value = field(x, y, t)
+        return value[..., 0] * nx + value[..., 1] * ny
+    return flux
+
+
 def manufacture_sources(sol: ManufacturedSolution,
                         fd_step: float = 1e-5) -> SourceSet:
     """Sources and wall fluxes that make the scheme's equations exact.
@@ -227,18 +235,11 @@ def manufacture_sources(sol: ManufacturedSolution,
         return base + np.einsum("...a,...a->...", u,
                                 sol.concentration_grad(x, y, t))
 
-    def pressure_flux(x, y, t, nx, ny):
-        u = sol.velocity(x, y, t)
-        return u[..., 0] * nx + u[..., 1] * ny
-
-    def concentration_flux(x, y, t, nx, ny):
-        flux = sol.concentration_flux(x, y, t)
-        return flux[..., 0] * nx + flux[..., 1] * ny
-
     return SourceSet(pressure_source=pressure_source,
                      concentration_source=concentration_source,
-                     pressure_flux=pressure_flux,
-                     concentration_flux=concentration_flux,
+                     pressure_flux=_normal_component(sol.velocity),
+                     concentration_flux=_normal_component(
+                         sol.concentration_flux),
                      fd_step=fd_step)
 
 
@@ -246,15 +247,17 @@ def problem_coefficients(sol: ManufacturedSolution,
                          fd_step: float = 1e-5) -> ProblemCoefficients:
     """Bundle a benchmark and its manufactured sources for the driver.
 
-    The sources are those of :func:`manufacture_sources` with the case's
-    closed-form divergences in place of the finite differences, except
-    that at points closer than ``fd_step`` to the case's kink the flux
-    divergence is the finite difference, bit for bit.  Its smeared value
-    there differs from the exact one (by up to 0.07 on the disk-trig
-    case), and the mean mode of the no-flux transport, which nothing
-    damps, carries that difference into the computed errors.
+    The sources and wall fluxes are those of :func:`manufacture_sources`
+    with the case's closed-form divergences in place of the finite
+    differences, except that at points closer than ``fd_step`` to the
+    case's kink the flux divergence is the finite difference, bit for
+    bit.  Its smeared value there differs from the exact one (by up to
+    0.07 on the disk-trig case), and the mean mode of the no-flux
+    transport, which nothing damps, carries that difference into the
+    computed errors.
     """
-    sources = manufacture_sources(sol, fd_step)
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
 
     def concentration_source(x, y, t):
         div = np.array(sol.flux_divergence(x, y, t), dtype=np.float64)
@@ -282,8 +285,8 @@ def problem_coefficients(sol: ManufacturedSolution,
         initial_concentration=initial_concentration,
         pressure_source=sol.velocity_divergence,
         concentration_source=concentration_source,
-        pressure_flux=sources.pressure_flux,
-        concentration_flux=sources.concentration_flux,
+        pressure_flux=_normal_component(sol.velocity),
+        concentration_flux=_normal_component(sol.concentration_flux),
         velocity_coupling=sol.velocity_coupling)
 
 

@@ -1,10 +1,10 @@
 """Linearized backward-Euler driver for the coupled system.
 
-Each step lags the pressure/velocity pair one level behind the transported
-concentration: the state after n steps carries the pressure at level n-1
-(the one the n-th transport solve used) and the concentration at level n.
-``run`` finishes with one extra pressure solve so the final state also has
-the end-time pressure and velocity.
+Step n transports the concentration with the velocity u(n-1) of the
+level before, the lag the scheme prescribes, and then solves the
+pressure and velocity of the new concentration c(n)
+(:func:`finalize_pressure`).  So every state the driver returns holds
+c, p and u of its own time level.
 
 The pressure CG is preconditioned by an LU factor of the bordered Neumann
 system [[A0, m], [m^T, 0]] (A0 the stiffness at the level it was built,
@@ -20,8 +20,9 @@ dropped, and built afresh at the next level, once a solve takes more than
 
 The transport matrix changes its values every step but never its
 structure, so its fill-reducing ordering is computed once per sparsity
-pattern (:attr:`~miscfem.solvers.SparsityPattern.minimum_degree`) and
-each step factors the reordered matrix in its natural order.
+pattern (:attr:`~miscfem.solvers.SparsityPattern.minimum_degree`), by
+:func:`initialize`, and each step factors the reordered matrix in its
+natural order.
 
 Memory stays O(1) in the number of steps; anything that must be recorded
 along the way goes through observer callables or the returned per-step
@@ -139,21 +140,15 @@ class PressureLevel:
 
 @dataclass(frozen=True)
 class TimeStepState:
-    """Solution data after ``step_index`` transport steps.
-
-    ``level`` is the pressure solve at ``pressure_level``: normally
-    step_index - 1, the lag the scheme prescribes, and equal to step_index
-    only for the initial state and after ``finalize_pressure``.
-    ``pressure``, ``velocity`` and ``pressure_report`` are its fields."""
+    """Solution data at time level ``step_index``: the concentration
+    after that many transport steps and ``level``, the pressure solve of
+    that concentration, whose fields are ``pressure``, ``velocity`` and
+    ``pressure_report``."""
 
     step_index: int
     concentration: np.ndarray
     concentration_report: Optional[SolveReport]
     level: PressureLevel
-
-    @property
-    def pressure_level(self) -> int:
-        return self.level.index
 
     @property
     def pressure(self) -> np.ndarray:
@@ -188,12 +183,11 @@ def _bordered_factor(system, step_index) -> SuperLU:
 
 
 def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
-    """The pressure level after ``last`` (None: level 0) for the
+    """Pressure level n, following ``last`` (None at level 0), for the
     concentration c, with its Darcy velocity; a failed solve or a
     coefficient blow-up names step n."""
-    index = 0 if last is None else last.index + 1
     try:
-        system = assemble_pressure(disc, coeffs, c, grid.time(index))
+        system = assemble_pressure(disc, coeffs, c, grid.time(n))
         diagonal = system.matrix.diagonal()
         if last is None or last.factor is None:
             factor = _bordered_factor(system, n)
@@ -228,7 +222,7 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
                                     mobility=system.mobility)
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
-    return PressureLevel(index, p, velocity, report,
+    return PressureLevel(n, p, velocity, report,
                          previous=None if last is None else last.pressure,
                          factor=factor, factor_diagonal=factor_diagonal)
 
@@ -236,30 +230,25 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
 def initialize(disc: Discretization, coeffs: ProblemCoefficients,
                grid: TimeGrid,
                options: SolverOptions = SolverOptions()) -> TimeStepState:
-    """Interpolate the initial concentration and solve the initial pressure."""
+    """Interpolate the initial concentration, solve its pressure, and
+    order the transport pattern for every step."""
     c0 = interpolate(disc.p1, coeffs.initial_concentration)
+    level = _solve_pressure(disc, coeffs, grid, c0, options, 0)
+    disc.p1_pattern.minimum_degree     # computed once and kept
     return TimeStepState(step_index=0, concentration=c0,
-                         concentration_report=None,
-                         level=_solve_pressure(disc, coeffs, grid, c0,
-                                               options, 0))
+                         concentration_report=None, level=level)
 
 
-def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
-         state: TimeStepState, mode: str = "direct",
-         options: SolverOptions = SolverOptions()) -> TimeStepState:
-    """Advance one level: lagged pressure, then the transport solve."""
-    n = state.step_index + 1
-    if n > grid.num_steps:
-        raise ValueError(f"time grid has only {grid.num_steps} steps")
-
-    level = state.level
-    if level.index < state.step_index:
-        level = _solve_pressure(disc, coeffs, grid, state.concentration,
-                                options, n, level)
-
-    system = assemble_concentration(disc, coeffs, state.concentration,
-                                    level.velocity, grid.tau, grid.time(n),
-                                    mode)
+def _transport(disc, coeffs, grid, state, mode, options, n):
+    """Concentration of step n, transported with the velocity of
+    ``state``, and its solve report.  The system and its factor are freed
+    on return, before the pressure solve of step n allocates its own."""
+    try:
+        system = assemble_concentration(disc, coeffs, state.concentration,
+                                        state.velocity, grid.tau,
+                                        grid.time(n), mode)
+    except CoefficientBlowupError as exc:
+        raise CoefficientBlowupError(f"at step {n}: {exc}") from None
     # the matrix changes every step with D(u) and the convection, and one
     # exact factor of it costs less than a Jacobi-GMRES solve: GMRES's
     # first correction with it is the solution, which GMRES checks by its
@@ -267,9 +256,7 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
     # structurally symmetric, so minimum degree on A^T + A with diagonal
     # pivots fits the symmetric matrix of velocity_coupling="none" and
     # the advective one alike, and fills less than COLAMD; the small
-    # nonzero threshold still pivots off a weak diagonal.  That ordering
-    # reads only the structure, so the pattern keeps it, and each step
-    # factors the reordered matrix in its natural order.
+    # nonzero threshold still pivots off a weak diagonal.
     ordering = disc.p1_pattern.minimum_degree
     factor = _factor(ordering.permute(system.matrix), n, "concentration",
                      permc_spec="NATURAL", **SYMMETRIC_LU)
@@ -283,16 +270,31 @@ def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
                         x0=state.concentration, precond=precond)
     if not c_report.converged:
         raise StepFailure(n, "concentration", c_report)
+    return c, c_report
 
-    return TimeStepState(step_index=n, concentration=c,
-                         concentration_report=c_report, level=level)
+
+def step(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
+         state: TimeStepState, mode: str = "direct",
+         options: SolverOptions = SolverOptions()) -> TimeStepState:
+    """Advance one level: the transport solve on the velocity of
+    ``state``, then the pressure of the new concentration."""
+    n = state.step_index + 1
+    if n > grid.num_steps:
+        raise ValueError(f"time grid has only {grid.num_steps} steps")
+    c, c_report = _transport(disc, coeffs, grid, state, mode, options, n)
+    transported = TimeStepState(step_index=n, concentration=c,
+                                concentration_report=c_report,
+                                level=state.level)
+    return finalize_pressure(disc, coeffs, grid, transported, options)
 
 
 def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
                       grid: TimeGrid, state: TimeStepState,
                       options: SolverOptions = SolverOptions()) -> TimeStepState:
-    """Extra pressure solve so pressure and concentration share a level."""
-    if state.pressure_level == state.step_index:
+    """The pressure half of a step: ``state`` with the pressure level of
+    its own concentration in place of the level before; a state that
+    already has it is returned as it is."""
+    if state.level.index == state.step_index:
         return state
     return replace(state, level=_solve_pressure(
         disc, coeffs, grid, state.concentration, options, state.step_index,
@@ -302,7 +304,7 @@ def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
 def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
         mode: str = "direct", options: SolverOptions = SolverOptions(),
         observers=()) -> tuple[TimeStepState, list[StepRecord]]:
-    """March all steps; returns the finalized state and per-step records.
+    """March all steps; returns the final state and per-step records.
 
     Observers are called with each new state (including the initial one)
     so callers can stream fields to disk without the driver keeping them.
@@ -324,5 +326,4 @@ def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
                                   state.concentration_report.iterations))
         for obs in observers:
             obs(state)
-    state = finalize_pressure(disc, coeffs, grid, state, options)
     return state, history

@@ -6,10 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from miscfem import (TimeGrid, VelocityField, discrete_lp_norm, disk_trig_case,
-                     error_scalar, error_velocity, interpolate,
-                     measure_errors, observed_orders, problem_coefficients,
-                     run)
+from miscfem import (TimeGrid, VelocityField, disk_trig_case, error_scalar,
+                     error_velocity, interpolate, measure_errors,
+                     observed_orders, problem_coefficients, run)
 
 
 def test_l2_error_of_constant_discrepancy(disc16):
@@ -63,23 +62,6 @@ def test_velocity_error_of_constant_field(disc16):
         pytest.approx(0.5, rel=1e-13)
     with pytest.raises(ValueError, match="unknown norm"):
         error_velocity(disc16, vel, zero, 0.0, "l1")
-
-
-def test_discrete_lp_norm_values():
-    assert discrete_lp_norm([3.0, 4.0], tau=0.5, p=2) == \
-        pytest.approx(np.sqrt(12.5), rel=1e-15)
-    assert discrete_lp_norm([3.0, 4.0, 1.0], tau=0.1, p=np.inf) == 4.0
-    assert discrete_lp_norm([3.0, 4.0, 1.0], tau=0.1, p="inf") == 4.0
-
-
-@pytest.mark.parametrize("kwargs", [dict(values=[], tau=0.1, p=2),
-                                    dict(values=[1.0], tau=0.0, p=2),
-                                    dict(values=[1.0], tau=-1.0, p=2),
-                                    dict(values=[1.0], tau=0.1, p=1.0),
-                                    dict(values=[1.0], tau=0.1, p=0.5)])
-def test_discrete_lp_norm_validation(kwargs):
-    with pytest.raises(ValueError):
-        discrete_lp_norm(kwargs["values"], kwargs["tau"], kwargs["p"])
 
 
 def test_observed_orders():

@@ -86,8 +86,11 @@ def test_fd_divergence_exact_on_quadratics(rng):
 
 
 def test_manufacture_sources_rejects_bad_step(sol):
+    """So does problem_coefficients, which builds no SourceSet."""
     with pytest.raises(ValueError):
         manufacture_sources(sol, fd_step=0.0)
+    with pytest.raises(ValueError):
+        problem_coefficients(sol, fd_step=0.0)
 
 
 def test_strong_residuals_vanish_with_matching_step(sol, rng):
