@@ -4,7 +4,8 @@ Walks through the full pipeline by hand instead of going through the
 study driver: build a disc mesh, assemble the coefficient bundle of the
 closed-form trigonometric benchmark, march the coupled pressure /
 concentration scheme to t = 1, and compare against the exact fields.
-The final concentration and cell-averaged speed land in
+The final concentration and cell-averaged speed land in the VTK file
+that ``main`` is given; run as a script, that is
 ``benchmark_fields.vtk`` next to this script (open it in ParaView).
 
 Run with::
@@ -25,7 +26,7 @@ NUM_STEPS = 32       # backward Euler steps up to the final time
 FINAL_TIME = 1.0
 
 
-def main():
+def main(out):
     sol = disk_trig_case()
     mesh = generate_disk_mesh(center=sol.domain_center,
                               radius=sol.domain_radius, M=MESH_M)
@@ -51,11 +52,10 @@ def main():
     print(f"  pressure       L2 {errors.p_l2:.4e}")
 
     # cell-averaged speed from the quadrature-point velocity samples
-    speed = np.hypot(state.velocity.cell_values[..., 0],
-                     state.velocity.cell_values[..., 1]).mean(axis=1)
+    speed = np.hypot(state.velocity[..., 0],
+                     state.velocity[..., 1]).mean(axis=1)
     exact = sol.concentration(mesh.vertices[:, 0], mesh.vertices[:, 1],
                               grid.final_time)
-    out = pathlib.Path(__file__).with_name("benchmark_fields.vtk")
     write_vtk(out, mesh,
               point_scalars={"concentration": state.concentration,
                              "concentration_error": state.concentration - exact},
@@ -65,4 +65,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(pathlib.Path(__file__).with_name("benchmark_fields.vtk"))

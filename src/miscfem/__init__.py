@@ -13,12 +13,11 @@ from .errors import (ErrorRecord, error_scalar, error_velocity,
                      measure_errors, observed_orders)
 from .forms import (CoefficientBlowupError, ConcentrationSystem,
                     Discretization, PressureSystem, ProblemCoefficients,
-                    VelocityField, assemble_concentration, assemble_pressure,
+                    assemble_concentration, assemble_pressure,
                     build_discretization, compute_velocity)
-from .manufactured import (CASES, ManufacturedSolution, SourceSet,
-                           disk_trig_case, fd_divergence,
-                           manufacture_sources, problem_coefficients,
-                           strong_residuals)
+from .manufactured import (CASES, ManufacturedSolution, disk_trig_case,
+                           fd_divergence, manufacture_sources,
+                           problem_coefficients, strong_residuals)
 from .meshing import (Mesh, MeshConstructionError, MeshFormatError,
                       QualityReport, generate_disk_mesh, load_mesh,
                       mesh_quality, save_mesh)

@@ -63,14 +63,13 @@ _DEGREE_TO_RULE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 5, 6: 6}
 class QuadratureRule:
     """Barycentric points (Q, 3) and weights (Q,) summing to 1/2."""
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
 
 def quadrature_rule(degree: int) -> QuadratureRule:
     """Smallest tabulated symmetric rule exact through `degree`."""
-    if degree not in _DEGREE_TO_RULE:
+    if isinstance(degree, bool) or degree not in _DEGREE_TO_RULE:
         raise ValueError(f"no tabulated triangle rule for degree {degree}; "
                          f"supported degrees are 1..6")
     points, weights = _RULES[_DEGREE_TO_RULE[degree]]
@@ -78,7 +77,7 @@ def quadrature_rule(degree: int) -> QuadratureRule:
     weights = weights.copy()
     points.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(degree=degree, points=points, weights=weights)
+    return QuadratureRule(points=points, weights=weights)
 
 
 def edge_quadrature():

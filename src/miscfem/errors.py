@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Discretization, VelocityField
+from .forms import Discretization
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,16 @@ def error_scalar(disc: Discretization, dofmap, coeffs, exact, t: float,
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def error_velocity(disc: Discretization, velocity: VelocityField, exact,
+def error_velocity(disc: Discretization, velocity: np.ndarray, exact,
                    t: float, norm: str = "l2") -> float:
     """Norm of the Darcy velocity error at the volume quadrature points.
 
-    exact(x, y, t) must return vectors of shape (..., 2); the max norm
-    takes the largest pointwise Euclidean magnitude of the difference.
+    ``velocity`` holds the (T, Q, 2) values there; exact(x, y, t) must
+    return vectors of shape (..., 2); the max norm takes the largest
+    pointwise Euclidean magnitude of the difference.
     """
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    diff = velocity.cell_values - exact(x, y, t)
+    diff = velocity - exact(x, y, t)
     mag2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     if norm == "l2":
         return float(np.sqrt(np.sum(disc.cell_weights * mag2)))

@@ -61,7 +61,7 @@ class CoefficientBlowupError(RuntimeError):
     """Viscosity left its admissible band, so the transported
     concentration has overshot far enough that the coefficient model is
     meaningless; or the permeability made k/mu zero, negative or not
-    finite; or the data made a load vector not finite."""
+    finite; or the data made a matrix or a load vector not finite."""
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,6 @@ class ProblemCoefficients:
         if self.velocity_coupling not in ("advection", "none"):
             raise ValueError(
                 f"unknown velocity coupling {self.velocity_coupling!r}")
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """Darcy velocity at the volume quadrature points of every cell, the
-    only place assembly and the error norms read it."""
-
-    cell_values: np.ndarray        # (T, Q, 2)
 
 
 @dataclass(frozen=True)
@@ -283,10 +275,11 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     """Stiffness system for the mean-constrained pressure at time t.
 
     Weak form: ( (k/mu(c_prev)) grad p, grad v ) = ( q_I - q_P + f, v )
-    - boundary term from the prescribed wall flux u.n.  A right-hand
-    side that is not finite is a :class:`CoefficientBlowupError`; a
-    finite one must be compatible (sum ~ 0), and a warning is emitted
-    when the defect exceeds 1e-2 of its norm.
+    - boundary term from the prescribed wall flux u.n.  A matrix or
+    right-hand side that is not finite is a
+    :class:`CoefficientBlowupError`; a finite right-hand side must be
+    compatible (sum ~ 0), and a warning is emitted when the defect
+    exceeds 1e-2 of its norm.
     """
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     mobility = _mobility(disc, coeffs, c_prev)
@@ -296,6 +289,8 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     grads = disc.p2_grads.reshape(T, 6, -1)
     local = weighted.reshape(T, 6, -1) @ grads.transpose(0, 2, 1)
     A = disc.p2_pattern.assemble(local)
+    if not np.isfinite(A.data).all():
+        raise CoefficientBlowupError("pressure matrix is not finite")
 
     source = np.zeros(x.shape)
     for func, sign in ((coeffs.injection, 1.0), (coeffs.production, -1.0),
@@ -324,8 +319,10 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
 
 def compute_velocity(disc: Discretization, coeffs: ProblemCoefficients,
                      c_prev: np.ndarray, p_coeffs: np.ndarray,
-                     mobility: Optional[np.ndarray] = None) -> VelocityField:
-    """Darcy velocity -(k/mu(c_prev)) grad p at the quadrature points.
+                     mobility: Optional[np.ndarray] = None) -> np.ndarray:
+    """Darcy velocity -(k/mu(c_prev)) grad p at the volume quadrature
+    points of every cell, shape (T, Q, 2), the only place assembly and
+    the error norms read it.
 
     ``mobility`` is k/mu(c_prev) at the quadrature points when the caller
     already has it (``PressureSystem.mobility`` of the same c_prev); then
@@ -333,20 +330,21 @@ def compute_velocity(disc: Discretization, coeffs: ProblemCoefficients,
     if mobility is None:
         mobility = _mobility(disc, coeffs, c_prev)
     grad_p = disc.p2_gradient(p_coeffs)
-    return VelocityField(cell_values=-mobility[:, :, None] * grad_p)
+    return -mobility[:, :, None] * grad_p
 
 
 def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
-                           c_prev: np.ndarray, velocity: VelocityField,
+                           c_prev: np.ndarray, velocity: np.ndarray,
                            tau: float, t: float,
                            mode: str = "direct") -> ConcentrationSystem:
     """Backward-Euler transport system at time level t with step tau.
 
     The unknown is the new concentration; diffusion uses the dispersion
-    model evaluated at the lagged velocity, convection enters in the
-    chosen form (see module docstring), and the right-hand side carries
-    (gamma/tau) M c_prev plus sources chat*q_I + g and the wall flux;
-    a right-hand side that is not finite is a
+    model evaluated at the lagged ``velocity`` (T, Q, 2) of
+    :func:`compute_velocity`, convection enters in the chosen form (see
+    module docstring), and the right-hand side carries (gamma/tau) M
+    c_prev plus sources chat*q_I + g and the wall flux; a matrix or
+    right-hand side that is not finite is a
     :class:`CoefficientBlowupError`.
     """
     if tau <= 0:
@@ -355,7 +353,6 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
         raise ValueError(f"unknown convection mode {mode!r}")
 
     gamma = coeffs.porosity
-    U = velocity.cell_values
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
 
     # P1 gradients G are constant per cell, so the diffusion block is
@@ -363,14 +360,15 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     T, Q = disc.cell_weights.shape
     G = disc.p1_grads
     Gt = G.transpose(0, 2, 1)
-    D = dispersion_matrices(U, coeffs.dispersion)
-    D_cell = disc.cell_weights[:, None, :] @ D.reshape(T, Q, 4)
-    local = G @ D_cell.reshape(T, 2, 2) @ Gt
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        D = dispersion_matrices(velocity, coeffs.dispersion)
+        D_cell = disc.cell_weights[:, None, :] @ D.reshape(T, Q, 4)
+        local = G @ D_cell.reshape(T, 2, 2) @ Gt
 
     if coeffs.velocity_coupling == "advection":
         # (T, 3, Q): w_q phi_i(x_q)
         weighted_values = disc.cell_weights[:, None, :] * disc.p1_values.T
-        n1 = (weighted_values @ U) @ Gt
+        n1 = (weighted_values @ velocity) @ Gt
         if mode == "skew":
             local += 0.5 * (n1 - n1.transpose(0, 2, 1))
             q_total = np.zeros(x.shape)
@@ -390,6 +388,8 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     local += (gamma / tau) * disc.mass_local
 
     A = disc.p1_pattern.assemble(local)
+    if not np.isfinite(A.data).all():
+        raise CoefficientBlowupError("concentration matrix is not finite")
 
     rhs = (gamma / tau) * (disc.mass_p1 @ c_prev)
     source = np.zeros(x.shape)

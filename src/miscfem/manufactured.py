@@ -7,12 +7,13 @@ fields involve divergences of coefficient-weighted fluxes.
 :func:`manufacture_sources` recovers them with central finite
 differences of the analytic fluxes (step ``fd_step``) for any case; it
 is the oracle.  :func:`problem_coefficients`, which feeds the driver,
-uses the divergences a case gives in closed form instead.  Those are
-exact where the fluxes are smooth, but the dispersive flux D(u) grad c
-is only Lipschitz where |u| has a kink, and there the finite-difference
-source is kept: at points closer than ``fd_step`` to the kink, where
-the stencil straddles it.  So ``fd_step`` is both the stencil step and
-the width of that band, and changing it can change results.
+is the same coefficient bundle with the divergences a case gives in
+closed form instead.  Those are exact where the fluxes are smooth, but
+the dispersive flux D(u) grad c is only Lipschitz where |u| has a kink,
+and there the finite-difference source is kept: at points closer than
+``fd_step`` to the kink, where the stencil straddles it.  So ``fd_step``
+is both the stencil step and the width of that band, and changing it
+can change results.
 Wall data follow the assembly contract ``flux(x, y, t, nx, ny)``: the
 analytic flux vector at the requested point dotted with whatever outward
 normal the caller passes in, so the Neumann data stay exactly compatible
@@ -21,7 +22,9 @@ with the divergence theorem on the discrete polygonal domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -77,20 +80,6 @@ class ManufacturedSolution:
         """Dispersive flux D(u) grad c, shape (..., 2)."""
         D = dispersion_matrices(self.velocity(x, y, t), self.dispersion)
         return np.einsum("...ab,...b->...a", D, self.concentration_grad(x, y, t))
-
-
-@dataclass(frozen=True)
-class SourceSet:
-    """Manufactured right-hand sides, ready for :class:`ProblemCoefficients`.
-
-    The wall fluxes take the outward normal as arguments:
-    ``flux(x, y, t, nx, ny)``."""
-
-    pressure_source: Callable         # f(x, y, t)
-    concentration_source: Callable    # g(x, y, t)
-    pressure_flux: Callable           # u.n on the wall
-    concentration_flux: Callable      # D grad c . n on the wall
-    fd_step: float
 
 
 def disk_trig_case() -> ManufacturedSolution:
@@ -201,9 +190,25 @@ def _normal_component(field):
     return flux
 
 
+def _transport_source(sol: ManufacturedSolution, flux_divergence):
+    """The transport source gamma dc/dt - div(D(u) grad c), plus u . grad c
+    under advection coupling, with div(D(u) grad c) given by
+    ``flux_divergence(x, y, t)``."""
+    def concentration_source(x, y, t):
+        base = (sol.porosity * sol.concentration_dt(x, y, t)
+                - flux_divergence(x, y, t))
+        if sol.velocity_coupling == "none":
+            return base
+        u = sol.velocity(x, y, t)
+        return base + np.einsum("...a,...a->...", u,
+                                sol.concentration_grad(x, y, t))
+    return concentration_source
+
+
 def manufacture_sources(sol: ManufacturedSolution,
-                        fd_step: float = 1e-5) -> SourceSet:
-    """Sources and wall fluxes that make the scheme's equations exact.
+                        fd_step: float = 1e-5) -> ProblemCoefficients:
+    """The benchmark's coefficients with the sources and wall fluxes that
+    make the scheme's equations exact, divergences by finite differences.
 
     With no injection/production wells the forced system reads
 
@@ -213,65 +218,11 @@ def manufacture_sources(sol: ManufacturedSolution,
     where the velocity term is u . grad c (advection coupling) or absent
     (``velocity_coupling="none"``), so f = div u and g collects the
     remaining terms, both divergences taken by central differences of
-    the analytic fluxes.
-
-    Wall data follow the assembly contract flux(x, y, t, nx, ny): the
-    analytic flux vector at the requested point dotted with the normal
-    the caller supplies (the discrete boundary's outward normal, which
-    keeps the Neumann datum compatible on the polygonal domain).
+    the analytic fluxes.  The result is a complete problem that the
+    driver can march, the oracle for :func:`problem_coefficients`.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-
-    def pressure_source(x, y, t):
-        return fd_divergence(sol.velocity, x, y, t, fd_step)
-
-    def concentration_source(x, y, t):
-        base = (sol.porosity * sol.concentration_dt(x, y, t)
-                - fd_divergence(sol.concentration_flux, x, y, t, fd_step))
-        if sol.velocity_coupling == "none":
-            return base
-        u = sol.velocity(x, y, t)
-        return base + np.einsum("...a,...a->...", u,
-                                sol.concentration_grad(x, y, t))
-
-    return SourceSet(pressure_source=pressure_source,
-                     concentration_source=concentration_source,
-                     pressure_flux=_normal_component(sol.velocity),
-                     concentration_flux=_normal_component(
-                         sol.concentration_flux),
-                     fd_step=fd_step)
-
-
-def problem_coefficients(sol: ManufacturedSolution,
-                         fd_step: float = 1e-5) -> ProblemCoefficients:
-    """Bundle a benchmark and its manufactured sources for the driver.
-
-    The sources and wall fluxes are those of :func:`manufacture_sources`
-    with the case's closed-form divergences in place of the finite
-    differences, except that at points closer than ``fd_step`` to the
-    case's kink the flux divergence is the finite difference, bit for
-    bit.  Its smeared value there differs from the exact one (by up to
-    0.07 on the disk-trig case), and the mean mode of the no-flux
-    transport, which nothing damps, carries that difference into the
-    computed errors.
-    """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-
-    def concentration_source(x, y, t):
-        div = np.array(sol.flux_divergence(x, y, t), dtype=np.float64)
-        x, y, t = np.broadcast_arrays(x, y, t)
-        band = sol.kink_distance(x, y, t) < fd_step
-        if band.any():
-            div[band] = fd_divergence(sol.concentration_flux,
-                                      x[band], y[band], t[band], fd_step)
-        base = sol.porosity * sol.concentration_dt(x, y, t) - div
-        if sol.velocity_coupling == "none":
-            return base
-        u = sol.velocity(x, y, t)
-        return base + np.einsum("...a,...a->...", u,
-                                sol.concentration_grad(x, y, t))
+    if isinstance(fd_step, bool) or not 0 < fd_step < math.inf:
+        raise ValueError("fd_step must be a positive finite number")
 
     def initial_concentration(x, y):
         return sol.concentration(x, y, 0.0)
@@ -283,25 +234,54 @@ def problem_coefficients(sol: ManufacturedSolution,
         porosity=sol.porosity,
         dispersion=sol.dispersion,
         initial_concentration=initial_concentration,
-        pressure_source=sol.velocity_divergence,
-        concentration_source=concentration_source,
+        pressure_source=partial(fd_divergence, sol.velocity, step=fd_step),
+        concentration_source=_transport_source(sol, partial(
+            fd_divergence, sol.concentration_flux, step=fd_step)),
         pressure_flux=_normal_component(sol.velocity),
         concentration_flux=_normal_component(sol.concentration_flux),
         velocity_coupling=sol.velocity_coupling)
 
 
-def strong_residuals(sol: ManufacturedSolution, sources: SourceSet,
-                     x, y, t, fd_step: float = None):
+def problem_coefficients(sol: ManufacturedSolution,
+                         fd_step: float = 1e-5) -> ProblemCoefficients:
+    """Bundle a benchmark and its manufactured sources for the driver.
+
+    This is :func:`manufacture_sources` with the case's closed-form
+    divergences in place of the finite differences, except that at
+    points closer than ``fd_step`` to the case's kink the flux
+    divergence is the finite difference, bit for bit.  Its smeared value
+    there differs from the exact one (by up to 0.07 on the disk-trig
+    case), and the mean mode of the no-flux transport, which nothing
+    damps, carries that difference into the computed errors.
+    """
+    def flux_divergence(x, y, t):
+        div = np.array(sol.flux_divergence(x, y, t), dtype=np.float64)
+        x, y, t = np.broadcast_arrays(x, y, t)
+        band = sol.kink_distance(x, y, t) < fd_step
+        if band.any():
+            div[band] = fd_divergence(sol.concentration_flux,
+                                      x[band], y[band], t[band], fd_step)
+        return div
+
+    return replace(manufacture_sources(sol, fd_step),
+                   pressure_source=sol.velocity_divergence,
+                   concentration_source=_transport_source(sol,
+                                                          flux_divergence))
+
+
+def strong_residuals(sol: ManufacturedSolution, coeffs: ProblemCoefficients,
+                     x, y, t, fd_step: float = 1e-5):
     """Pointwise residuals of both forced equations.
 
-    Recomputes each term from the solution fields -- independently of the
-    closures inside ``sources`` -- and subtracts the manufactured source.
-    With the same fd_step the result is pure roundoff; with a different
-    step it measures the finite-difference truncation gap.
+    Recomputes each term from the solution fields, with divergences by
+    central differences of step ``fd_step`` -- independently of the
+    closures inside ``coeffs`` -- and subtracts the coefficients'
+    sources.  Against :func:`manufacture_sources` with the same step the
+    result is pure roundoff; with a different step it measures the
+    finite-difference truncation gap.
     """
-    step = sources.fd_step if fd_step is None else fd_step
-    res_p = (fd_divergence(sol.velocity, x, y, t, step)
-             - sources.pressure_source(x, y, t))
+    res_p = (fd_divergence(sol.velocity, x, y, t, fd_step)
+             - coeffs.pressure_source(x, y, t))
     if sol.velocity_coupling == "none":
         coupled = 0.0
     else:
@@ -309,9 +289,9 @@ def strong_residuals(sol: ManufacturedSolution, sources: SourceSet,
         coupled = np.einsum("...a,...a->...", u,
                             sol.concentration_grad(x, y, t))
     res_c = (sol.porosity * sol.concentration_dt(x, y, t)
-             - fd_divergence(sol.concentration_flux, x, y, t, step)
+             - fd_divergence(sol.concentration_flux, x, y, t, fd_step)
              + coupled
-             - sources.concentration_source(x, y, t))
+             - coeffs.concentration_source(x, y, t))
     return res_p, res_c
 
 

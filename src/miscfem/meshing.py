@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, QhullError
 
 from .solvers import number_pairs
 
@@ -30,7 +30,9 @@ class MeshFormatError(ValueError):
 
 
 class MeshConstructionError(RuntimeError):
-    """The generator produced a degenerate triangulation (should not happen)."""
+    """The generator produced a degenerate triangulation, or its Delaunay
+    pass failed, as it does on disks too large or too small for qhull's
+    arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class Mesh:
                        counterclockwise cycle around the boundary
     boundary_tris    : (B,) int array, owning triangle of each boundary edge
     boundary_normals : (B, 2) float array of unit outward normals
-    h_nominal        : nominal mesh size 1/M, with M the boundary node count
     edges            : (E, 2) int array, the undirected edges numbered as
                        by :func:`edge_table`
     cell_edges       : (T, 3) int array, the edge numbers of each
@@ -55,7 +56,6 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_tris: np.ndarray
     boundary_normals: np.ndarray
-    h_nominal: float
     edges: np.ndarray
     cell_edges: np.ndarray
 
@@ -163,6 +163,18 @@ def _boundary_structure(vertices, edges, owners, counts, start_vertex=None):
     return edges, owners[cycle], normals
 
 
+def _finite(name, value) -> float:
+    """``value`` as a float; a boolean or anything but a finite number is
+    a ValueError."""
+    try:
+        finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
     """Triangulate the disk |x - center| < radius with M boundary nodes.
 
@@ -173,15 +185,17 @@ def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
     The point set is triangulated by a Delaunay pass, which for this
     convex cloud keeps every boundary segment as a mesh edge.
 
-    Deterministic: identical arguments produce identical meshes.
+    Deterministic: identical arguments produce identical meshes.  A
+    boolean or non-finite M, center coordinate or radius, a center that
+    is not a pair, or a radius that is not positive is a ValueError.
     """
-    if int(M) != M or M < 8:
+    if _finite("M", M) != int(M) or M < 8:
         raise ValueError(f"boundary node count M must be an integer >= 8, got {M}")
     M = int(M)
+    cx, cy = (_finite(f"center[{i}]", v) for i, v in enumerate(center))
+    radius = _finite("radius", radius)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    cx, cy = float(center[0]), float(center[1])
-    radius = float(radius)
 
     theta = 2.0 * math.pi * np.arange(M) / M
     points = [np.column_stack([cx + radius * np.cos(theta),
@@ -201,7 +215,11 @@ def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
     points.append(np.array([[cx, cy]]))
     points = np.vstack(points)
 
-    tri = Delaunay(points)
+    try:
+        tri = Delaunay(points)
+    except QhullError as exc:
+        raise MeshConstructionError(f"Delaunay pass failed: "
+                                    f"{str(exc).splitlines()[0]}") from exc
     if tri.coplanar.size:
         raise MeshConstructionError(
             f"Delaunay pass dropped {tri.coplanar.shape[0]} points")
@@ -224,8 +242,8 @@ def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
 
     return _freeze(Mesh(vertices=points, triangles=triangles,
                         boundary_edges=edges, boundary_tris=tris,
-                        boundary_normals=normals, h_nominal=1.0 / M,
-                        edges=all_edges, cell_edges=cell_edges))
+                        boundary_normals=normals, edges=all_edges,
+                        cell_edges=cell_edges))
 
 
 def mesh_quality(mesh: Mesh) -> QualityReport:
@@ -281,8 +299,7 @@ def load_mesh(path) -> Mesh:
     """Read a JSON mesh file written by save_mesh.
 
     The owning triangles and outward normals of the boundary edges are
-    reconstructed from the connectivity; h_nominal is 1 over the number
-    of boundary edges.
+    reconstructed from the connectivity.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -336,6 +353,5 @@ def load_mesh(path) -> Mesh:
 
     return _freeze(Mesh(vertices=vertices, triangles=triangles,
                         boundary_edges=edges, boundary_tris=tris,
-                        boundary_normals=normals,
-                        h_nominal=1.0 / edges.shape[0],
-                        edges=all_edges, cell_edges=cell_edges))
+                        boundary_normals=normals, edges=all_edges,
+                        cell_edges=cell_edges))

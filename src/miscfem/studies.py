@@ -343,8 +343,8 @@ def _dump_steps(config: StudyConfig, tau: float) -> set:
 
 
 def _dump_state(out_dir, mesh, disc, state):
-    speed = np.hypot(state.velocity.cell_values[..., 0],
-                     state.velocity.cell_values[..., 1]).mean(axis=1)
+    speed = np.hypot(state.velocity[..., 0],
+                     state.velocity[..., 1]).mean(axis=1)
     write_vtk(Path(out_dir) / f"fields_step{state.step_index}.vtk", mesh,
               point_scalars={
                   "concentration": state.concentration,
@@ -358,33 +358,33 @@ def _write_json(path, data):
         f.write("\n")
 
 
-def _prepare_out(config: StudyConfig, reports, dumps):
-    """Check every output path before any mesh is built, then write
-    config-echo.json; returns the output directory and each row's dump
-    directory (None when fields are not dumped).
+def _run_rows(config: StudyConfig, reports, rows):
+    """Check every output path before any mesh is built, write
+    config-echo.json, then simulate the rows; returns the output
+    directory and each row's :class:`RowResult`.
 
-    ``reports`` names the report files the command writes and ``dumps``
-    lists (dump subdirectory, tau) per row.  A path that cannot be
+    ``reports`` names the report files the command writes and ``rows``
+    lists (dump subdirectory, M, tau) per row.  A path that cannot be
     created, or a directory where a file goes, is a ConfigError."""
     out = make_output_dir("output_dir", config.output_dir)
     for name in ("config-echo.json",) + reports:
         check_output_file("output_dir", out / name)
-    dump_dirs = [None] * len(dumps)
+    dump_dirs = [None] * len(rows)
     if config.dump_fields:
-        for i, (sub, tau) in enumerate(dumps):
+        for i, (sub, _, tau) in enumerate(rows):
             dump_dirs[i] = make_output_dir("output_dir", out / sub)
             for k in _dump_steps(config, tau):
                 check_output_file("output_dir",
                                   dump_dirs[i] / f"fields_step{k}.vtk")
     _write_json(out / "config-echo.json", config.echo_dict())
-    return out, dump_dirs
+    return out, [simulate_row(config, M, tau, dump_dir=d)
+                 for (_, M, tau), d in zip(rows, dump_dirs)]
 
 
 def run_single(config: StudyConfig):
     """One simulation at (mesh_M[0], tau[0]); writes report.json."""
-    M, tau = config.mesh_sizes[0], config.time_steps[0]
-    out, (dump_dir,) = _prepare_out(config, ("report.json",), [("", tau)])
-    row = simulate_row(config, M, tau, dump_dir=dump_dir)
+    out, (row,) = _run_rows(config, ("report.json",), [
+        ("", config.mesh_sizes[0], config.time_steps[0])])
     report = {"kind": "single", "case": config.case, "mode": config.mode,
               "converged": True}
     report.update(row.row_dict())
@@ -392,41 +392,30 @@ def run_single(config: StudyConfig):
     return row
 
 
-_STUDY_REPORTS = ("report.csv", "report.json")
-
-
-def _write_report(out, report: ConvergenceReport):
+def _run_study(config, note, kind, label, rows) -> ConvergenceReport:
+    """Simulate ``rows``, each (dump subdirectory, M, tau, refinement
+    value), and write report.csv and report.json."""
+    out, results = _run_rows(config, ("report.csv", "report.json"),
+                             [row[:3] for row in rows])
+    report = ConvergenceReport(kind=kind, case=config.case, mode=config.mode,
+                               refinement_label=label,
+                               refinement=[row[3] for row in rows],
+                               rows=results, protocol_note=note)
     with open(out / "report.csv", "w", newline="") as f:
         f.write(report.to_csv())
     _write_json(out / "report.json", report.to_json_dict())
+    return report
 
 
 def run_spatial_study(config: StudyConfig, note: str = "") -> ConvergenceReport:
     """Refine the mesh over mesh_M at fixed tau = tau[0]."""
-    tau = config.time_steps[0]
-    out, dump_dirs = _prepare_out(
-        config, _STUDY_REPORTS, [(f"M{M}", tau) for M in config.mesh_sizes])
-    rows = [simulate_row(config, M, tau, dump_dir=d)
-            for M, d in zip(config.mesh_sizes, dump_dirs)]
-    report = ConvergenceReport(kind="spatial", case=config.case,
-                               mode=config.mode, refinement_label="h",
-                               refinement=[1.0 / M for M in config.mesh_sizes],
-                               rows=rows, protocol_note=note)
-    _write_report(out, report)
-    return report
+    return _run_study(config, note, "spatial", "h", [
+        (f"M{M}", M, config.time_steps[0], 1.0 / M)
+        for M in config.mesh_sizes])
 
 
 def run_temporal_study(config: StudyConfig, note: str = "") -> ConvergenceReport:
     """Refine the time step over tau at fixed M = mesh_M[0]."""
-    M = config.mesh_sizes[0]
-    out, dump_dirs = _prepare_out(
-        config, _STUDY_REPORTS,
-        [(f"tau{i}", tau) for i, tau in enumerate(config.time_steps)])
-    rows = [simulate_row(config, M, tau, dump_dir=d)
-            for tau, d in zip(config.time_steps, dump_dirs)]
-    report = ConvergenceReport(kind="temporal", case=config.case,
-                               mode=config.mode, refinement_label="tau",
-                               refinement=list(config.time_steps),
-                               rows=rows, protocol_note=note)
-    _write_report(out, report)
-    return report
+    return _run_study(config, note, "temporal", "tau", [
+        (f"tau{i}", config.mesh_sizes[0], tau, tau)
+        for i, tau in enumerate(config.time_steps)])

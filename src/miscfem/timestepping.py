@@ -42,9 +42,8 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .elements import interpolate
 from .forms import (CoefficientBlowupError, Discretization,
-                    ProblemCoefficients, VelocityField,
-                    assemble_concentration, assemble_pressure,
-                    compute_velocity)
+                    ProblemCoefficients, assemble_concentration,
+                    assemble_pressure, compute_velocity)
 from .solvers import SYMMETRIC_LU, SolveReport, cg_deflated, gmres
 
 # a pressure solve on a lagged factor that needs more CG iterations than
@@ -131,7 +130,7 @@ class PressureLevel:
 
     index: int
     pressure: np.ndarray
-    velocity: VelocityField
+    velocity: np.ndarray              # (T, Q, 2)
     report: SolveReport
     previous: Optional[np.ndarray]
     factor: Optional[SuperLU]
@@ -155,7 +154,7 @@ class TimeStepState:
         return self.level.pressure
 
     @property
-    def velocity(self) -> VelocityField:
+    def velocity(self) -> np.ndarray:
         return self.level.velocity
 
     @property

@@ -170,7 +170,7 @@ def transport_matrix_oracle(disc, coeffs, velocity, tau, t, mode):
     from miscfem.dispersion import dispersion_matrices
 
     w, G, phi = disc.cell_weights, disc.p1_grads, disc.p1_values
-    U = velocity.cell_values
+    U = velocity
     D = dispersion_matrices(U, coeffs.dispersion)
     DG = np.einsum("tqab,tjb->tqja", D, G)
     local = np.einsum("tq,tia,tqja->tij", w, G, DG)

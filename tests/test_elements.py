@@ -46,10 +46,11 @@ def test_quadrature_weights_positive_and_sum_to_area(degree):
 
 
 def test_quadrature_rejects_unsupported_degree():
-    with pytest.raises(ValueError):
-        quadrature_rule(7)
-    with pytest.raises(ValueError):
-        quadrature_rule(0)
+    """A boolean is not a degree: True would silently pick the degree-1
+    rule."""
+    for degree in (7, 0, True):
+        with pytest.raises(ValueError, match="no tabulated triangle rule"):
+            quadrature_rule(degree)
 
 
 def test_edge_quadrature_integrates_quintics():

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from miscfem import (TimeGrid, VelocityField, disk_trig_case, error_scalar,
+from miscfem import (TimeGrid, disk_trig_case, error_scalar,
                      error_velocity, interpolate, measure_errors,
                      observed_orders, problem_coefficients, run)
 
@@ -52,8 +52,7 @@ def test_error_scalar_validation(disc16):
 def test_velocity_error_of_constant_field(disc16):
     T, Q = disc16.quad_points.shape[:2]
     B = disc16.mesh.num_boundary_edges
-    vel = VelocityField(
-        cell_values=np.broadcast_to([0.3, -0.4], (T, Q, 2)))
+    vel = np.broadcast_to([0.3, -0.4], (T, Q, 2))
     zero = lambda x, y, t: np.zeros(np.broadcast(x, y).shape + (2,))
     area = float(disc16.cell_weights.sum())
     got = error_velocity(disc16, vel, zero, t=0.0, norm="l2")

@@ -21,7 +21,7 @@ from miscfem import (CoefficientBlowupError, DispersionParams,
                      build_discretization, compute_velocity, disk_trig_case,
                      generate_disk_mesh, interpolate, load_mesh,
                      problem_coefficients)
-from miscfem.forms import VelocityField, _eval_wall_flux
+from miscfem.forms import _eval_wall_flux
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def test_p1_diffusion_stiffness_oracle(unit_disc):
     stiffness of the unit triangle."""
     coeffs = unit_coefficients(velocity_coupling="none")
     Q = unit_disc.quad_points.shape[1]
-    vel = VelocityField(cell_values=np.zeros((1, Q, 2)))
+    vel = np.zeros((1, Q, 2))
     tau = 0.25
     system = assemble_concentration(unit_disc, coeffs, np.zeros(3), vel,
                                     tau=tau, t=0.0, mode="direct")
@@ -106,7 +106,7 @@ def test_advection_matrix_constant_velocity(unit_disc):
     coeffs = unit_coefficients()
     Q = unit_disc.quad_points.shape[1]
     a, b = 0.7, -0.4
-    vel = VelocityField(cell_values=np.broadcast_to([a, b], (1, Q, 2)))
+    vel = np.broadcast_to([a, b], (1, Q, 2))
     none = assemble_concentration(
         unit_disc, unit_coefficients(velocity_coupling="none"),
         np.zeros(3), vel, tau=1.0, t=0.0, mode="direct")
@@ -124,7 +124,7 @@ def test_skew_mode_antisymmetric_part(unit_disc, rng):
     exactly antisymmetric, so its quadratic form vanishes."""
     coeffs = unit_coefficients()
     Q = unit_disc.quad_points.shape[1]
-    vel = VelocityField(cell_values=rng.standard_normal((1, Q, 2)))
+    vel = rng.standard_normal((1, Q, 2))
     none = assemble_concentration(
         unit_disc, unit_coefficients(velocity_coupling="none"),
         np.zeros(3), vel, tau=1.0, t=0.0, mode="direct")
@@ -142,7 +142,7 @@ def test_direct_mode_annihilates_constants(disc16, rng):
     coeffs = unit_coefficients()
     T, Q = disc16.quad_points.shape[:2]
     B = disc16.mesh.num_boundary_edges
-    vel = VelocityField(cell_values=rng.standard_normal((T, Q, 2)))
+    vel = rng.standard_normal((T, Q, 2))
     tau = 0.125
     system = assemble_concentration(disc16, coeffs,
                                     np.zeros(disc16.p1.dof_count), vel,
@@ -275,7 +275,7 @@ def test_quadratic_pressure_reproduced_exactly(disc16):
     vel = compute_velocity(disc16, coeffs, c0, p)
     x, y = disc16.quad_points[..., 0], disc16.quad_points[..., 1]
     exact = -p_grad(x, y)
-    assert np.max(np.abs(vel.cell_values - exact)) < 1e-8
+    assert np.max(np.abs(vel - exact)) < 1e-8
 
 
 def max_relative_gap(got, oracle):
@@ -295,9 +295,9 @@ def test_pressure_matrix_and_velocity_match_einsum_oracle(disc16, rng):
 
     p = rng.standard_normal(disc16.p2.dof_count)
     exact = velocity_oracle(disc16, coeffs, c, p)
-    fresh = compute_velocity(disc16, coeffs, c, p).cell_values
+    fresh = compute_velocity(disc16, coeffs, c, p)
     reused = compute_velocity(disc16, coeffs, c, p,
-                              mobility=system.mobility).cell_values
+                              mobility=system.mobility)
     assert max_relative_gap(fresh, exact) < 1e-13
     assert np.array_equal(reused, fresh)
 
@@ -318,7 +318,7 @@ def test_transport_matrix_matches_einsum_oracle(disc16, rng, mode, coupling,
         production=lambda x, y, t: 0.5 + y + 0.0 * x,
         pressure_flux=lambda x, y, t, nx, ny: 0.3 * nx - 0.2 * ny)
     T, Q = disc16.cell_weights.shape
-    vel = VelocityField(cell_values=rng.standard_normal((T, Q, 2)))
+    vel = rng.standard_normal((T, Q, 2))
     system = assemble_concentration(disc16, coeffs,
                                     np.zeros(disc16.p1.dof_count), vel,
                                     tau=1.0, t=0.5, mode=mode)
@@ -350,7 +350,7 @@ def test_load_vectors_match_scatter_oracle(disc16, rng, mode):
                             pressure_rhs_oracle(disc16, coeffs, 0.5)) < 1e-13
 
     T, Q = disc16.cell_weights.shape
-    vel = VelocityField(cell_values=rng.standard_normal((T, Q, 2)))
+    vel = rng.standard_normal((T, Q, 2))
     transport = assemble_concentration(disc16, coeffs, c, vel, tau=0.25,
                                        t=0.5, mode=mode)
     oracle = concentration_rhs_oracle(disc16, coeffs, c, 0.25, 0.5)

@@ -2,14 +2,15 @@
 finite-difference source recovery, and the wall-flux contract."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from miscfem import (CASES, ManufacturedSolution, build_discretization,
-                     disk_trig_case, fd_divergence, generate_disk_mesh,
-                     manufacture_sources, problem_coefficients,
-                     strong_residuals)
+from miscfem import (CASES, ManufacturedSolution, TimeGrid,
+                     build_discretization, disk_trig_case, fd_divergence,
+                     generate_disk_mesh, manufacture_sources, measure_errors,
+                     problem_coefficients, run, strong_residuals)
 
 
 def disk_points(rng, n, sol):
@@ -86,11 +87,13 @@ def test_fd_divergence_exact_on_quadratics(rng):
 
 
 def test_manufacture_sources_rejects_bad_step(sol):
-    """So does problem_coefficients, which builds no SourceSet."""
-    with pytest.raises(ValueError):
-        manufacture_sources(sol, fd_step=0.0)
-    with pytest.raises(ValueError):
-        problem_coefficients(sol, fd_step=0.0)
+    """So does problem_coefficients, which is built from it; a NaN step
+    would otherwise drop the finite-difference band at the kink."""
+    for step in (0.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError):
+            manufacture_sources(sol, fd_step=step)
+        with pytest.raises(ValueError):
+            problem_coefficients(sol, fd_step=step)
 
 
 def test_strong_residuals_vanish_with_matching_step(sol, rng):
@@ -184,3 +187,19 @@ def test_closed_form_sources_match_the_finite_difference_oracle(sol, rng):
         banded += band.sum()
         assert np.array_equal(got[band], want[band])
     assert banded == 3                      # at t = 17/32 and 24/32
+
+
+def test_finite_difference_oracle_drives_the_solver(sol):
+    """manufacture_sources returns coefficients the driver can march, and
+    marching them gives the errors of problem_coefficients' closed-form
+    sources in every column, within 1e-6 relative."""
+    disc = build_discretization(generate_disk_mesh(M=16))
+    grid = TimeGrid(final_time=0.25, num_steps=8)        # tau = 1/32
+    records = []
+    for coeffs in (manufacture_sources(sol), problem_coefficients(sol)):
+        state, _ = run(disc, coeffs, grid)
+        records.append(dataclasses.asdict(
+            measure_errors(disc, state, grid, sol)))
+    oracle, closed = records
+    for name, want in oracle.items():
+        assert closed[name] == pytest.approx(want, rel=1e-6, abs=0), name

@@ -1,6 +1,7 @@
 """Disk mesh generation, quality measures and the JSON exchange format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ def test_boundary_nodes_on_circle(M):
     r = np.hypot(mesh.vertices[:M, 0] - 0.5, mesh.vertices[:M, 1] - 0.5)
     assert np.allclose(r, 0.5, atol=1e-12)
     assert mesh.num_boundary_edges == M
-    assert mesh.h_nominal == pytest.approx(1.0 / M)
 
 
 @pytest.mark.parametrize("M", [8, 16, 32])
@@ -153,6 +153,29 @@ def test_load_rejects_flipped_triangle(tmp_path):
 def test_generate_rejects_tiny_boundary_count():
     with pytest.raises((ValueError, MeshConstructionError)):
         generate_disk_mesh(M=3)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(radius=math.nan), ValueError),
+    (dict(radius=True), ValueError),
+    (dict(radius=math.inf), ValueError),
+    (dict(radius=0.0), ValueError),
+    (dict(radius=-0.5), ValueError),
+    (dict(center=(math.nan, 0.5)), ValueError),
+    (dict(center=(0.5, True)), ValueError),
+    (dict(center=(-math.inf, 0.5)), ValueError),
+    (dict(center=(0.5, 0.5, 0.5)), ValueError),
+    (dict(M=math.inf), ValueError),
+    (dict(radius=1e200), MeshConstructionError),
+    (dict(radius=1e-300), MeshConstructionError),
+])
+def test_generate_refuses_bad_geometry(kwargs, error):
+    """A boolean or non-finite center, radius or M, a center that is not a
+    pair, or a radius that is not positive, is a ValueError; a disk whose
+    Delaunay pass qhull cannot finish is a MeshConstructionError.
+    Neither warns first."""
+    with pytest.raises(error):
+        generate_disk_mesh(**kwargs)
 
 
 def write_mesh(path, vertices, triangles, boundary_edges):

@@ -91,7 +91,7 @@ def test_initialize_state(disc16):
     mean = disc16.p2_basis_integrals @ state.pressure
     assert abs(mean) < 1e-9 * (1.0 + np.abs(state.pressure).max())
     # the source actually produces flow
-    assert np.max(np.linalg.norm(state.velocity.cell_values, axis=-1)) > 0.1
+    assert np.max(np.linalg.norm(state.velocity, axis=-1)) > 0.1
 
 
 def test_step_lags_pressure(disc16, monkeypatch):
@@ -540,6 +540,25 @@ def test_nan_data_fails_fast_with_a_typed_error(disc8, field, failure, what):
     err = expect_typed_failure(disc8, coeffs)
     assert isinstance(err, failure)
     assert what in str(err)
+
+
+@pytest.mark.parametrize("change, what", [
+    (dict(permeability=lambda x, y: np.full(np.broadcast(x, y).shape,
+                                            1e308)),
+     "at step 0: pressure matrix is not finite"),
+    (dict(dispersion=DispersionParams(1.0, 1e308, 1e308)),
+     "at step 1: concentration matrix is not finite"),
+    (dict(dispersion=DispersionParams(1e308, 0.1, 0.1)),
+     "at step 1: concentration matrix is not finite"),
+])
+def test_non_finite_matrix_is_a_coefficient_blowup(disc8, change, what):
+    """Finite coefficients whose matrix entries overflow end the step
+    that assembles them with a CoefficientBlowupError naming the system,
+    before any factorization and with no numpy warning first (tier-1
+    turns RuntimeWarning into an error)."""
+    coeffs = replace(problem_coefficients(disk_trig_case()), **change)
+    with pytest.raises(CoefficientBlowupError, match=what):
+        run(disc8, coeffs, TimeGrid(final_time=1.0, num_steps=2))
 
 
 @settings(max_examples=40)

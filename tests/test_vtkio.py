@@ -1,5 +1,9 @@
 """Plain-text VTK output: header layout, counts, and value fidelity."""
 
+import re
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -70,3 +74,21 @@ def test_vtk_rejects_misshapen_fields(tmp_path, mesh8):
     with pytest.raises(ValueError, match="cell field 'speed'"):
         write_vtk(tmp_path / "x.vtk", mesh8,
                   cell_scalars={"speed": np.zeros(mesh8.num_triangles + 1)})
+
+
+def test_run_benchmark_demo_runs(tmp_path, capsys):
+    """The hand-built pipeline of demos/run_benchmark.py marches to t = 1,
+    prints its errors and writes its fields where it is told."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "run_benchmark.py"
+    out = tmp_path / "fields.vtk"
+    runpy.run_path(str(demo))["main"](out)
+    printed = capsys.readouterr().out
+    assert "errors at t = 1:" in printed
+    errors = {name: float(value) for name, value in re.findall(
+        r"^ +(concentration|velocity|pressure) +L2 (\S+)", printed, re.M)}
+    assert sorted(errors) == ["concentration", "pressure", "velocity"]
+    assert all(0.0 < e < 0.1 for e in errors.values())
+    assert f"wrote {out}" in printed
+    lines = out.read_text().splitlines()
+    assert lines[:3] == ["# vtk DataFile Version 2.0",
+                         "disk benchmark, M=16, t=1", "ASCII"]
