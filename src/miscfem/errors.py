@@ -30,11 +30,6 @@ class ErrorRecord:
     p_grad_l4: float
 
 
-def _field_at_quad(disc: Discretization, dofmap, coeffs):
-    values = disc.p1_values if dofmap.order == 1 else disc.p2_values
-    return np.einsum("qi,ti->tq", values, coeffs[dofmap.cell_dofs])
-
-
 def _grad_at_quad(disc: Discretization, dofmap, coeffs):
     if dofmap.order == 2:
         return disc.p2_gradient(coeffs)
@@ -54,10 +49,10 @@ def error_scalar(disc: Discretization, dofmap, coeffs, exact, t: float,
     coeffs = np.asarray(coeffs, dtype=np.float64)
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     if norm == "l2":
-        diff = _field_at_quad(disc, dofmap, coeffs) - exact(x, y, t)
+        diff = disc.field_at_quad(dofmap, coeffs) - exact(x, y, t)
         return float(np.sqrt(np.sum(disc.cell_weights * diff ** 2)))
     if norm == "linf":
-        diff = np.abs(_field_at_quad(disc, dofmap, coeffs) - exact(x, y, t))
+        diff = np.abs(disc.field_at_quad(dofmap, coeffs) - exact(x, y, t))
         nodes = dofmap.dof_coords
         node_diff = np.abs(coeffs - exact(nodes[:, 0], nodes[:, 1], t))
         return float(max(diff.max(), node_diff.max()))

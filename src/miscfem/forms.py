@@ -35,6 +35,20 @@ mesh and the dof maps never change, so neither does the structure of
 either matrix: each assembly sums its cell blocks into the slots of its
 pattern (see :class:`~miscfem.solvers.SparsityPattern`), and no step
 converts triplets to CSR.
+
+Every per-step cell kernel is one dense product with a reference tensor
+tabulated once per mesh (Kirby & Logg, "A compiler for variational
+forms", ACM TOMS 32(3), 2006): on affine triangles an element matrix is
+a few geometry factors per cell contracted with a table that is the
+same for every cell.  With the metric K = |det J| J^-1 J^-T and the
+reference gradients r_i, the P2 stiffness block is
+sum_(q, k) kappa_q K_k R[(q, k), (i, j)], so all blocks are one GEMM
+(kappa (x) K).reshape(T, 3Q) @ R.  The P1 diffusion block pairs the
+cell integrals of D00, D11 and D01 (one GEMM) with the products of the
+constant P1 gradients, and the convection block is U_i . g_j with
+U_i = |det J| sum_q w_q phi_i(x_q) u_q (one GEMM).  Values at the
+quadrature points and the volume loads are GEMMs with the tabulated
+bases.
 """
 
 from __future__ import annotations
@@ -62,6 +76,12 @@ class CoefficientBlowupError(RuntimeError):
     concentration has overshot far enough that the coefficient model is
     meaningless; or the permeability made k/mu zero, negative or not
     finite; or the data made a matrix or a load vector not finite."""
+
+
+def check_mode(mode: str) -> None:
+    """Refuse a convection form other than "skew" and "direct"."""
+    if mode not in ("skew", "direct"):
+        raise ValueError(f"unknown convection mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +156,10 @@ class Discretization:
     ``edge_*`` arrays tabulate the boundary edges, each in its owning
     triangle's reference frame; they carry the wall-flux terms of both
     systems and the skew boundary correction, which assembly adds into
-    the owner cells' blocks before the one cell scatter per system."""
+    the owner cells' blocks before the one cell scatter per system.
+    The next six fields are the per-cell geometry factors and the
+    reference tensors of the per-step kernels (see the module docstring
+    and :func:`_gradient_products`, which orders the entries k)."""
 
     mesh: Mesh
     p1: DofMap
@@ -147,6 +170,12 @@ class Discretization:
     p2_values: np.ndarray          # (Q, 6)
     p1_grads: np.ndarray           # (T, 3, 2) physical gradients (constant in q)
     p2_grads: np.ndarray           # (T, 6, Q, 2) C-contiguous
+    det_j: np.ndarray              # (T,) |det J|
+    metric: np.ndarray             # (T, 3) |det J| J^-1 J^-T
+    p1_grad_products: np.ndarray   # (T, 3, 9) |det J| products of p1_grads
+    stiffness_tensor: np.ndarray   # (3Q, 36) w_q products of P2 ref grads
+    dispersion_weights: np.ndarray  # (4Q, 3) w_q picking D00, D11, D01
+    convection_weights: np.ndarray  # (2Q, 6) w_q phi_i(x_q) delta_ab
     mass_local: np.ndarray         # (T, 3, 3) linear element mass blocks
     mass_p1: sp.csr_matrix
     p2_basis_integrals: np.ndarray
@@ -163,6 +192,15 @@ class Discretization:
         T, Q = self.cell_weights.shape
         local = p_coeffs[self.p2.cell_dofs][:, None, :]
         return (local @ self.p2_grads.reshape(T, 6, 2 * Q)).reshape(T, Q, 2)
+
+    def field_at_quad(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
+        """Values (T, Q) at the volume quadrature points of the P1 or P2
+        field (``dofmap``) with nodal values ``coeffs``: one GEMM of the
+        cell coefficients with the tabulated basis.  Non-finite
+        coefficients give non-finite values and no numpy warning."""
+        values = self.p1_values if dofmap.order == 1 else self.p2_values
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coeffs[dofmap.cell_dofs] @ values.T
 
 
 def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
@@ -183,10 +221,24 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
                    + lam[:, 1] * corners[:, None, 1]
                    + lam[:, 2] * corners[:, None, 2])
     p1_grads = p1_ref_grads[0] @ invJT.transpose(0, 2, 1)
-    # (T, 6, Q, 2) so that the stiffness kernel's (T, 6, 2Q) view is free
+    # (T, 6, Q, 2) so that the gradient's (T, 6, 2Q) view is free
     T, Q = cell_weights.shape
     p2_ref_rows = p2_ref_grads.transpose(1, 0, 2).reshape(6 * Q, 2)
     p2_grads = (p2_ref_rows @ invJT.transpose(0, 2, 1)).reshape(T, 6, Q, 2)
+
+    # J^-1 = invJT^T, so grad phi_i . grad phi_j = r_i^T (invJT^T invJT) r_j
+    a, b = invJT[:, 0, 0], invJT[:, 0, 1]
+    c, d = invJT[:, 1, 0], invJT[:, 1, 1]
+    metric = detJ[:, None] * np.column_stack(
+        [a * a + c * c, b * b + d * d, a * b + c * d])
+    p1_grad_products = detJ[:, None, None] * _gradient_products(p1_grads)
+    stiffness_tensor = (rule.weights[:, None, None]
+                        * _gradient_products(p2_ref_grads)).reshape(3 * Q, 36)
+    dispersion_weights = np.zeros((Q, 4, 3))
+    dispersion_weights[:, [0, 3, 1], [0, 1, 2]] = rule.weights[:, None]
+    convection_weights = np.zeros((Q, 2, 3, 2))
+    for k in range(2):
+        convection_weights[:, k, :, k] = rule.weights[:, None] * p1_values
 
     mass_local = np.einsum("tq,qi,qj->tij", cell_weights, p1_values, p1_values)
 
@@ -215,12 +267,30 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
         mesh=mesh, p1=p1, p2=p2,
         cell_weights=cell_weights, quad_points=quad_points,
         p1_values=p1_values, p2_values=p2_values,
-        p1_grads=p1_grads, p2_grads=p2_grads,
+        p1_grads=p1_grads, p2_grads=p2_grads, det_j=detJ, metric=metric,
+        p1_grad_products=p1_grad_products, stiffness_tensor=stiffness_tensor,
+        dispersion_weights=dispersion_weights.reshape(4 * Q, 3),
+        convection_weights=convection_weights.reshape(2 * Q, 6),
         mass_local=mass_local, mass_p1=mass_p1,
         p2_basis_integrals=p2_basis_integrals,
         p1_pattern=p1_pattern, p2_pattern=p2_pattern,
         edge_weights=edge_weights, edge_points=edge_points,
         edge_p1_values=edge_p1_values, edge_p2_values=edge_p2_values)
+
+
+def _gradient_products(g: np.ndarray) -> np.ndarray:
+    """The products (..., 3, n * n) of gradients g (..., n, 2) that pair
+    with the entries 00, 11 and 01 of a symmetric 2x2 matrix K, so that
+    g_i^T K g_j = K00 gx_i gx_j + K11 gy_i gy_j
+                  + K01 (gx_i gy_j + gy_i gx_j)."""
+    n = g.shape[-2]
+    i, j = np.divmod(np.arange(n * n), n)
+    gx, gy = np.moveaxis(g, -1, 0)
+    # C order: the per-step GEMM and einsum on these tables run faster,
+    # and a product's rounding depends on its operands' layout
+    return np.ascontiguousarray(np.stack(
+        [gx[..., i] * gx[..., j], gy[..., i] * gy[..., j],
+         gx[..., i] * gy[..., j] + gy[..., i] * gx[..., j]], axis=-2))
 
 
 def _scatter(dofmap: DofMap, loads: np.ndarray) -> np.ndarray:
@@ -254,7 +324,7 @@ def _mobility(disc, coeffs, c_prev):
     """k/mu(c_prev) at the volume quadrature points from nodal
     concentrations, with the viscosity blow-up guard and a guard that
     k/mu is positive and finite."""
-    c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
+    c_q = disc.field_at_quad(disc.p1, c_prev)
     mu = np.asarray(coeffs.viscosity(c_q), dtype=np.float64)
     lo, hi = coeffs.viscosity_bounds
     if not (mu.min() >= 0.5 * lo and mu.max() <= 2.0 * hi):   # NaN too
@@ -283,12 +353,11 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     """
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     mobility = _mobility(disc, coeffs, c_prev)
-    # sum over (q, a) of two (T, 6, 2Q) views: one batched matmul
-    T = mobility.shape[0]
-    weighted = (mobility * disc.cell_weights)[:, None, :, None] * disc.p2_grads
-    grads = disc.p2_grads.reshape(T, 6, -1)
-    local = weighted.reshape(T, 6, -1) @ grads.transpose(0, 2, 1)
-    A = disc.p2_pattern.assemble(local)
+    T, Q = mobility.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        geometry = mobility[:, :, None] * disc.metric[:, None, :]
+        local = geometry.reshape(T, 3 * Q) @ disc.stiffness_tensor
+    A = disc.p2_pattern.assemble(local.reshape(T, 6, 6))
     if not np.isfinite(A.data).all():
         raise CoefficientBlowupError("pressure matrix is not finite")
 
@@ -297,7 +366,8 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
                        (coeffs.pressure_source, 1.0)):
         if func is not None:
             source += sign * _eval_field(func, x, y, t)
-    loads = np.einsum("tq,qi->ti", source * disc.cell_weights, disc.p2_values)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        loads = (source * disc.cell_weights) @ disc.p2_values
     if coeffs.pressure_flux is not None:
         _add_wall_loads(disc, loads,
                         -_eval_wall_flux(disc, coeffs.pressure_flux, t),
@@ -347,44 +417,47 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     right-hand side that is not finite is a
     :class:`CoefficientBlowupError`.
     """
-    if tau <= 0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    if mode not in ("skew", "direct"):
-        raise ValueError(f"unknown convection mode {mode!r}")
+    if isinstance(tau, bool) or not 0 < tau < math.inf:
+        raise ValueError(f"time step must be a positive finite number, "
+                         f"got {tau!r}")
+    check_mode(mode)
 
     gamma = coeffs.porosity
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
 
-    # P1 gradients G are constant per cell, so the diffusion block is
-    # G (sum_q w_q D_q) G^T and the convection block (phi w)^T U G^T
+    # the P1 gradients g_j are constant per cell, so the diffusion block
+    # needs only the cell integrals of D, and the convection block is
+    # U_i . g_j with U_i = |det J| sum_q w_q phi_i(x_q) u_q
     T, Q = disc.cell_weights.shape
-    G = disc.p1_grads
-    Gt = G.transpose(0, 2, 1)
+    skew = mode == "skew" and coeffs.velocity_coupling == "advection"
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         D = dispersion_matrices(velocity, coeffs.dispersion)
-        D_cell = disc.cell_weights[:, None, :] @ D.reshape(T, Q, 4)
-        local = G @ D_cell.reshape(T, 2, 2) @ Gt
+        D_cell = D.reshape(T, 4 * Q) @ disc.dispersion_weights
+        local = np.einsum("tk,tkn->tn", D_cell,
+                          disc.p1_grad_products).reshape(T, 3, 3)
+        if coeffs.velocity_coupling == "advection":
+            U = velocity.reshape(T, 2 * Q) @ disc.convection_weights
+            U = (disc.det_j[:, None] * U).reshape(T, 3, 1, 2)
+            G = disc.p1_grads[:, None, :, :]
+            n1 = U[..., 0] * G[..., 0] + U[..., 1] * G[..., 1]
+            local += 0.5 * (n1 - n1.transpose(0, 2, 1)) if skew else n1
 
-    if coeffs.velocity_coupling == "advection":
-        # (T, 3, Q): w_q phi_i(x_q)
-        weighted_values = disc.cell_weights[:, None, :] * disc.p1_values.T
-        n1 = (weighted_values @ velocity) @ Gt
-        if mode == "skew":
-            local += 0.5 * (n1 - n1.transpose(0, 2, 1))
-            q_total = np.zeros(x.shape)
-            for func in (coeffs.injection, coeffs.production):
-                if func is not None:
-                    q_total += _eval_field(func, x, y, t)
-            if q_total.any():
-                local += (0.5 * q_total[:, None, :] * weighted_values
-                          @ disc.p1_values)
-            if coeffs.pressure_flux is not None:
-                flux = _eval_wall_flux(disc, coeffs.pressure_flux, t)
-                np.add.at(local, disc.mesh.boundary_tris, np.einsum(
-                    "bq,bqi,bqj->bij", 0.5 * flux * disc.edge_weights,
-                    disc.edge_p1_values, disc.edge_p1_values))
-        else:
-            local += n1
+    if skew:
+        q_total = np.zeros(x.shape)
+        for func in (coeffs.injection, coeffs.production):
+            if func is not None:
+                q_total += _eval_field(func, x, y, t)
+        if q_total.any():
+            phi = disc.p1_values
+            products = (phi[:, :, None] * phi[:, None, :]).reshape(Q, 9)
+            with np.errstate(over="ignore", invalid="ignore"):
+                local += ((0.5 * q_total * disc.cell_weights)
+                          @ products).reshape(T, 3, 3)
+        if coeffs.pressure_flux is not None:
+            flux = _eval_wall_flux(disc, coeffs.pressure_flux, t)
+            np.add.at(local, disc.mesh.boundary_tris, np.einsum(
+                "bq,bqi,bqj->bij", 0.5 * flux * disc.edge_weights,
+                disc.edge_p1_values, disc.edge_p1_values))
     local += (gamma / tau) * disc.mass_local
 
     A = disc.p1_pattern.assemble(local)
@@ -399,8 +472,8 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     if coeffs.concentration_source is not None:
         source += _eval_field(coeffs.concentration_source, x, y, t)
     if source.any() or coeffs.concentration_flux is not None:
-        loads = np.einsum("tq,qi->ti", source * disc.cell_weights,
-                          disc.p1_values)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            loads = (source * disc.cell_weights) @ disc.p1_values
         if coeffs.concentration_flux is not None:
             _add_wall_loads(
                 disc, loads,

@@ -43,7 +43,7 @@ from scipy.sparse.linalg import SuperLU, splu
 from .elements import interpolate
 from .forms import (CoefficientBlowupError, Discretization,
                     ProblemCoefficients, assemble_concentration,
-                    assemble_pressure, compute_velocity)
+                    assemble_pressure, check_mode, compute_velocity)
 from .solvers import SYMMETRIC_LU, SolveReport, cg_deflated, gmres
 
 # a pressure solve on a lagged factor that needs more CG iterations than
@@ -307,7 +307,9 @@ def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
 
     Observers are called with each new state (including the initial one)
     so callers can stream fields to disk without the driver keeping them.
+    A ``mode`` other than "skew" or "direct" is refused before any work.
     """
+    check_mode(mode)
     mass = disc.mass_p1
 
     def l2(c):

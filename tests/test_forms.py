@@ -20,7 +20,7 @@ from miscfem import (CoefficientBlowupError, DispersionParams,
                      assemble_concentration, assemble_pressure,
                      build_discretization, compute_velocity, disk_trig_case,
                      generate_disk_mesh, interpolate, load_mesh,
-                     problem_coefficients)
+                     problem_coefficients, save_mesh)
 from miscfem.forms import _eval_wall_flux
 
 
@@ -150,6 +150,19 @@ def test_direct_mode_annihilates_constants(disc16, rng):
     ones = np.ones(disc16.p1.dof_count)
     drift = system.matrix @ ones - disc16.mass_p1 @ ones / tau
     assert np.max(np.abs(drift)) < 1e-13
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                 True])
+def test_bad_time_step_is_a_bad_argument(disc8, tau):
+    """A time step that is not a positive finite number is refused as a
+    bad argument, not blamed on the coefficients (NaN) or used to drop
+    the (gamma/tau) M term (inf)."""
+    T, Q = disc8.cell_weights.shape
+    with pytest.raises(ValueError, match="time step"):
+        assemble_concentration(disc8, unit_coefficients(),
+                               np.zeros(disc8.p1.dof_count),
+                               np.zeros((T, Q, 2)), tau=tau, t=0.0)
 
 
 def test_velocity_coupling_validated():
@@ -283,8 +296,9 @@ def max_relative_gap(got, oracle):
 
 
 def test_pressure_matrix_and_velocity_match_einsum_oracle(disc16, rng):
-    """The batched-matmul P2 stiffness and velocity kernels agree with the
-    4-index einsums they replaced, for a varying mobility."""
+    """The reference-tensor P2 stiffness and the batched-matmul velocity
+    kernel agree with the 4-index einsums of the first assembly code, for
+    a varying mobility."""
     coeffs = unit_coefficients(
         permeability=lambda x, y: 1.0 + x * y,
         viscosity=lambda c: 1.0 + np.asarray(c, dtype=float))
@@ -309,9 +323,9 @@ def test_pressure_matrix_and_velocity_match_einsum_oracle(disc16, rng):
     ScalarDispersionParams(base=0.05, slope=0.01)])
 def test_transport_matrix_matches_einsum_oracle(disc16, rng, mode, coupling,
                                                 dispersion):
-    """The contract-first transport kernels agree with the 4-index
-    einsums they replaced, including the skew form's reaction and wall
-    terms."""
+    """The reference-tensor transport kernels agree with the 4-index
+    einsums of the first assembly code, including the skew form's
+    reaction and wall terms."""
     coeffs = unit_coefficients(
         dispersion=dispersion, velocity_coupling=coupling, porosity=0.7,
         injection=lambda x, y, t: 1.0 + x + 0.0 * y,
@@ -408,3 +422,64 @@ def test_stiffness_kernel_and_mass_total(M, radius, center, slope):
     area = 0.5 * M * radius ** 2 * math.sin(2.0 * math.pi / M)
     assert disc.mass_p1.sum() == pytest.approx(area, rel=1e-12)
     assert disc.p2_basis_integrals.sum() == pytest.approx(area, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def mesh_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("affine")
+
+
+def affine_image(mesh, matrix, shift, path):
+    """The mesh under x -> matrix x + shift, written with save_mesh and
+    read back with load_mesh, which rebuilds the boundary normals of the
+    mapped walls."""
+    save_mesh(dataclasses.replace(
+        mesh, vertices=mesh.vertices @ np.asarray(matrix).T
+        + np.asarray(shift)), path)
+    return load_mesh(path)
+
+
+@settings(max_examples=20)
+@given(turn=st.floats(0.0, 2.0 * math.pi), twist=st.floats(0.0, 2.0 * math.pi),
+       log_scale=st.floats(-1.0, 1.0), log_condition=st.floats(0.0, 3.0),
+       shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+def test_kernels_match_oracles_on_affine_images(disc16, mesh_dir, turn, twist,
+                                                log_scale, log_condition,
+                                                shift):
+    """On any affine image of the M=16 disk with det J > 0 and condition
+    number up to 1e3, where the metric |det J| J^-1 J^-T of every cell
+    is as skewed as the map, both assembled matrices agree with the
+    4-index einsum oracles, for both convection forms and an anisotropic
+    Bear-Scheidegger tensor."""
+    def rotation(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s], [s, c]])
+
+    stretch = 10.0 ** log_scale * np.diag([1.0, 10.0 ** -log_condition])
+    matrix = rotation(turn) @ stretch @ rotation(twist)
+    disc = build_discretization(affine_image(disc16.mesh, matrix, shift,
+                                             mesh_dir / "image.json"))
+    coeffs = unit_coefficients(
+        permeability=lambda x, y: 2.0 + np.sin(x + 2.0 * y),
+        viscosity=lambda c: 1.0 + np.asarray(c, dtype=float),
+        dispersion=DispersionParams(gamma_dm=0.002, alpha_l=0.01,
+                                    alpha_t=0.001),
+        porosity=0.7,
+        injection=lambda x, y, t: 1.0 + np.cos(x) ** 2 + 0.0 * y,
+        production=lambda x, y, t: 0.5 + np.sin(y) ** 2 + 0.0 * x,
+        pressure_flux=lambda x, y, t, nx, ny: 0.3 * nx - 0.2 * ny)
+    rng = np.random.default_rng(7)
+    c = rng.uniform(0.0, 0.5, disc.p1.dof_count)
+    with warnings.catch_warnings():     # q_I - q_P is not mean-free
+        warnings.filterwarnings("ignore", "pressure data incompatible")
+        pressure = assemble_pressure(disc, coeffs, c, t=0.0).matrix.toarray()
+    assert max_relative_gap(pressure,
+                            pressure_matrix_oracle(disc, coeffs, c)) < 1e-12
+
+    T, Q = disc.cell_weights.shape
+    vel = rng.standard_normal((T, Q, 2))
+    for mode in ("direct", "skew"):
+        system = assemble_concentration(disc, coeffs, c, vel, tau=1.0,
+                                        t=0.5, mode=mode)
+        oracle = transport_matrix_oracle(disc, coeffs, vel, 1.0, 0.5, mode)
+        assert max_relative_gap(system.matrix.toarray(), oracle) < 1e-12

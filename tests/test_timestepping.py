@@ -135,6 +135,25 @@ def test_step_respects_grid_length(disc16):
         step(disc16, coeffs, grid, state)
 
 
+@pytest.mark.parametrize("mode", ["Skew", "upwind", ""])
+def test_bad_mode_is_refused_before_any_work(disc8, mode):
+    """``run`` checks the convection mode before it interpolates,
+    assembles or solves anything: no coefficient callable is called."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return np.ones(np.shape(args[0]))
+
+    coeffs = ProblemCoefficients(
+        permeability=recorded, viscosity=recorded, viscosity_bounds=(0.5, 2.0),
+        porosity=1.0, dispersion=ScalarDispersionParams(base=0.1, slope=0.0),
+        initial_concentration=recorded, pressure_source=recorded)
+    with pytest.raises(ValueError, match="convection mode"):
+        run(disc8, coeffs, TimeGrid(final_time=0.1, num_steps=2), mode=mode)
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode,velocity", [("direct", "on"),
                                            ("direct", "off"),
                                            ("skew", "off")])
