@@ -7,8 +7,7 @@ from .dispersion import (DispersionParams, ScalarDispersionParams,
                          bear_scheidegger, dispersion_eigenvalues,
                          dispersion_matrices)
 from .elements import (DofMap, QuadratureRule, build_dofmap, edge_quadrature,
-                       evaluate, interpolate, quadrature_rule,
-                       reference_basis)
+                       interpolate, quadrature_rule, reference_basis)
 from .errors import (ErrorRecord, error_scalar, error_velocity,
                      measure_errors, observed_orders)
 from .forms import (CoefficientBlowupError, ConcentrationSystem,

@@ -203,17 +203,3 @@ def triangle_geometry(corners):
     invJT[:, 1, 0] = -j01 / det
     invJT[:, 1, 1] = j00 / det
     return np.abs(det), invJT
-
-
-def evaluate(dofmap: DofMap, mesh: Mesh, coeffs: np.ndarray, tri_index: int,
-             bary) -> tuple[float, np.ndarray]:
-    """Value and physical gradient of a finite element field at one point."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (dofmap.dof_count,):
-        raise ValueError(f"expected {dofmap.dof_count} coefficients")
-    values, grads = reference_basis(dofmap.order, np.asarray(bary))
-    local = coeffs[dofmap.cell_dofs[tri_index]]
-    _, invJT = triangle_geometry(mesh.vertices[mesh.triangles[[tri_index]]])
-    value = float(local @ values)
-    grad = invJT[0] @ (local @ grads)
-    return value, grad

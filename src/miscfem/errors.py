@@ -30,13 +30,6 @@ class ErrorRecord:
     p_grad_l4: float
 
 
-def _grad_at_quad(disc: Discretization, dofmap, coeffs):
-    if dofmap.order == 2:
-        return disc.p2_gradient(coeffs)
-    g = np.einsum("tia,ti->ta", disc.p1_grads, coeffs[dofmap.cell_dofs])
-    return np.broadcast_to(g[:, None, :], disc.quad_points.shape)
-
-
 def error_scalar(disc: Discretization, dofmap, coeffs, exact, t: float,
                  norm: str = "l2", exact_grad=None, q: float = 2.0) -> float:
     """Norm of (finite element field - exact(x, y, t)).
@@ -61,7 +54,7 @@ def error_scalar(disc: Discretization, dofmap, coeffs, exact, t: float,
             raise ValueError("gradient norm needs exact_grad")
         if q <= 1:
             raise ValueError(f"gradient norm exponent must exceed 1, got {q}")
-        diff = _grad_at_quad(disc, dofmap, coeffs) - exact_grad(x, y, t)
+        diff = disc.gradient_at_quad(dofmap, coeffs) - exact_grad(x, y, t)
         mag = np.hypot(diff[..., 0], diff[..., 1])
         return float(np.sum(disc.cell_weights * mag ** q) ** (1.0 / q))
     raise ValueError(f"unknown norm {norm!r}")

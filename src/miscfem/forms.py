@@ -48,7 +48,8 @@ cell integrals of D00, D11 and D01 (one GEMM) with the products of the
 constant P1 gradients, and the convection block is U_i . g_j with
 U_i = |det J| sum_q w_q phi_i(x_q) u_q (one GEMM).  Values at the
 quadrature points and the volume loads are GEMMs with the tabulated
-bases.
+bases; a gradient is the GEMM with the reference gradients followed by
+J^-T per cell, for the error norms and the velocity alike.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ class ProblemCoefficients:
 class PressureSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    mass_vector: np.ndarray        # integrals of the quadratic basis
     compatibility_defect: float    # |sum(rhs)|, zero for compatible data
     mobility: np.ndarray           # (T, Q) k/mu(c_prev); the velocity reuses it
 
@@ -157,7 +157,8 @@ class Discretization:
     triangle's reference frame; they carry the wall-flux terms of both
     systems and the skew boundary correction, which assembly adds into
     the owner cells' blocks before the one cell scatter per system.
-    The next six fields are the per-cell geometry factors and the
+    Rows 1 and 2 of ``p1_grads`` double as J^-1 for :meth:`gradient_at_quad`;
+    the six fields after it are the per-cell geometry factors and the
     reference tensors of the per-step kernels (see the module docstring
     and :func:`_gradient_products`, which orders the entries k)."""
 
@@ -168,8 +169,9 @@ class Discretization:
     quad_points: np.ndarray        # (T, Q, 2) physical coordinates
     p1_values: np.ndarray          # (Q, 3)
     p2_values: np.ndarray          # (Q, 6)
+    p1_ref_grads: np.ndarray       # (3, 2Q) reference gradients, (i, (q, b))
+    p2_ref_grads: np.ndarray       # (6, 2Q)
     p1_grads: np.ndarray           # (T, 3, 2) physical gradients (constant in q)
-    p2_grads: np.ndarray           # (T, 6, Q, 2) C-contiguous
     det_j: np.ndarray              # (T,) |det J|
     metric: np.ndarray             # (T, 3) |det J| J^-1 J^-T
     p1_grad_products: np.ndarray   # (T, 3, 9) |det J| products of p1_grads
@@ -186,13 +188,6 @@ class Discretization:
     edge_p1_values: np.ndarray     # (B, Qe, 3) traces of the owner's basis
     edge_p2_values: np.ndarray     # (B, Qe, 6)
 
-    def p2_gradient(self, p_coeffs: np.ndarray) -> np.ndarray:
-        """Gradient of the quadratic field with nodal values ``p_coeffs``
-        at every volume quadrature point, shape (T, Q, 2)."""
-        T, Q = self.cell_weights.shape
-        local = p_coeffs[self.p2.cell_dofs][:, None, :]
-        return (local @ self.p2_grads.reshape(T, 6, 2 * Q)).reshape(T, Q, 2)
-
     def field_at_quad(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
         """Values (T, Q) at the volume quadrature points of the P1 or P2
         field (``dofmap``) with nodal values ``coeffs``: one GEMM of the
@@ -201,6 +196,16 @@ class Discretization:
         values = self.p1_values if dofmap.order == 1 else self.p2_values
         with np.errstate(over="ignore", invalid="ignore"):
             return coeffs[dofmap.cell_dofs] @ values.T
+
+    def gradient_at_quad(self, dofmap: DofMap,
+                         coeffs: np.ndarray) -> np.ndarray:
+        """Gradients (T, Q, 2) of the same field at the same points: one
+        GEMM with the reference gradients, then J^-T per cell (rows 1 and
+        2 of ``p1_grads`` are J^-1); no numpy warning either."""
+        table = self.p1_ref_grads if dofmap.order == 1 else self.p2_ref_grads
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = coeffs[dofmap.cell_dofs] @ table
+            return ref.reshape(self.quad_points.shape) @ self.p1_grads[:, 1:]
 
 
 def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
@@ -221,10 +226,7 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
                    + lam[:, 1] * corners[:, None, 1]
                    + lam[:, 2] * corners[:, None, 2])
     p1_grads = p1_ref_grads[0] @ invJT.transpose(0, 2, 1)
-    # (T, 6, Q, 2) so that the gradient's (T, 6, 2Q) view is free
-    T, Q = cell_weights.shape
-    p2_ref_rows = p2_ref_grads.transpose(1, 0, 2).reshape(6 * Q, 2)
-    p2_grads = (p2_ref_rows @ invJT.transpose(0, 2, 1)).reshape(T, 6, Q, 2)
+    Q = rule.weights.size
 
     # J^-1 = invJT^T, so grad phi_i . grad phi_j = r_i^T (invJT^T invJT) r_j
     a, b = invJT[:, 0, 0], invJT[:, 0, 1]
@@ -267,7 +269,9 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
         mesh=mesh, p1=p1, p2=p2,
         cell_weights=cell_weights, quad_points=quad_points,
         p1_values=p1_values, p2_values=p2_values,
-        p1_grads=p1_grads, p2_grads=p2_grads, det_j=detJ, metric=metric,
+        p1_ref_grads=p1_ref_grads.transpose(1, 0, 2).reshape(3, 2 * Q),
+        p2_ref_grads=p2_ref_grads.transpose(1, 0, 2).reshape(6, 2 * Q),
+        p1_grads=p1_grads, det_j=detJ, metric=metric,
         p1_grad_products=p1_grad_products, stiffness_tensor=stiffness_tensor,
         dispersion_weights=dispersion_weights.reshape(4 * Q, 3),
         convection_weights=convection_weights.reshape(2 * Q, 6),
@@ -299,8 +303,8 @@ def _scatter(dofmap: DofMap, loads: np.ndarray) -> np.ndarray:
                        minlength=dofmap.dof_count)
 
 
-def _eval_field(func, x, y, t=None):
-    out = func(x, y) if t is None else func(x, y, t)
+def _eval_field(func, x, y, *args):
+    out = func(x, y, *args)
     return np.broadcast_to(np.asarray(out, dtype=np.float64), x.shape)
 
 
@@ -309,15 +313,23 @@ def _eval_wall_flux(disc, func, t):
     the outward normals of the owning boundary edges."""
     ex, ey = disc.edge_points[..., 0], disc.edge_points[..., 1]
     n = disc.mesh.boundary_normals
-    out = func(ex, ey, t, n[:, None, 0], n[:, None, 1])
-    return np.broadcast_to(np.asarray(out, dtype=np.float64), ex.shape)
+    return _eval_field(func, ex, ey, t, n[:, None, 0], n[:, None, 1])
 
 
-def _add_wall_loads(disc, loads, flux, edge_values):
-    """Add each boundary edge's load (flux, phi_i) into its owner cell's
-    row of the per-cell ``loads``."""
-    np.add.at(loads, disc.mesh.boundary_tris,
-              np.einsum("bq,bqi->bi", flux * disc.edge_weights, edge_values))
+def _load_vector(disc, dofmap, source, flux, t, sign=1.0):
+    """Load vector (source, phi_i) + sign (flux(t), phi_i)_wall on the basis
+    of ``dofmap``, for ``source`` at the volume quadrature points and the
+    wall-flux callable ``flux`` or None; edge loads join their owners'."""
+    values, edge_values = ((disc.p1_values, disc.edge_p1_values)
+                           if dofmap.order == 1 else
+                           (disc.p2_values, disc.edge_p2_values))
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check
+        loads = (source * disc.cell_weights) @ values
+    if flux is not None:
+        g = sign * _eval_wall_flux(disc, flux, t)
+        np.add.at(loads, disc.mesh.boundary_tris, np.einsum(
+            "bq,bqi->bi", g * disc.edge_weights, edge_values))
+    return _scatter(dofmap, loads)
 
 
 def _mobility(disc, coeffs, c_prev):
@@ -366,13 +378,7 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
                        (coeffs.pressure_source, 1.0)):
         if func is not None:
             source += sign * _eval_field(func, x, y, t)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        loads = (source * disc.cell_weights) @ disc.p2_values
-    if coeffs.pressure_flux is not None:
-        _add_wall_loads(disc, loads,
-                        -_eval_wall_flux(disc, coeffs.pressure_flux, t),
-                        disc.edge_p2_values)
-    rhs = _scatter(disc.p2, loads)
+    rhs = _load_vector(disc, disc.p2, source, coeffs.pressure_flux, t, -1.0)
     if not np.isfinite(rhs).all():      # before the sum below can warn
         raise CoefficientBlowupError("pressure load vector is not finite")
 
@@ -382,25 +388,15 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
         warnings.warn(f"pressure data incompatible: defect {defect:.3e} "
                       f"exceeds 1e-2 * ||rhs|| = {1e-2 * rhs_norm:.3e}",
                       stacklevel=2)
-    return PressureSystem(matrix=A, rhs=rhs,
-                          mass_vector=disc.p2_basis_integrals,
-                          compatibility_defect=defect, mobility=mobility)
+    return PressureSystem(matrix=A, rhs=rhs, compatibility_defect=defect,
+                          mobility=mobility)
 
 
-def compute_velocity(disc: Discretization, coeffs: ProblemCoefficients,
-                     c_prev: np.ndarray, p_coeffs: np.ndarray,
-                     mobility: Optional[np.ndarray] = None) -> np.ndarray:
-    """Darcy velocity -(k/mu(c_prev)) grad p at the volume quadrature
-    points of every cell, shape (T, Q, 2), the only place assembly and
-    the error norms read it.
-
-    ``mobility`` is k/mu(c_prev) at the quadrature points when the caller
-    already has it (``PressureSystem.mobility`` of the same c_prev); then
-    mu(c_prev) is not evaluated again."""
-    if mobility is None:
-        mobility = _mobility(disc, coeffs, c_prev)
-    grad_p = disc.p2_gradient(p_coeffs)
-    return -mobility[:, :, None] * grad_p
+def compute_velocity(disc: Discretization, mobility: np.ndarray,
+                     p_coeffs: np.ndarray) -> np.ndarray:
+    """Darcy velocity -(k/mu) grad p (T, Q, 2) at the volume quadrature
+    points, for ``mobility`` = k/mu there (``PressureSystem.mobility``)."""
+    return -mobility[:, :, None] * disc.gradient_at_quad(disc.p2, p_coeffs)
 
 
 def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
@@ -472,14 +468,8 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     if coeffs.concentration_source is not None:
         source += _eval_field(coeffs.concentration_source, x, y, t)
     if source.any() or coeffs.concentration_flux is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            loads = (source * disc.cell_weights) @ disc.p1_values
-        if coeffs.concentration_flux is not None:
-            _add_wall_loads(
-                disc, loads,
-                _eval_wall_flux(disc, coeffs.concentration_flux, t),
-                disc.edge_p1_values)
-        rhs += _scatter(disc.p1, loads)
+        rhs += _load_vector(disc, disc.p1, source,
+                            coeffs.concentration_flux, t)
     if not np.isfinite(rhs).all():
         raise CoefficientBlowupError("concentration load vector is not finite")
     return ConcentrationSystem(matrix=A, rhs=rhs)

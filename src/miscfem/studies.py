@@ -35,6 +35,10 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{path}': {message}")
         self.path = path
 
+    def __reduce__(self):
+        # rebuild from the message and ``path``, not through __init__
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 # Largest mesh resolution: four times the paper-exact M = 256, whose
 # study already takes minutes; memory and run time grow as M^2.

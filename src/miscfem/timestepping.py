@@ -64,6 +64,10 @@ class StepFailure(RuntimeError):
         self.step_index = step_index
         self.report = report
 
+    def __reduce__(self):
+        # rebuild from the message and attributes, not through __init__
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 def _factor(matrix, step_index, what, **options) -> SuperLU:
     """``splu(matrix, **options)``; a matrix that cannot be factored (e.g.
@@ -171,11 +175,11 @@ class StepRecord:
     concentration_iterations: int
 
 
-def _bordered_factor(system, step_index) -> SuperLU:
-    """LU factor of [[A, m], [m^T, 0]] for the pressure system; the
-    bordered matrix itself is not kept."""
-    m = system.mass_vector[:, None]
-    bordered = sp.bmat([[system.matrix, m], [m.T, None]], format="csc")
+def _bordered_factor(disc, matrix, step_index) -> SuperLU:
+    """LU factor of [[A, m], [m^T, 0]] for the pressure matrix A and the
+    basis integrals m; the bordered matrix itself is not kept."""
+    m = disc.p2_basis_integrals[:, None]
+    bordered = sp.bmat([[matrix, m], [m.T, None]], format="csc")
     # minimum degree on A^T + A fills about half as much as COLAMD here
     return _factor(bordered, step_index, "pressure",
                    permc_spec="MMD_AT_PLUS_A")
@@ -189,7 +193,7 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
         system = assemble_pressure(disc, coeffs, c, grid.time(n))
         diagonal = system.matrix.diagonal()
         if last is None or last.factor is None:
-            factor = _bordered_factor(system, n)
+            factor = _bordered_factor(disc, system.matrix, n)
             factor_diagonal = diagonal
         else:
             factor, factor_diagonal = last.factor, last.factor_diagonal
@@ -209,7 +213,7 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
         else:
             x0 = 2.0 * last.pressure - last.previous
         p, report = cg_deflated(system.matrix, system.rhs,
-                                deflate=system.mass_vector,
+                                deflate=disc.p2_basis_integrals,
                                 rel_tol=options.pressure_tol,
                                 max_iter=options.max_iter,
                                 x0=x0, precond=precond)
@@ -217,8 +221,7 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
             raise StepFailure(n, "pressure", report)
         if report.iterations > REFACTOR_ITERATIONS:
             factor = factor_diagonal = None
-        velocity = compute_velocity(disc, coeffs, c, p,
-                                    mobility=system.mobility)
+        velocity = compute_velocity(disc, system.mobility, p)
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
     return PressureLevel(n, p, velocity, report,

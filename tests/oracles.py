@@ -140,6 +140,20 @@ def _scatter(cell_dofs, local, n):
     return out
 
 
+def p2_gradients(disc):
+    """Physical gradients (T, Q, 6, 2) of the quadratic basis at the
+    volume quadrature points, each the reference gradient mapped by the
+    cell's J^-T, built from the element module alone."""
+    from miscfem.elements import (quadrature_rule, reference_basis,
+                                  triangle_geometry)
+
+    _, ref = reference_basis(2, quadrature_rule(4).points)
+    _, invJT = triangle_geometry(disc.mesh.vertices[disc.mesh.triangles])
+    grads = np.einsum("tab,qib->tqia", invJT, ref)
+    assert grads.shape[:2] == disc.cell_weights.shape
+    return grads
+
+
 def pressure_matrix_oracle(disc, coeffs, c_prev):
     """Dense P2 stiffness ((k/mu(c_prev)) grad phi_j, grad phi_i), by the
     4-index einsum of the first assembly code over (T, Q, 6, 2)
@@ -147,7 +161,7 @@ def pressure_matrix_oracle(disc, coeffs, c_prev):
     c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     mobility = coeffs.permeability(x, y) / coeffs.viscosity(c_q)
-    grads = disc.p2_grads.transpose(0, 2, 1, 3)
+    grads = p2_gradients(disc)
     scaled = (mobility * disc.cell_weights)[:, :, None, None] * grads
     local = np.einsum("tqia,tqja->tij", scaled, grads)
     return _scatter(disc.p2.cell_dofs, local, disc.p2.dof_count)
@@ -158,7 +172,7 @@ def velocity_oracle(disc, coeffs, c_prev, p_coeffs):
     c_q = np.einsum("qi,ti->tq", disc.p1_values, c_prev[disc.p1.cell_dofs])
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     mobility = coeffs.permeability(x, y) / coeffs.viscosity(c_q)
-    grad_p = np.einsum("tqia,ti->tqa", disc.p2_grads.transpose(0, 2, 1, 3),
+    grad_p = np.einsum("tqia,ti->tqa", p2_gradients(disc),
                        p_coeffs[disc.p2.cell_dofs])
     return -mobility[:, :, None] * grad_p
 

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from miscfem import cli, load_mesh, studies
+from miscfem import (CoefficientBlowupError, ConfigError,
+                     MeshConstructionError, MeshFormatError, SolveReport,
+                     StepFailure, cli, load_mesh, studies)
 from miscfem.cli import main
 from miscfem.studies import MAX_MESH_M
 
@@ -357,3 +360,20 @@ def test_no_argv_ends_in_a_traceback(verb, flags, out, M, config, obstacles):
                 code = "argparse" if exc.code == 2 else exc.code
     event(f"exit {code}")
     assert code in (0, 2, 3, "argparse"), argv
+
+
+@pytest.mark.parametrize("error", [
+    StepFailure(3, "pressure", SolveReport(40, 2.5e-3, False)),
+    StepFailure(5, "concentration", reason="LU factorization: singular"),
+    ConfigError("mesh_M[0]", "must be an integer"),
+    MeshFormatError("triangle 4 is degenerate", line=12),
+    MeshConstructionError("Delaunay pass failed"),
+    CoefficientBlowupError("at step 2: pressure matrix is not finite"),
+], ids=lambda error: type(error).__name__)
+def test_typed_errors_survive_pickling(error):
+    """A typed error sent between processes keeps the message the CLI
+    prints and every attribute it carries."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)

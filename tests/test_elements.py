@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from oracles import p2_dofmap_oracle
 
-from miscfem import (build_dofmap, edge_quadrature, evaluate,
-                     generate_disk_mesh, interpolate, load_mesh,
-                     quadrature_rule, reference_basis, save_mesh)
+from miscfem import (build_dofmap, edge_quadrature, generate_disk_mesh,
+                     interpolate, load_mesh, quadrature_rule, reference_basis,
+                     save_mesh)
 from miscfem.elements import triangle_geometry
 
 
@@ -143,18 +143,20 @@ def test_p2_dofmap_matches_dict_walk_on_shuffled_mesh(tmp_path, mesh16, rng):
     (2, lambda x, y: 1.0 + x - y + 2.0 * x * y - x ** 2 + 0.5 * y ** 2,
      lambda x, y: (1.0 + 2.0 * y - 2.0 * x, -1.0 + 2.0 * x + y)),
 ])
-def test_interpolation_reproduces_polynomials(mesh16, order, f, grad, rng):
-    """P1 captures linears and P2 captures quadratics exactly, so
-    point evaluation anywhere in any element must match."""
-    dofmap = build_dofmap(mesh16, order)
+def test_interpolation_reproduces_polynomials(disc16, order, f, grad):
+    """P1 captures linears and P2 captures quadratics exactly, so the
+    field and its gradient at every volume quadrature point of every
+    element, through the kernels assembly and the error norms use, must
+    match."""
+    dofmap = disc16.p1 if order == 1 else disc16.p2
     coeffs = interpolate(dofmap, f)
-    for _ in range(25):
-        t = int(rng.integers(mesh16.num_triangles))
-        bary = rng.dirichlet(np.ones(3))
-        xy = bary @ mesh16.vertices[mesh16.triangles[t]]
-        value, gradient = evaluate(dofmap, mesh16, coeffs, t, bary)
-        assert value == pytest.approx(f(xy[0], xy[1]), abs=1e-12)
-        assert np.allclose(gradient, grad(xy[0], xy[1]), atol=1e-11)
+    x, y = disc16.quad_points[..., 0], disc16.quad_points[..., 1]
+    gx, gy = grad(x, y)
+    exact_grad = np.stack(np.broadcast_arrays(gx, gy), axis=-1)
+    values = disc16.field_at_quad(dofmap, coeffs)
+    assert np.max(np.abs(values - f(x, y))) < 1e-12
+    gradients = disc16.gradient_at_quad(dofmap, coeffs)
+    assert np.max(np.abs(gradients - exact_grad)) < 1e-11
 
 
 def test_triangle_geometry_matches_areas(mesh8):

@@ -3,6 +3,7 @@ pipeline end to end on desk-scale refinements."""
 
 import dataclasses
 import json
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -374,3 +375,11 @@ def test_temporal_report_matches_golden_file(tmp_path):
     run_temporal_study(cfg)
     golden = Path(__file__).parent / "data" / "temporal_report.csv"
     assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()
+
+
+def test_convergence_study_demo_loads():
+    """demos/convergence_study.py imports only names the package still
+    exports; loading it defines ``main`` and runs no study."""
+    demo = (Path(__file__).resolve().parents[1] / "demos"
+            / "convergence_study.py")
+    assert callable(runpy.run_path(str(demo))["main"])

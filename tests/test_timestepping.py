@@ -312,9 +312,9 @@ def test_rescaling_leaves_the_factors_own_level_unchanged(disc16):
         initial_concentration=lambda x, y: 0.4 + 0.2 * x * y)
     state = initialize(disc16, coeffs, TimeGrid(final_time=0.2, num_steps=4))
     system = forms.assemble_pressure(disc16, coeffs, state.concentration, 0.0)
-    factor = timestepping._bordered_factor(system, 0)
+    factor = timestepping._bordered_factor(disc16, system.matrix, 0)
     p, report = solvers.cg_deflated(
-        system.matrix, system.rhs, deflate=system.mass_vector,
+        system.matrix, system.rhs, deflate=disc16.p2_basis_integrals,
         rel_tol=SolverOptions().pressure_tol,
         precond=lambda r: factor.solve(np.append(r, 0.0))[:-1])
     assert np.array_equal(state.pressure, p)
