@@ -11,31 +11,26 @@ returning 2x2 matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import check_number
 
 
 @dataclass(frozen=True)
 class DispersionParams:
     """Bear-Scheidegger coefficients: molecular gamma*d_m > 0 and
-    longitudinal/transverse dispersivities alpha_l >= 0, alpha_t >= 0,
-    all finite numbers (booleans are refused)."""
+    longitudinal/transverse dispersivities alpha_l >= 0, alpha_t >= 0."""
 
     gamma_dm: float
     alpha_l: float
     alpha_t: float
 
     def __post_init__(self):
-        for name in ("gamma_dm", "alpha_l", "alpha_t"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not -math.inf < value < math.inf:
-                raise ValueError(f"{name} must be a finite number")
-        if self.gamma_dm <= 0:
-            raise ValueError("gamma_dm must be positive")
-        if self.alpha_l < 0 or self.alpha_t < 0:
-            raise ValueError("dispersivities must be nonnegative")
+        check_number("gamma_dm", self.gamma_dm, above=0)
+        check_number("alpha_l", self.alpha_l, at_least=0)
+        check_number("alpha_t", self.alpha_t, at_least=0)
 
 
 def ScalarDispersionParams(base: float, slope: float) -> DispersionParams:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_number
 from .meshing import Mesh
 
 # Symmetric positive-weight rules on the reference triangle, exact through
@@ -69,10 +70,12 @@ class QuadratureRule:
 
 def quadrature_rule(degree: int) -> QuadratureRule:
     """Smallest tabulated symmetric rule exact through `degree`."""
-    if isinstance(degree, bool) or degree not in _DEGREE_TO_RULE:
-        raise ValueError(f"no tabulated triangle rule for degree {degree}; "
-                         f"supported degrees are 1..6")
-    points, weights = _RULES[_DEGREE_TO_RULE[degree]]
+    try:
+        rule = _DEGREE_TO_RULE[check_number("degree", degree, integral=True)]
+    except (ValueError, KeyError):
+        raise ValueError(f"no tabulated triangle rule for degree {degree!r}; "
+                         f"supported degrees are 1..6") from None
+    points, weights = _RULES[rule]
     points = points.copy()
     weights = weights.copy()
     points.flags.writeable = False

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_number
 from .forms import Discretization
 
 
@@ -52,8 +53,7 @@ def error_scalar(disc: Discretization, dofmap, coeffs, exact, t: float,
     if norm == "gradlq":
         if exact_grad is None:
             raise ValueError("gradient norm needs exact_grad")
-        if q <= 1:
-            raise ValueError(f"gradient norm exponent must exceed 1, got {q}")
+        check_number("gradient norm exponent q", q, above=1)
         diff = disc.gradient_at_quad(dofmap, coeffs) - exact_grad(x, y, t)
         mag = np.hypot(diff[..., 0], diff[..., 1])
         return float(np.sum(disc.cell_weights * mag ** q) ** (1.0 / q))

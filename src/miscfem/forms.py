@@ -62,6 +62,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .checks import check_number
 from .dispersion import DispersionParams, dispersion_matrices
 from .elements import (DofMap, build_dofmap, edge_quadrature, quadrature_rule,
                        reference_basis, triangle_geometry)
@@ -99,7 +100,7 @@ class ProblemCoefficients:
 
     permeability: Callable          # k(x, y) > 0
     viscosity: Callable             # mu(c) > 0
-    viscosity_bounds: tuple
+    viscosity_bounds: tuple         # 0 < mu_min <= mu_max
     porosity: float                 # gamma > 0
     dispersion: DispersionParams
     initial_concentration: Callable  # c0(x, y)
@@ -122,12 +123,13 @@ class ProblemCoefficients:
     velocity_coupling: str = "advection"
 
     def __post_init__(self):
-        porosity = self.porosity
-        if isinstance(porosity, bool) or not 0 < porosity < math.inf:
-            raise ValueError("porosity must be a positive finite number")
-        lo, hi = self.viscosity_bounds
-        if not (0 < lo <= hi):
-            raise ValueError("viscosity bounds must satisfy 0 < lo <= hi")
+        check_number("porosity", self.porosity, above=0)
+        try:
+            lo, hi = self.viscosity_bounds
+        except (TypeError, ValueError):
+            raise ValueError("viscosity_bounds must be a pair (lo, hi)") from None
+        lo = check_number("viscosity_bounds[0]", lo, above=0)
+        check_number("viscosity_bounds[1]", hi, at_least=lo)
         if self.velocity_coupling not in ("advection", "none"):
             raise ValueError(
                 f"unknown velocity coupling {self.velocity_coupling!r}")
@@ -413,9 +415,7 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     right-hand side that is not finite is a
     :class:`CoefficientBlowupError`.
     """
-    if isinstance(tau, bool) or not 0 < tau < math.inf:
-        raise ValueError(f"time step must be a positive finite number, "
-                         f"got {tau!r}")
+    check_number("time step tau", tau, above=0)
     check_mode(mode)
 
     gamma = coeffs.porosity

@@ -22,13 +22,13 @@ with the divergence theorem on the discrete polygonal domain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from .checks import check_number
 from .dispersion import DispersionParams, dispersion_matrices
 from .forms import ProblemCoefficients
 
@@ -221,8 +221,7 @@ def manufacture_sources(sol: ManufacturedSolution,
     the analytic fluxes.  The result is a complete problem that the
     driver can march, the oracle for :func:`problem_coefficients`.
     """
-    if isinstance(fd_step, bool) or not 0 < fd_step < math.inf:
-        raise ValueError("fd_step must be a positive finite number")
+    check_number("fd_step", fd_step, above=0)
 
     def initial_concentration(x, y):
         return sol.concentration(x, y, 0.0)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
+from .checks import check_number
 from .solvers import number_pairs
 
 
@@ -124,9 +125,9 @@ def edge_table(triangles):
             cell_edges.reshape(-1, 3))
 
 
-def _boundary_structure(vertices, edges, owners, counts, start_vertex=None):
-    """Extract the boundary cycle, owning triangles and outward normals
-    from the triangles' :func:`edge_table`.
+def _boundary_structure(vertices, edges, owners, counts, start):
+    """Extract the boundary cycle from vertex ``start``, its owning
+    triangles and its outward normals from the triangles' :func:`edge_table`.
 
     Requires counterclockwise triangles; the directed edges of the cycle
     then have the domain on their left, so the outward normal of edge
@@ -148,7 +149,6 @@ def _boundary_structure(vertices, edges, owners, counts, start_vertex=None):
     # walk from the start vertex along the boundary edge leaving each vertex
     leaving = np.full(vertices.shape[0], -1)
     leaving[tails] = np.arange(tails.size)
-    start = tails.min() if start_vertex is None else start_vertex
     cycle = [leaving[start]]
     while cycle[-1] >= 0 and heads[cycle[-1]] != start \
             and len(cycle) < tails.size:
@@ -163,18 +163,6 @@ def _boundary_structure(vertices, edges, owners, counts, start_vertex=None):
     return edges, owners[cycle], normals
 
 
-def _finite(name, value) -> float:
-    """``value`` as a float; a boolean or anything but a finite number is
-    a ValueError."""
-    try:
-        finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
     """Triangulate the disk |x - center| < radius with M boundary nodes.
 
@@ -185,17 +173,17 @@ def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
     The point set is triangulated by a Delaunay pass, which for this
     convex cloud keeps every boundary segment as a mesh edge.
 
-    Deterministic: identical arguments produce identical meshes.  A
-    boolean or non-finite M, center coordinate or radius, a center that
-    is not a pair, or a radius that is not positive is a ValueError.
+    Deterministic: identical arguments produce identical meshes.  M is
+    an integer >= 8, center a pair and radius > 0.
     """
-    if _finite("M", M) != int(M) or M < 8:
-        raise ValueError(f"boundary node count M must be an integer >= 8, got {M}")
-    M = int(M)
-    cx, cy = (_finite(f"center[{i}]", v) for i, v in enumerate(center))
-    radius = _finite("radius", radius)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    M = check_number("M", M, at_least=8, integral=True)
+    try:
+        cx, cy = center
+    except (TypeError, ValueError):
+        raise ValueError(f"center must be a pair, got {center!r}") from None
+    cx = float(check_number("center[0]", cx))
+    cy = float(check_number("center[1]", cy))
+    radius = float(check_number("radius", radius, above=0))
 
     theta = 2.0 * math.pi * np.arange(M) / M
     points = [np.column_stack([cx + radius * np.cos(theta),
@@ -234,7 +222,7 @@ def generate_disk_mesh(center=(0.5, 0.5), radius=0.5, M=16) -> Mesh:
 
     all_edges, owners, counts, cell_edges = edge_table(triangles)
     edges, tris, normals = _boundary_structure(points, all_edges, owners,
-                                               counts, start_vertex=0)
+                                               counts, start=0)
     if edges.shape[0] != M or not np.array_equal(np.sort(edges[:, 0]), np.arange(M)):
         raise MeshConstructionError(
             f"expected {M} boundary edges on the first {M} vertices, "

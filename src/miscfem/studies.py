@@ -13,15 +13,17 @@ fixed config (wall-clock timings live only in the JSON report).
 from __future__ import annotations
 
 import json
-import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .checks import check_number
+from .elements import quadrature_rule
 from .errors import ErrorRecord, measure_errors, observed_orders
-from .forms import build_discretization
+from .forms import build_discretization, check_mode
 from .manufactured import CASES, problem_coefficients
 from .meshing import generate_disk_mesh
 from .timestepping import SolverOptions, TimeGrid, run
@@ -45,10 +47,19 @@ class ConfigError(ValueError):
 MAX_MESH_M = 1024
 
 
+@contextmanager
+def _field(path):
+    """A ValueError raised inside becomes a ConfigError for ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def check_mesh_size(path, m) -> None:
-    """Reject ``m`` unless it is an integer mesh resolution in
-    8..MAX_MESH_M."""
-    if not isinstance(m, int) or isinstance(m, bool) or not 8 <= m <= MAX_MESH_M:
+    """Reject ``m`` unless it is an ``int`` mesh resolution in
+    8..MAX_MESH_M (a bool, 0 or 1, is below that range)."""
+    if not isinstance(m, int) or not 8 <= m <= MAX_MESH_M:
         raise ConfigError(path, f"must be an integer in 8..{MAX_MESH_M}, "
                                 f"got {m!r}")
 
@@ -78,17 +89,6 @@ def check_output_file(path, target: Path) -> Path:
     return target
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number within the float range; booleans are not
-    numbers here."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:       # an integer beyond the float range
-        return False
-
-
 # the fields whose JSON schema key differs from the field name
 _SCHEMA_KEY = {"mesh_sizes": "mesh_M", "time_steps": "tau", "final_time": "T"}
 
@@ -100,9 +100,9 @@ class StudyConfig:
     The fields are the JSON schema of :func:`config_from_dict`, under the
     key names of ``_SCHEMA_KEY`` where those differ.  However a config is
     built (from JSON, directly or by :func:`dataclasses.replace`), a bad
-    field is a ConfigError naming its schema key.  Numbers must be
-    finite; booleans never count as numbers.  A scalar mesh_M or tau
-    stands for a one-element list."""
+    field is a ConfigError naming its schema key; numbers follow
+    :func:`~miscfem.checks.check_number`.  A scalar mesh_M or tau stands
+    for a one-element list."""
 
     case: str = "disk-trig"         # a registered benchmark name
     mesh_sizes: tuple = (16,)       # mesh_M: integers in 8..MAX_MESH_M
@@ -134,17 +134,14 @@ class StudyConfig:
         for i, m in enumerate(self.mesh_sizes):
             check_mesh_size(f"mesh_M[{i}]", m)
 
-        if not _is_number(self.final_time) or self.final_time <= 0:
-            raise ConfigError("T", f"must be a finite positive number, "
-                                   f"got {self.final_time!r}")
-        put("final_time", float(self.final_time))
+        with _field("T"):
+            put("final_time", float(check_number("T", self.final_time, above=0)))
 
         if not self.time_steps:
             raise ConfigError("tau", "must be a nonempty list")
         for i, tau in enumerate(self.time_steps):
-            if not _is_number(tau) or tau <= 0:
-                raise ConfigError(f"tau[{i}]", f"must be a finite positive number, got {tau!r}")
-            steps = self.final_time / tau
+            with _field(f"tau[{i}]"):
+                steps = self.final_time / check_number(f"tau[{i}]", tau, above=0)
             # above 2**53 every double is an integer, so the check below
             # would prove nothing
             if steps > 2.0 ** 53:
@@ -154,27 +151,26 @@ class StudyConfig:
                 raise ConfigError(f"tau[{i}]",
                                   f"T/tau = {steps!r} is not an integer")
 
-        if self.mode not in ("direct", "skew"):
-            raise ConfigError("mode", f"must be 'direct' or 'skew', got {self.mode!r}")
-        if isinstance(self.quad_degree, bool) or \
-                self.quad_degree not in (1, 2, 3, 4, 5, 6):
-            raise ConfigError("quad_degree", f"must be in 1..6, got {self.quad_degree!r}")
+        with _field("mode"):
+            check_mode(self.mode)
+        with _field("quad_degree"):
+            quadrature_rule(self.quad_degree)
         put("quad_degree", int(self.quad_degree))
         if not isinstance(self.dump_fields, bool):
             raise ConfigError("dump_fields", "must be a boolean")
         if not isinstance(self.dump_steps, (list, tuple)) or \
-                any(not isinstance(s, int) or isinstance(s, bool) or s < 0
-                    for s in self.dump_steps):
+                not all(isinstance(s, int) for s in self.dump_steps):
             raise ConfigError("dump_steps", "must be a list of step indices >= 0")
+        with _field("dump_steps"):
+            for i, s in enumerate(self.dump_steps):
+                check_number(f"dump_steps[{i}]", s, at_least=0)
         put("dump_steps", tuple(self.dump_steps))
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir", "must be a nonempty string")
 
         for name in ("pressure_tol", "concentration_tol", "fd_step"):
-            v = getattr(self, name)
-            if not _is_number(v) or v <= 0:
-                raise ConfigError(name, f"must be a finite positive number, got {v!r}")
-            put(name, float(v))
+            with _field(name):
+                put(name, float(check_number(name, getattr(self, name), above=0)))
 
     def echo_dict(self) -> dict:
         """Schema-keyed dict of the full configuration.

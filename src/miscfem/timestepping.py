@@ -31,8 +31,6 @@ norm history.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -40,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
+from .checks import check_number
 from .elements import interpolate
 from .forms import (CoefficientBlowupError, Discretization,
                     ProblemCoefficients, assemble_concentration,
@@ -82,24 +81,16 @@ def _factor(matrix, step_index, what, **options) -> SuperLU:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, final_time] with num_steps steps.
-
-    final_time is a positive finite real and num_steps a positive
-    integral value, stored as ``int``; booleans are refused."""
+    """Uniform grid on [0, final_time] with num_steps steps; final_time
+    > 0, and num_steps >= 1 is integral and stored as ``int``."""
 
     final_time: float
     num_steps: int
 
     def __post_init__(self):
-        time, steps = self.final_time, self.num_steps
-        if (isinstance(time, bool) or not isinstance(time, numbers.Real)
-                or not 0 < time < math.inf):
-            raise ValueError("final_time must be a positive finite number")
-        integral = (isinstance(steps, numbers.Integral)
-                    or (isinstance(steps, float) and steps.is_integer()))
-        if isinstance(steps, bool) or not integral or steps < 1:
-            raise ValueError("num_steps must be a positive integer")
-        object.__setattr__(self, "num_steps", int(steps))
+        check_number("final_time", self.final_time, above=0)
+        object.__setattr__(self, "num_steps", check_number(
+            "num_steps", self.num_steps, at_least=1, integral=True))
 
     @property
     def tau(self) -> float:
@@ -111,16 +102,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of the pressure CG, which is preconditioned by a lagged
-    sparse LU factor of the bordered Neumann system, and of the transport
-    solve: one exact solve with a sparse LU factor of each step's matrix
-    plus a true-residual check against ``concentration_tol``, with GMRES
-    right-preconditioned by that factor as the fallback; and an iteration
-    cap for both (None: solver default)."""
+    """Relative tolerances (> 0) of the pressure CG, preconditioned by a
+    lagged sparse LU factor of the bordered Neumann system, and of the
+    transport solve: one exact solve with a sparse LU factor of each
+    step's matrix plus a true-residual check, with GMRES
+    right-preconditioned by that factor as the fallback."""
 
     pressure_tol: float = 1e-11
     concentration_tol: float = 1e-10
-    max_iter: Optional[int] = None
+
+    def __post_init__(self):
+        check_number("pressure_tol", self.pressure_tol, above=0)
+        check_number("concentration_tol", self.concentration_tol, above=0)
 
 
 @dataclass(frozen=True)
@@ -215,7 +208,6 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
         p, report = cg_deflated(system.matrix, system.rhs,
                                 deflate=disc.p2_basis_integrals,
                                 rel_tol=options.pressure_tol,
-                                max_iter=options.max_iter,
                                 x0=x0, precond=precond)
         if not report.converged:
             raise StepFailure(n, "pressure", report)
@@ -268,7 +260,6 @@ def _transport(disc, coeffs, grid, state, mode, options, n):
 
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
-                        max_iter=options.max_iter,
                         x0=state.concentration, precond=precond)
     if not c_report.converged:
         raise StepFailure(n, "concentration", c_report)

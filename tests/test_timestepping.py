@@ -358,12 +358,16 @@ def test_viscosity_jump_triggers_a_refactor(disc16, monkeypatch):
     assert len(factorizations) == 2
 
 
-def test_solver_failure_is_reported(disc16):
+def test_solver_failure_is_reported(disc16, monkeypatch):
+    """A pressure CG that stops short of its tolerance fails its step."""
+    def stalled(A, b, **kwargs):
+        return np.zeros_like(b), SolveReport(0, 1.0, False)
+
+    monkeypatch.setattr(timestepping, "cg_deflated", stalled)
     coeffs = make_coefficients(disc16)
     grid = TimeGrid(final_time=1.0, num_steps=2)
-    options = SolverOptions(max_iter=0, pressure_tol=1e-14)
     with pytest.raises(StepFailure) as info:
-        initialize(disc16, coeffs, grid, options)
+        initialize(disc16, coeffs, grid)
     assert "pressure solve failed at step 0" in str(info.value)
     assert info.value.step_index == 0
     assert not info.value.report.converged
