@@ -2,16 +2,16 @@
 
 Storage is scipy CSR.  A matrix assembled from per-cell blocks over a
 fixed dof map is written into a :class:`SparsityPattern` built once from
-that map: each step sums the blocks into the pattern's slots, and two
-permutations of the data, both fixed with the pattern, give the symmetry
-check and the CSC form of the matrix reordered by its minimum-degree
-ordering, which a sparse LU factors in its natural order.  The CG loop is
+that map: each step sums the blocks into the pattern's slots, and a
+permutation and a scatter of the data, both fixed with the pattern, give
+the symmetry check and the LAPACK band storage of the matrix reordered
+by reverse Cuthill-McKee, which a band LU factors.  The CG loop is
 written out here because the pressure solver needs deflation against a
 weighted mean constraint; GMRES runs each restart cycle through
 ``scipy.sparse.linalg.gmres``.  Both solvers report iteration counts and
 true relative residuals in a fixed, reproducible way, and both take any
 preconditioner v -> M^{-1} v.  The time stepper passes GMRES the solve
-of an exact sparse LU factor of each step's transport matrix; GMRES
+of an exact band LU factor of each step's transport matrix; GMRES
 first tries one correction x0 + M^{-1} r0, which is then one exact solve
 plus a true-residual check that reports one iteration, with its restart
 cycles as the fallback should that check miss the tolerance.  It passes
@@ -29,7 +29,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from .checks import check_number
 
 
 @dataclass(frozen=True)
@@ -56,30 +59,38 @@ def from_triplets(n_rows, n_cols, rows, cols, values) -> sp.csr_matrix:
     return sp.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
 
 
-# SuperLU options for the matrices on a SparsityPattern, whose structure
-# is symmetric: diagonal pivots unless one falls below 0.01 of the largest
-# entry of its column
-SYMMETRIC_LU = dict(diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
-
-
 @dataclass(frozen=True)
-class SymmetricOrdering:
-    """A symmetric permutation A -> B = A[q][:, q] of the matrices on one
-    :class:`SparsityPattern`: ``order`` is q and ``position`` its inverse,
-    the new index of each old one, so A x = b is B y = b[q] with
-    x = y[position].  B's CSC structure is ``indptr``/``indices`` and its
-    data ``A.data[gather]``.  The arrays are read-only."""
+class BandOrdering:
+    """The reverse Cuthill-McKee ordering of one :class:`SparsityPattern`
+    and the LAPACK band storage of its matrices: ``order`` is q and
+    ``position`` its inverse, the new index of each old one, so that
+    B = A[q][:, q] has half-bandwidth k = ``half_bandwidth``, and A x = b
+    is B y = b[q] with x = y[position].  ``slots[s]`` is the flat position
+    of entry s of A's data in the Fortran-ordered (3k + 1, n) storage of B
+    that ``dgbtrf`` factors, whose top k rows take the fill of its row
+    exchanges.  The arrays are read-only."""
 
     order: np.ndarray
     position: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray
+    half_bandwidth: int
+    slots: np.ndarray
 
-    def permute(self, A) -> sp.csc_matrix:
-        """B = A[q][:, q] in CSC form, for A assembled on the pattern."""
-        return sp.csc_matrix((A.data[self.gather], self.indices,
-                              self.indptr), shape=A.shape)
+    def factor(self, A):
+        """The solve v -> A^{-1} v of the band LU factor of B, with
+        partial pivoting, for A on the pattern; RuntimeError when a pivot
+        is exactly zero."""
+        k, n = self.half_bandwidth, self.order.size
+        band = np.zeros((3 * k + 1) * n)
+        band[self.slots] = A.data
+        lu, pivots, info = dgbtrf(band.reshape(3 * k + 1, n, order="F"),
+                                  k, k, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError(f"pivot {info} is exactly zero: the matrix "
+                               f"is singular")
+
+        def solve(v):
+            return dgbtrs(lu, k, k, v[self.order], pivots)[0][self.position]
+        return solve
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,7 @@ class SparsityPattern:
     of block entry (i, j) of cell t, and ``transpose[s]`` the position of
     the entry mirroring position s: the structure of such a matrix is
     symmetric, so A.T has the same ``indptr`` and ``indices`` as A, with
-    data ``A.data[transpose]``.  ``minimum_degree`` is the fill-reducing
+    data ``A.data[transpose]``.  ``band`` is the bandwidth-reducing
     ordering of all of its matrices, computed at its first use.  The
     index arrays are read-only."""
 
@@ -110,35 +121,27 @@ class SparsityPattern:
         return A
 
     @cached_property
-    def minimum_degree(self) -> SymmetricOrdering:
-        """The fill-reducing ordering that ``splu(A, permc_spec=
-        "MMD_AT_PLUS_A", **SYMMETRIC_LU)`` chooses for every matrix A on
-        this pattern.  Minimum degree on A^T + A and the elimination-tree
-        postorder read only the structure, so the factor of one diagonally
-        dominant matrix on the pattern gives the same ``perm_c`` as any
-        other; it is computed at the first use and kept."""
+    def band(self) -> BandOrdering:
+        """The reverse Cuthill-McKee ordering of the pattern's graph
+        (Cuthill & McKee, 1969), which narrows the band of every matrix on
+        it; it reads only the structure, so it is computed at its first
+        use and kept."""
         n = self.size
-        counts = np.diff(self.indptr)
-        rows = np.repeat(np.arange(n, dtype=self.indices.dtype), counts)
-        data = np.where(self.indices == rows, counts[rows] + 1.0, -1.0)
-        dummy = sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
-        position = splu(dummy, permc_spec="MMD_AT_PLUS_A",
-                        **SYMMETRIC_LU).perm_c
-        # B = A[q][:, q] with q = argsort(perm_c), whose NATURAL factor is
-        # the minimum-degree factor of A.  Entry s of A, at (row, col),
-        # lands at (position[row], position[col]) of B: sorting the
-        # entries by B's column, then row, gives B's CSC data as a gather.
-        position = position.astype(np.intp)
-        order = np.argsort(position)
-        new_rows = position[rows]
-        gather = np.argsort(position[self.indices] * n + new_rows)
-        indptr = np.zeros(n + 1, dtype=self.indptr.dtype)
-        np.cumsum(counts[order], out=indptr[1:])   # the structure is symmetric
-        ordering = (order, position, indptr,
-                    new_rows[gather].astype(self.indices.dtype), gather)
-        for arr in ordering:
+        graph = sp.csr_matrix((np.ones(self.indices.size), self.indices,
+                               self.indptr), shape=(n, n))
+        order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(
+            np.intp)
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n)
+        rows = position[np.repeat(np.arange(n), np.diff(self.indptr))]
+        cols = position[self.indices]
+        k = int(np.max(np.abs(rows - cols), initial=0))
+        # entry (i, j) of B sits in row 2k + i - j, column j of the storage,
+        # at flat position 2k + i - j + (3k + 1) j
+        slots = 2 * k + rows + 3 * k * cols
+        for arr in (order, position, slots):
             arr.flags.writeable = False
-        return SymmetricOrdering(*ordering)
+        return BandOrdering(order, position, k, slots)
 
     def leading_block(self, m, k) -> SparsityPattern:
         """The pattern of the leading m x m block, assembled from the first
@@ -274,6 +277,7 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     -------
     (x, SolveReport)
     """
+    check_number("rel_tol", rel_tol, above=0)
     b = np.asarray(b, dtype=np.float64)
     _check_square(A, b)
     n = b.size
@@ -358,6 +362,7 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
     -------
     (x, SolveReport)
     """
+    check_number("rel_tol", rel_tol, above=0)
     b = np.asarray(b, dtype=np.float64)
     _check_square(A, b)
     n = b.size

@@ -19,10 +19,10 @@ dropped, and built afresh at the next level, once a solve takes more than
 ``REFACTOR_ITERATIONS`` iterations.
 
 The transport matrix changes its values every step but never its
-structure, so its fill-reducing ordering is computed once per sparsity
-pattern (:attr:`~miscfem.solvers.SparsityPattern.minimum_degree`), by
-:func:`initialize`, and each step factors the reordered matrix in its
-natural order.
+structure, so its bandwidth-reducing ordering is computed once per
+sparsity pattern (:attr:`~miscfem.solvers.SparsityPattern.band`), by
+:func:`initialize`, and each step factors the reordered matrix with a
+LAPACK band LU.
 
 Memory stays O(1) in the number of steps; anything that must be recorded
 along the way goes through observer callables or the returned per-step
@@ -43,7 +43,7 @@ from .elements import interpolate
 from .forms import (CoefficientBlowupError, Discretization,
                     ProblemCoefficients, assemble_concentration,
                     assemble_pressure, check_mode, compute_velocity)
-from .solvers import SYMMETRIC_LU, SolveReport, cg_deflated, gmres
+from .solvers import SolveReport, cg_deflated, gmres
 
 # a pressure solve on a lagged factor that needs more CG iterations than
 # this drops the factor; the next pressure level factors its own matrix
@@ -68,12 +68,12 @@ class StepFailure(RuntimeError):
         return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
-def _factor(matrix, step_index, what, **options) -> SuperLU:
-    """``splu(matrix, **options)``; a matrix that cannot be factored (e.g.
-    an exactly singular one, or one holding NaN) fails step
-    ``step_index`` with :class:`StepFailure`."""
+def _factor(factorize, matrix, step_index, what, **options):
+    """``factorize(matrix, **options)``; a matrix that cannot be factored
+    (e.g. an exactly singular one) fails step ``step_index`` with
+    :class:`StepFailure`."""
     try:
-        return splu(matrix, **options)
+        return factorize(matrix, **options)
     except RuntimeError as exc:
         raise StepFailure(step_index, what,
                           reason=f"LU factorization: {exc}") from exc
@@ -104,7 +104,7 @@ class TimeGrid:
 class SolverOptions:
     """Relative tolerances (> 0) of the pressure CG, preconditioned by a
     lagged sparse LU factor of the bordered Neumann system, and of the
-    transport solve: one exact solve with a sparse LU factor of each
+    transport solve: one exact solve with a band LU factor of each
     step's matrix plus a true-residual check, with GMRES
     right-preconditioned by that factor as the fallback."""
 
@@ -174,7 +174,7 @@ def _bordered_factor(disc, matrix, step_index) -> SuperLU:
     m = disc.p2_basis_integrals[:, None]
     bordered = sp.bmat([[matrix, m], [m.T, None]], format="csc")
     # minimum degree on A^T + A fills about half as much as COLAMD here
-    return _factor(bordered, step_index, "pressure",
+    return _factor(splu, bordered, step_index, "pressure",
                    permc_spec="MMD_AT_PLUS_A")
 
 
@@ -228,7 +228,7 @@ def initialize(disc: Discretization, coeffs: ProblemCoefficients,
     order the transport pattern for every step."""
     c0 = interpolate(disc.p1, coeffs.initial_concentration)
     level = _solve_pressure(disc, coeffs, grid, c0, options, 0)
-    disc.p1_pattern.minimum_degree     # computed once and kept
+    disc.p1_pattern.band       # computed once and kept
     return TimeStepState(step_index=0, concentration=c0,
                          concentration_report=None, level=level)
 
@@ -246,18 +246,12 @@ def _transport(disc, coeffs, grid, state, mode, options, n):
     # the matrix changes every step with D(u) and the convection, and one
     # exact factor of it costs less than a Jacobi-GMRES solve: GMRES's
     # first correction with it is the solution, which GMRES checks by its
-    # true residual before it would start a cycle.  The pattern is
-    # structurally symmetric, so minimum degree on A^T + A with diagonal
-    # pivots fits the symmetric matrix of velocity_coupling="none" and
-    # the advective one alike, and fills less than COLAMD; the small
-    # nonzero threshold still pivots off a weak diagonal.
-    ordering = disc.p1_pattern.minimum_degree
-    factor = _factor(ordering.permute(system.matrix), n, "concentration",
-                     permc_spec="NATURAL", **SYMMETRIC_LU)
-
-    def precond(v):
-        return factor.solve(v[ordering.order])[ordering.position]
-
+    # true residual before it would start a cycle.  Reverse Cuthill-McKee
+    # leaves a narrow band (k = 27 at M = 64, 101 at M = 256), whose
+    # LAPACK LU costs less than a sparse LU's per-call symbolic work up
+    # to M = 256; at M = 512 its n k^2 arithmetic makes it the slower.
+    precond = _factor(disc.p1_pattern.band.factor, system.matrix, n,
+                      "concentration")
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
                         x0=state.concentration, precond=precond)

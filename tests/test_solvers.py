@@ -105,26 +105,43 @@ def covering_maps(draw):
 
 @settings(max_examples=100)
 @given(covering_maps())
-def test_minimum_degree_ordering_permutes_the_pattern(case):
-    """The pattern keeps one ordering, read off a diagonally dominant
-    matrix on it: ``order`` and ``position`` are inverse permutations, and
-    ``permute`` gathers A[q][:, q] in canonical CSC form from the data of
-    any A on the pattern."""
+def test_band_ordering_permutes_the_pattern(case):
+    """The pattern keeps one ordering: ``order`` and ``position`` are
+    inverse permutations, the half-bandwidth k is the widest reach of the
+    reordered pattern, the band slots scatter any A on the pattern into
+    LAPACK's (3k + 1, n) storage of A[q][:, q], and the factor's solve
+    matches a dense solve on a diagonally dominant A."""
     n, cell_dofs, seed = case
     rng = np.random.default_rng(seed)
     pattern = sparsity_pattern(n, cell_dofs)
-    ordering = pattern.minimum_degree
-    assert pattern.minimum_degree is ordering
-    q = ordering.order
+    band = pattern.band
+    assert pattern.band is band
+    q, position, k = band.order, band.position, band.half_bandwidth
     assert np.array_equal(np.sort(q), np.arange(n))
-    assert np.array_equal(ordering.position[q], np.arange(n))
+    assert np.array_equal(position[q], np.arange(n))
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    assert k == np.max(np.abs(position[rows] - position[pattern.indices]))
+
     local = rng.uniform(-1.0, 1.0,
                         size=cell_dofs.shape + cell_dofs.shape[-1:])
     A = pattern.assemble(local)
-    B = ordering.permute(A)
-    assert B.format == "csc" and B.has_canonical_format
-    assert np.array_equal(B.toarray(), A.toarray()[q][:, q])
-    assert np.array_equal(B.indices, sp.csc_matrix(A[q][:, q]).indices)
+    storage = np.zeros((3 * k + 1) * n)
+    storage[band.slots] = A.data
+    storage = storage.reshape(3 * k + 1, n, order="F")
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n),
+                                               np.arange(n))) <= k)
+    dense = np.zeros((n, n))
+    dense[i, j] = storage[2 * k + i - j, j]
+    assert np.array_equal(dense, A.toarray()[q][:, q])
+    assert not storage[:k].any()        # the rows for the pivoting fill
+
+    diagonal = np.flatnonzero(pattern.indices == rows)
+    A.data[diagonal] += 1.0 + np.add.reduceat(np.abs(A.data),
+                                             pattern.indptr[:-1])
+    b = rng.standard_normal(n)
+    np.testing.assert_allclose(band.factor(A)(b),
+                               np.linalg.solve(A.toarray(), b),
+                               rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=100)
@@ -484,3 +501,18 @@ def test_solve_report_residual_definition(rng):
         true_rel = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert report.relative_residual == pytest.approx(
             true_rel, abs=1e-12, rel=1e-3)
+
+
+@pytest.mark.parametrize("solve", [cg_deflated, gmres])
+@pytest.mark.parametrize("rel_tol", [True, float("nan"), "1e-3", -1.0, 0.0])
+def test_solvers_refuse_a_tolerance_that_is_not_a_positive_number(solve,
+                                                                  rel_tol):
+    """A boolean, NaN, string, negative or zero ``rel_tol`` is a
+    ValueError naming it, before any iteration: neither a residual of 1.0
+    reported as converged, nor a run to the iteration cap, nor an error
+    from inside scipy."""
+    n = 20
+    A = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    with pytest.raises(ValueError, match="rel_tol must be a finite real "
+                       "number and exceed 0"):
+        solve(A, np.ones(n), rel_tol=rel_tol)

@@ -10,15 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.sparse.linalg import splu
-
 from miscfem import (CoefficientBlowupError, DispersionParams,
                      ProblemCoefficients, ScalarDispersionParams,
                      SolveReport, SolverOptions, StepFailure, TimeGrid,
                      build_discretization, disk_trig_case, finalize_pressure,
                      forms, generate_disk_mesh, initialize, interpolate,
                      problem_coefficients, run, solvers, step, timestepping)
-from miscfem.solvers import SYMMETRIC_LU
 
 
 def make_coefficients(disc, velocity="on", **overrides):
@@ -268,8 +265,7 @@ def test_march_never_converts_triplets(disc16, monkeypatch, mode):
 
 def record_factorizations(monkeypatch, size):
     """Record (matrix, factor) of every ``timestepping.splu`` call on a
-    size x size matrix: n2 + 1 for the bordered pressure system, n1 for
-    the transport system."""
+    size x size matrix: n2 + 1 for the bordered pressure system."""
     calls = []
     original = timestepping.splu
 
@@ -396,15 +392,13 @@ def test_viscosity_blowup_names_the_step(disc16):
 
 
 @pytest.mark.parametrize("case", ["disk-trig", "skew-plume"])
-def test_transport_factor_fills_less_than_colamd(disc16, monkeypatch, case):
+def test_each_step_factors_its_own_transport_matrix(disc16, monkeypatch,
+                                                    case):
     """One LU policy serves the symmetric transport matrix of the
     disk-trig case (no advection, direct form) and the nonsymmetric one
-    of an anisotropic plume in skew form.  The pattern's ordering, read
-    off a dummy matrix, is the ``perm_c`` that minimum degree on A^T + A
-    picks for the step's own matrix A; every step factors the reordered
-    matrix in its natural order with the same fill as that
-    minimum-degree factor, less than scipy's default COLAMD ordering with
-    partial pivoting, and the solve it gives is exact."""
+    of an anisotropic plume in skew form: every step factors its own
+    matrix in the pattern's band storage, and the solve it gives is that
+    matrix's exact solve, so GMRES reports one iteration."""
     if case == "disk-trig":
         coeffs, mode = problem_coefficients(disk_trig_case()), "direct"
     else:
@@ -414,7 +408,15 @@ def test_transport_factor_fills_less_than_colamd(disc16, monkeypatch, case):
             initial_concentration=lambda x, y: 0.4 * np.exp(
                 -50.0 * ((x - 0.35) ** 2 + (y - 0.5) ** 2)))
         mode = "skew"
-    calls = record_factorizations(monkeypatch, disc16.p1.dof_count)
+    calls = []
+    original = solvers.BandOrdering.factor
+
+    def recording(band, matrix):
+        solve = original(band, matrix)
+        calls.append((matrix, solve))
+        return solve
+
+    monkeypatch.setattr(solvers.BandOrdering, "factor", recording)
     grid = TimeGrid(final_time=0.25, num_steps=16)
     state = initialize(disc16, coeffs, grid)
     for _ in range(3):
@@ -422,48 +424,46 @@ def test_transport_factor_fills_less_than_colamd(disc16, monkeypatch, case):
         assert state.concentration_report.iterations == 1
         assert state.concentration_report.relative_residual < 1e-12
     assert len(calls) == 3
-    position = disc16.p1_pattern.minimum_degree.position
-    for permuted, factor in calls:
-        matrix = permuted[position][:, position]    # the step's own A
+    rng = np.random.default_rng(0)
+    for matrix, solve in calls:
         defect = abs(matrix - matrix.T).max()
         assert (defect < 1e-14) == (case == "disk-trig")
-        mmd = splu(matrix, permc_spec="MMD_AT_PLUS_A", **SYMMETRIC_LU)
-        assert np.array_equal(mmd.perm_c, position)
-        fill = factor.L.nnz + factor.U.nnz
-        assert fill == mmd.L.nnz + mmd.U.nnz
-        colamd = splu(matrix)
-        assert fill < colamd.L.nnz + colamd.U.nnz
+        b = rng.standard_normal(matrix.shape[0])
+        np.testing.assert_allclose(solve(b),
+                                   np.linalg.solve(matrix.toarray(), b),
+                                   rtol=1e-10, atol=1e-12)
+    assert not np.array_equal(calls[0][0].data, calls[1][0].data)
 
 
 def test_one_ordering_per_pattern(monkeypatch):
-    """The transport pattern's minimum-degree ordering is computed by
+    """The transport pattern's band ordering is computed by
     ``initialize``, not by ``build_discretization``, and kept: two runs
-    on one discretization order it once, and every step factors its
-    reordered matrix in the natural order."""
+    on one discretization order it once, and each of their eight steps
+    factors its matrix in band storage."""
     disc = build_discretization(generate_disk_mesh(M=16))
-    assert "minimum_degree" not in vars(disc.p1_pattern)
-    orderings, specs = [], []
-    order, factor = solvers.splu, timestepping.splu
+    assert "band" not in vars(disc.p1_pattern)
+    orderings, factorizations = [], []
+    order, factor = solvers.reverse_cuthill_mckee, solvers.dgbtrf
 
-    def ordering(matrix, **kwargs):
-        orderings.append(kwargs["permc_spec"])
-        return order(matrix, **kwargs)
+    def ordering(graph, **kwargs):
+        orderings.append(graph.shape[0])
+        return order(graph, **kwargs)
 
-    def factoring(matrix, **kwargs):
-        specs.append((matrix.shape[0], kwargs["permc_spec"]))
-        return factor(matrix, **kwargs)
+    def factoring(band, *args, **kwargs):
+        factorizations.append(band.shape[1])
+        return factor(band, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "splu", ordering)
-    monkeypatch.setattr(timestepping, "splu", factoring)
+    monkeypatch.setattr(solvers, "reverse_cuthill_mckee", ordering)
+    monkeypatch.setattr(solvers, "dgbtrf", factoring)
     coeffs = make_coefficients(disc)
     grid = TimeGrid(final_time=0.1, num_steps=4)
     initialize(disc, coeffs, grid)
-    assert orderings == ["MMD_AT_PLUS_A"]
+    n = disc.p1.dof_count
+    assert orderings == [n]
     run(disc, coeffs, grid)
     run(disc, coeffs, grid, mode="skew")
-    assert orderings == ["MMD_AT_PLUS_A"]
-    transport = [spec for n, spec in specs if n == disc.p1.dof_count]
-    assert transport == ["NATURAL"] * 8
+    assert orderings == [n]
+    assert factorizations == [n] * 8
 
 
 def test_pressure_cg_starts_from_the_extrapolated_pressure(disc16,
