@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dorgqr, dtrtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .checks import check_number
@@ -250,9 +250,32 @@ def _symmetry_defect(A) -> float:
 _QUIET_NON_FINITE = np.errstate(invalid="ignore", over="ignore")
 
 
+def deflated_start(A, b, deflate, window):
+    """The x0 in the span of ``window`` with the least deflated residual
+    ||P(b - A x0)||, P the projector of :func:`cg_deflated` for
+    m = ``deflate`` (Fischer's projection of successive right-hand sides,
+    CMAME 163, 1998, in minimal-residual form); returns x0, m-orthogonal,
+    and b - A x0.  A Householder QR of [m | window] gives an orthonormal
+    [q | B]: B spans the window projected onto m-perp, completed to k
+    columns where the window is degenerate.  The R of a QR of
+    [m | A B | b] holds the least-squares coefficients, m's absorbing the
+    deflation; its k x k triangle is nonsingular when A is positive
+    definite on m-perp, as no m-orthogonal x then has A x parallel to m."""
+    W = np.array((deflate,) + tuple(window)).T          # Fortran (n, K + 1)
+    n, k = W.shape[0], min(W.shape)
+    qr, tau = dgeqrf(W, overwrite_a=True)[:2]
+    B = dorgqr(qr[:, :k], tau[:k], overwrite_a=True)[0][:, 1:]
+    AB = A @ B
+    C = np.empty((n, k + 1), order="F")
+    C[:, 0], C[:, 1:-1], C[:, -1] = deflate, AB, b
+    R = dgeqrf(C, overwrite_a=True)[0]
+    a = dtrtrs(R[:k, :k], R[:k, k])[0][1:]
+    return B @ a, b - AB @ a
+
+
 @_QUIET_NON_FINITE
 def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
-                precond=None):
+                precond=None, r0=None):
     """Conjugate gradients, optionally deflated against one vector.
 
     With ``deflate = m`` the iteration runs in the subspace orthogonal to m
@@ -272,6 +295,7 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     precond : callable v -> M^{-1} v, symmetric positive definite on the
         iteration subspace, or None for plain CG.  The preconditioned
         residual is projected like every other iterate.
+    r0 : b - A x0 when the caller has it, or None to spend a matvec on it
 
     Returns
     -------
@@ -304,11 +328,11 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
 
     pb = project(b)
     bnorm = float(np.linalg.norm(pb))
-    x = np.zeros(n) if x0 is None else project(np.asarray(x0, dtype=np.float64))
+    x = np.zeros(n) if x0 is None else project(np.array(x0, dtype=np.float64))
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    r = project(pb - A @ x)
+    r = project(pb - A @ x if r0 is None else r0)
     rnorm = float(np.linalg.norm(r))
     if rnorm / bnorm <= rel_tol:
         return x, SolveReport(0, rnorm / bnorm, True)

@@ -13,10 +13,11 @@ inverts the m-deflated stiffness on m-orthogonal vectors.  The factor is
 carried from level to level in the state's :class:`PressureLevel`, with
 the diagonal of A0, and each later level applies s B0 s with
 s = sqrt(diag(A0) / diag(A)), which follows the drift of k/mu(c) in the
-matrix A of that level.  CG starts from the extrapolated pressure
-2 p(n-1) - p(n-2), so it converges in a few iterations; the factor is
-dropped, and built afresh at the next level, once a solve takes more than
-``REFACTOR_ITERATIONS`` iterations.
+matrix A of that level.  CG starts from the combination of the last
+``PRESSURE_WINDOW`` pressures that minimises its deflated residual
+(:func:`~miscfem.solvers.deflated_start`), so it converges in a few
+iterations; the factor is dropped, and built afresh at the next level,
+once a solve takes more than ``REFACTOR_ITERATIONS`` iterations.
 
 The transport matrix changes its values every step but never its
 structure, so its bandwidth-reducing ordering is computed once per
@@ -43,11 +44,13 @@ from .elements import interpolate
 from .forms import (CoefficientBlowupError, Discretization,
                     ProblemCoefficients, assemble_concentration,
                     assemble_pressure, check_mode, compute_velocity)
-from .solvers import SolveReport, cg_deflated, gmres
+from .solvers import SolveReport, cg_deflated, deflated_start, gmres
 
 # a pressure solve on a lagged factor that needs more CG iterations than
 # this drops the factor; the next pressure level factors its own matrix
 REFACTOR_ITERATIONS = 10
+# the pressures of this many levels span each pressure CG start
+PRESSURE_WINDOW = 8
 
 
 class StepFailure(RuntimeError):
@@ -119,17 +122,17 @@ class SolverOptions:
 @dataclass(frozen=True)
 class PressureLevel:
     """The pressure solve at time level ``index`` and what the next
-    level's solve reuses: ``previous``, the pressure one level before
-    (None at level 0), for the extrapolated CG start; and ``factor``, the
-    LU factor of the bordered system that preconditions the next solve,
-    with ``factor_diagonal``, the diagonal of the stiffness it was built
-    from, or None for both when that solve must factor its own matrix."""
+    level's solve reuses: ``window``, the last ``PRESSURE_WINDOW``
+    pressures up to this one, newest first, which span its CG start; and
+    ``factor``, the LU factor of the bordered system that preconditions
+    it, with ``factor_diagonal``, the diagonal of the stiffness it was
+    built from, or None for both when that solve must factor its matrix."""
 
     index: int
     pressure: np.ndarray
     velocity: np.ndarray              # (T, Q, 2)
     report: SolveReport
-    previous: Optional[np.ndarray]
+    window: tuple[np.ndarray, ...]
     factor: Optional[SuperLU]
     factor_diagonal: Optional[np.ndarray]
 
@@ -199,16 +202,12 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
         def precond(r):
             return scale * factor.solve(np.append(scale * r, 0.0))[:-1]
 
-        if last is None:
-            x0 = None
-        elif last.previous is None:
-            x0 = last.pressure
-        else:
-            x0 = 2.0 * last.pressure - last.previous
+        x0, r0 = (None, None) if last is None else deflated_start(
+            system.matrix, system.rhs, disc.p2_basis_integrals, last.window)
         p, report = cg_deflated(system.matrix, system.rhs,
                                 deflate=disc.p2_basis_integrals,
                                 rel_tol=options.pressure_tol,
-                                x0=x0, precond=precond)
+                                x0=x0, r0=r0, precond=precond)
         if not report.converged:
             raise StepFailure(n, "pressure", report)
         if report.iterations > REFACTOR_ITERATIONS:
@@ -216,8 +215,8 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
         velocity = compute_velocity(disc, system.mobility, p)
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
-    return PressureLevel(n, p, velocity, report,
-                         previous=None if last is None else last.pressure,
+    window = (p,) + (last.window[:PRESSURE_WINDOW - 1] if last else ())
+    return PressureLevel(n, p, velocity, report, window,
                          factor=factor, factor_diagonal=factor_diagonal)
 
 

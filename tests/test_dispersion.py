@@ -169,7 +169,12 @@ def test_skew_plume_golden(disc16):
     the same iteration counts, when the transport LU moved from
     minimum degree with diagonal pivots in SuperLU to LAPACK's band LU
     with partial pivoting on a reverse Cuthill-McKee ordering: the pivot
-    order and the rounding of the exact solve changed."""
+    order and the rounding of the exact solve changed.  Both were
+    re-recorded once more (the L2 norm by 2e-14 relative, the mass by
+    4e-13) when each pressure CG came to start from the combination of
+    the last eight pressures that minimises its deflated residual: CG
+    stops at another iterate inside ``pressure_tol``, after 55
+    iterations in all instead of 85, and GMRES still takes 16."""
     sol = disk_trig_case()
     w, xq = disc16.cell_weights, disc16.quad_points[..., 0]
     xbar = float((w * xq).sum() / w.sum())
@@ -184,8 +189,8 @@ def test_skew_plume_golden(disc16):
     state, history = run(disc16, coeffs, TimeGrid(final_time=0.25,
                                                   num_steps=16), mode="skew")
     mass = float(np.sum(disc16.mass_p1 @ state.concentration))
-    assert repr(history[-1].concentration_l2) == "0.02704919100887677"
-    assert repr(mass) == "0.005329060845579519"
+    assert repr(history[-1].concentration_l2) == "0.027049191008876167"
+    assert repr(mass) == "0.00532906084557758"
 
 
 def test_dispersion_tensor_demo_runs(capsys):

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from oracles import gmres_cycles_oracle
 
-from miscfem import cg_deflated, from_triplets, gmres, sparsity_pattern
-from miscfem.solvers import _symmetry_defect, number_pairs
+from miscfem import (SolveReport, cg_deflated, from_triplets, gmres,
+                     sparsity_pattern)
+from miscfem.solvers import _symmetry_defect, deflated_start, number_pairs
 
 
 def random_spd(n, rng, cond=50.0):
@@ -311,6 +312,88 @@ def test_cg_warm_start_cuts_iterations(rng):
     _, warm = cg_deflated(A, b, rel_tol=1e-12, x0=x)
     assert warm.iterations < cold.iterations
     assert warm.iterations <= 1
+
+
+@st.composite
+def start_problems(draw):
+    """A matrix that is symmetric positive definite on m-perp (semidefinite
+    with the constants as its kernel, as the Neumann stiffness, or
+    definite), a right-hand side, m > 0, and a window of one to eight
+    vectors among which are duplicates, exact multiples and zeros, with n
+    from 2, so that the window may be longer than b."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = random_spd(n, rng, cond=draw(st.sampled_from([2.0, 1e3])))
+    if draw(st.booleans()):
+        P1 = np.eye(n) - 1.0 / n
+        A = P1 @ A @ P1
+    m = rng.random(n) + 0.5
+    window = []
+    for kind in draw(st.lists(st.sampled_from(["new", "copy", "multiple",
+                                               "zero"]),
+                              min_size=1, max_size=8)):
+        if kind == "zero":
+            window.append(np.zeros(n))
+        elif kind == "new" or not window:
+            window.append(rng.standard_normal(n))
+        else:
+            v = window[draw(st.integers(0, len(window) - 1))]
+            scale = 1.0 if kind == "copy" else draw(st.sampled_from(
+                [-2.0, 0.5, 4.0]))
+            window.append(scale * v)        # exact: a power of two
+    if draw(st.booleans()):                 # pressures are m-orthogonal
+        window = [v - (m @ v) / (m @ m) * m for v in window]
+    return sp.csr_matrix(0.5 * (A + A.T)), rng.standard_normal(n), m, window
+
+
+@settings(max_examples=300)
+@given(start_problems())
+def test_deflated_start_beats_every_window_vector(problem):
+    """The start minimises the deflated residual over the window's span:
+    it is finite and m-orthogonal, raises no warning, comes with its own
+    residual b - A x0, and its deflated residual is at most that of every
+    window vector and of the extrapolation 2 w0 - w1 (each projected, as
+    CG projects its start), up to rounding."""
+    A, b, m, window = problem
+
+    def project(v):
+        return v - (m @ v) / (m @ m) * m
+
+    def residual(x):
+        return np.linalg.norm(project(b - A @ project(x)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x0, r0 = deflated_start(A, b, m, tuple(window))
+    assert np.all(np.isfinite(x0)) and np.all(np.isfinite(r0))
+    scale = np.linalg.norm(b) + abs(A).max() * np.linalg.norm(x0)
+    assert abs(m @ x0) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(x0)
+    assert np.linalg.norm(r0 - (b - A @ x0)) <= 1e-12 * scale
+    candidates = window + ([2.0 * window[0] - window[1]]
+                           if len(window) > 1 else [])
+    best = residual(x0)
+    for x in candidates:
+        assert best <= (1.0 + 1e-8) * residual(x)
+
+
+def test_cg_reads_its_first_residual_from_r0(rng):
+    """Given r0 = b - A x0, CG runs the iteration it runs without it, bit
+    for bit, without the matvec that computes it; r0 is taken as given,
+    so a zero r0 ends the solve at x0.  The caller's x0 is left as it
+    was, with or without deflation."""
+    n = 40
+    A = sp.csr_matrix(random_spd(n, rng, cond=200.0))
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    start = x0.copy()
+    x, report = cg_deflated(A, b, rel_tol=1e-12, x0=x0)
+    given, given_report = cg_deflated(A, b, rel_tol=1e-12, x0=x0,
+                                      r0=b - A @ x0)
+    assert report.iterations > 1 and given_report == report
+    assert np.array_equal(given, x)
+    stop, stop_report = cg_deflated(A, b, x0=x0, r0=np.zeros(n))
+    assert stop_report == SolveReport(0, 0.0, True)
+    assert np.array_equal(stop, x0) and stop is not x0
+    assert np.array_equal(x0, start)
 
 
 def test_cg_zero_rhs_shortcut(rng):

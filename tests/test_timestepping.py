@@ -321,11 +321,14 @@ def test_rescaling_leaves_the_factors_own_level_unchanged(disc16):
 
 def test_viscosity_jump_triggers_a_refactor(disc16, monkeypatch):
     """A viscosity that jumps from constant at level 0 to one alternating
-    between 0.3 and 3.3 from cell to cell at level 1 on makes the level-0
-    factor a poor preconditioner even rescaled to the new diagonal, which
-    averages the cells around each dof and cannot follow the jumps: the
-    level-1 solve of step 1 takes more than REFACTOR_ITERATIONS, drops the
-    factor, and the level-2 solve of step 2 factors its own matrix."""
+    between 0.3 and 3.3 from cell to cell at level 1, and to the same
+    values swapped at level 2, makes the level-0 factor a poor
+    preconditioner even rescaled to the new diagonal, which averages the
+    cells around each dof and cannot follow the jumps: the level-1 solve
+    of step 1 takes more than REFACTOR_ITERATIONS and drops the factor,
+    and the level-2 solve of step 2 factors its own matrix, which solves
+    it in one iteration.  The swap keeps the level-2 system apart from
+    the level-1 one, whose pressure the start could otherwise reuse."""
     factorizations = record_factorizations(monkeypatch,
                                            disc16.p2.dof_count + 1)
     levels = []
@@ -335,8 +338,9 @@ def test_viscosity_jump_triggers_a_refactor(disc16, monkeypatch):
         levels.append(1)
         if len(levels) == 1:
             return np.ones(c.shape)
-        odd = np.arange(c.shape[0]) % 2 == 1
-        return np.where(odd[:, None], 0.3, 3.3) + 0.0 * c
+        # 0.3 on the odd cells at level 1 and on the even ones at level 2
+        low = np.arange(c.shape[0]) % 2 == (len(levels) + 1) % 2
+        return np.where(low[:, None], 0.3, 3.3) + 0.0 * c
 
     coeffs = make_coefficients(
         disc16, viscosity=viscosity, viscosity_bounds=(0.3, 3.3),
@@ -466,36 +470,62 @@ def test_one_ordering_per_pattern(monkeypatch):
     assert factorizations == [n] * 8
 
 
-def test_pressure_cg_starts_from_the_extrapolated_pressure(disc16,
-                                                           monkeypatch):
-    """The CG of pressure level 0 starts from zero, that of level 1 from
-    p0, and that of every later level n from 2 p(n-1) - p(n-2)."""
-    starts = []
+def deflated_residual(disc, A, b, x):
+    """||P(b - A P x)|| / ||P b||, the residual CG reads from a start x."""
+    m = disc.p2_basis_integrals
+
+    def project(v):
+        return v - (m @ v) / (m @ m) * m
+    return np.linalg.norm(project(b - A @ project(x))) / np.linalg.norm(
+        project(b))
+
+
+def test_pressure_cg_starts_from_the_window_of_recent_pressures(
+        disc16, monkeypatch):
+    """The CG of pressure level 0 starts from zero; that of every later
+    level n from a start whose deflated residual is at most that of
+    p(n-1) and of the extrapolation 2 p(n-1) - p(n-2), up to rounding.
+    Each level keeps a window of its own pressure and those of the levels
+    before it, newest first, at most PRESSURE_WINDOW of them."""
+    solves = []
     original = timestepping.cg_deflated
 
-    def recording(*args, x0=None, **kwargs):
-        starts.append(None if x0 is None else x0.copy())
-        return original(*args, x0=x0, **kwargs)
+    def recording(A, b, x0=None, **kwargs):
+        solves.append((A, b, x0))
+        return original(A, b, x0=x0, **kwargs)
 
     monkeypatch.setattr(timestepping, "cg_deflated", recording)
     coeffs = make_coefficients(
         disc16, viscosity=lambda c: 1.0 + 0.5 * np.asarray(c, dtype=float),
         viscosity_bounds=(0.5, 2.0),
         initial_concentration=lambda x, y: 0.4 + 0.2 * x * y)
-    pressures = {}
+    levels = []
+    run(disc16, coeffs, TimeGrid(final_time=0.5, num_steps=11),
+        observers=[lambda state: levels.append(state.level)])
+    p = [level.pressure for level in levels]
+    assert len(solves) == len(levels) == 12 and solves[0][2] is None
+    window = timestepping.PRESSURE_WINDOW
+    assert window == 8
+    for n, level in enumerate(levels):
+        assert len(level.window) == min(n + 1, window)
+        assert all(w is p[n - j] for j, w in enumerate(level.window))
+    for n in range(1, len(levels)):
+        A, b, x0 = solves[n]
+        start = deflated_residual(disc16, A, b, x0)
+        candidates = [p[n - 1]] + ([2.0 * p[n - 1] - p[n - 2]] if n > 1
+                                   else [])
+        for x in candidates:
+            assert start <= (1.0 + 1e-8) * deflated_residual(disc16, A, b, x)
 
-    def observe(state):
-        pressures[state.level.index] = state.pressure
 
-    run(disc16, coeffs, TimeGrid(final_time=0.2, num_steps=4),
-        observers=[observe])
-    assert sorted(pressures) == [0, 1, 2, 3, 4]
-    assert len(starts) == 5 and starts[0] is None
-    assert np.array_equal(starts[1], pressures[0])
-    for n in (2, 3, 4):
-        assert not np.array_equal(pressures[n - 1], pressures[n - 2])
-        assert np.array_equal(starts[n],
-                              2.0 * pressures[n - 1] - pressures[n - 2])
+def test_time_independent_pressure_takes_no_cg_iterations(disc16):
+    """With a constant viscosity and time-independent pressure data every
+    level solves the system of level 0, whose pressure is in the window:
+    the start is that solution, and CG takes no iteration after level 0."""
+    _, history = run(disc16, make_coefficients(disc16),
+                     TimeGrid(final_time=0.5, num_steps=10))
+    iterations = [rec.pressure_iterations for rec in history]
+    assert iterations[0] > 0 and iterations[1:] == [0] * 10
 
 
 def test_singular_matrices_fail_the_step(disc8):
