@@ -8,8 +8,7 @@ from .dispersion import (DispersionParams, ScalarDispersionParams,
                          dispersion_matrices)
 from .elements import (DofMap, QuadratureRule, build_dofmap, edge_quadrature,
                        interpolate, quadrature_rule, reference_basis)
-from .errors import (ErrorRecord, error_scalar, error_velocity,
-                     measure_errors, observed_orders)
+from .errors import ErrorRecord, measure_errors, observed_orders
 from .forms import (CoefficientBlowupError, ConcentrationSystem,
                     Discretization, PressureSystem, ProblemCoefficients,
                     assemble_concentration, assemble_pressure,

@@ -1,4 +1,4 @@
-"""Error norms against closed-form fields.
+"""Error norms against closed-form fields, in one pass over a state.
 
 Spatial norms integrate with the discretization's quadrature rule; the
 max norm is approximated over all quadrature points plus the Lagrange
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_number
 from .forms import Discretization
 
 
@@ -31,55 +30,9 @@ class ErrorRecord:
     p_grad_l4: float
 
 
-def error_scalar(disc: Discretization, dofmap, coeffs, exact, t: float,
-                 norm: str = "l2", exact_grad=None, q: float = 2.0) -> float:
-    """Norm of (finite element field - exact(x, y, t)).
-
-    norm = "l2"     : quadrature L2 norm of the difference
-           "linf"   : max of |difference| over quadrature points and nodes
-           "gradlq" : L^q norm of the gradient difference (q=2 gives the
-                      H1 seminorm); requires exact_grad(x, y, t) -> (..., 2)
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    if norm == "l2":
-        diff = disc.field_at_quad(dofmap, coeffs) - exact(x, y, t)
-        return float(np.sqrt(np.sum(disc.cell_weights * diff ** 2)))
-    if norm == "linf":
-        diff = np.abs(disc.field_at_quad(dofmap, coeffs) - exact(x, y, t))
-        nodes = dofmap.dof_coords
-        node_diff = np.abs(coeffs - exact(nodes[:, 0], nodes[:, 1], t))
-        return float(max(diff.max(), node_diff.max()))
-    if norm == "gradlq":
-        if exact_grad is None:
-            raise ValueError("gradient norm needs exact_grad")
-        check_number("gradient norm exponent q", q, above=1)
-        diff = disc.gradient_at_quad(dofmap, coeffs) - exact_grad(x, y, t)
-        mag = np.hypot(diff[..., 0], diff[..., 1])
-        return float(np.sum(disc.cell_weights * mag ** q) ** (1.0 / q))
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def error_velocity(disc: Discretization, velocity: np.ndarray, exact,
-                   t: float, norm: str = "l2") -> float:
-    """Norm of the Darcy velocity error at the volume quadrature points.
-
-    ``velocity`` holds the (T, Q, 2) values there; exact(x, y, t) must
-    return vectors of shape (..., 2); the max norm takes the largest
-    pointwise Euclidean magnitude of the difference.
-    """
-    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    diff = velocity - exact(x, y, t)
-    mag2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    if norm == "l2":
-        return float(np.sqrt(np.sum(disc.cell_weights * mag2)))
-    if norm == "linf":
-        return float(np.sqrt(mag2.max()))
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def observed_orders(errors, ratio: float = 2.0) -> np.ndarray:
-    """Pairwise convergence orders log(e_i / e_{i+1}) / log(ratio).
+def observed_orders(errors) -> np.ndarray:
+    """Pairwise convergence orders log2(e_i / e_{i+1}) of a table whose
+    mesh width or time step halves from row to row.
 
     The last entry is the headline order of a refinement table.
     """
@@ -88,42 +41,52 @@ def observed_orders(errors, ratio: float = 2.0) -> np.ndarray:
         raise ValueError("need at least two errors")
     if np.any(errors <= 0):
         raise ValueError("errors must be positive")
-    return np.log(errors[:-1] / errors[1:]) / np.log(ratio)
+    return np.log(errors[:-1] / errors[1:]) / np.log(2.0)
 
 
 def measure_errors(disc: Discretization, state, grid, sol) -> ErrorRecord:
     """All-column :class:`ErrorRecord` of a driver state against a
     closed-form benchmark solution.
 
-    Every field is compared at the state's time level.  The discrete
-    pressure has zero mean, so the exact pressure is shifted by its
-    quadrature mean over the mesh before comparison.
+    Every field is compared at the state's time level, and each exact
+    field is evaluated once.  The discrete pressure has zero mean, so the
+    exact pressure is shifted by its quadrature mean over the mesh before
+    comparison.  The gradient norms are L^q norms of the pointwise
+    Euclidean magnitude (q = 2 gives the H1 seminorm); the velocity max
+    norm is the largest such magnitude at the quadrature points.
     """
     t = grid.time(state.step_index)
-
-    c_l2 = error_scalar(disc, disc.p1, state.concentration,
-                        sol.concentration, t, "l2")
-    c_linf = error_scalar(disc, disc.p1, state.concentration,
-                          sol.concentration, t, "linf")
-    c_h1 = error_scalar(disc, disc.p1, state.concentration,
-                        sol.concentration, t, "gradlq",
-                        exact_grad=sol.concentration_grad, q=2.0)
-    u_l2 = error_velocity(disc, state.velocity, sol.velocity, t, "l2")
-    u_linf = error_velocity(disc, state.velocity, sol.velocity, t, "linf")
-
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    area = float(disc.cell_weights.sum())
-    p_mean = float(np.sum(disc.cell_weights * sol.pressure(x, y, t))) / area
+    w = disc.cell_weights
 
-    def shifted_pressure(xx, yy, tt):
-        return sol.pressure(xx, yy, tt) - p_mean
+    def l2(diff):
+        return float(np.sqrt(np.sum(w * diff ** 2)))
 
-    p_l2 = error_scalar(disc, disc.p2, state.pressure, shifted_pressure,
-                        t, "l2")
-    p_grad_l4 = error_scalar(disc, disc.p2, state.pressure, shifted_pressure,
-                             t, "gradlq", exact_grad=sol.pressure_grad,
-                             q=4.0)
-    return ErrorRecord(step_index=state.step_index, time=t,
-                       c_l2=c_l2, c_linf=c_linf, c_h1semi=c_h1,
-                       u_l2=u_l2, u_linf=u_linf,
-                       p_l2=p_l2, p_grad_l4=p_grad_l4)
+    def grad_lq(diff, q):
+        mag = np.hypot(diff[..., 0], diff[..., 1])
+        return float(np.sum(w * mag ** q) ** (1.0 / q))
+
+    c = np.asarray(state.concentration, dtype=np.float64)
+    c_diff = disc.field_at_quad(disc.p1, c) - sol.concentration(x, y, t)
+    nodes = disc.p1.dof_coords
+    node_diff = c - sol.concentration(nodes[:, 0], nodes[:, 1], t)
+    c_grad_diff = (disc.gradient_at_quad(disc.p1, c)
+                   - sol.concentration_grad(x, y, t))
+
+    u_diff = state.velocity - sol.velocity(x, y, t)
+    u_mag2 = u_diff[..., 0] ** 2 + u_diff[..., 1] ** 2
+
+    p = np.asarray(state.pressure, dtype=np.float64)
+    p_exact = sol.pressure(x, y, t)
+    p_mean = float(np.sum(w * p_exact)) / float(w.sum())
+    p_diff = disc.field_at_quad(disc.p2, p) - (p_exact - p_mean)
+    p_grad_diff = disc.gradient_at_quad(disc.p2, p) - sol.pressure_grad(x, y, t)
+
+    return ErrorRecord(
+        step_index=state.step_index, time=t,
+        c_l2=l2(c_diff),
+        c_linf=float(max(np.abs(c_diff).max(), np.abs(node_diff).max())),
+        c_h1semi=grad_lq(c_grad_diff, 2.0),
+        u_l2=float(np.sqrt(np.sum(w * u_mag2))),
+        u_linf=float(np.sqrt(u_mag2.max())),
+        p_l2=l2(p_diff), p_grad_l4=grad_lq(p_grad_diff, 4.0))

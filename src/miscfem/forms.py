@@ -139,7 +139,6 @@ class ProblemCoefficients:
 class PressureSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    compatibility_defect: float    # |sum(rhs)|, zero for compatible data
     mobility: np.ndarray           # (T, Q) k/mu(c_prev); the velocity reuses it
 
 
@@ -390,8 +389,7 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
         warnings.warn(f"pressure data incompatible: defect {defect:.3e} "
                       f"exceeds 1e-2 * ||rhs|| = {1e-2 * rhs_norm:.3e}",
                       stacklevel=2)
-    return PressureSystem(matrix=A, rhs=rhs, compatibility_defect=defect,
-                          mobility=mobility)
+    return PressureSystem(matrix=A, rhs=rhs, mobility=mobility)
 
 
 def compute_velocity(disc: Discretization, mobility: np.ndarray,

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from miscfem import (ConfigError, DispersionParams, ProblemCoefficients,
                      ScalarDispersionParams, SolverOptions, StudyConfig,
                      TimeGrid, assemble_concentration, disk_trig_case,
-                     error_scalar, generate_disk_mesh, manufacture_sources,
-                     quadrature_rule)
+                     generate_disk_mesh, manufacture_sources, quadrature_rule)
 
 NOT_NUMBERS = [True, False, np.True_, np.False_, math.nan, -math.inf,
                math.inf, np.float64(math.nan), "1", "a", None, 10 ** 400,
@@ -50,13 +49,6 @@ def transport_matrix(tau, disc):
     T, Q = disc.cell_weights.shape
     return assemble_concentration(disc, problem(), np.zeros(disc.p1.dof_count),
                                   np.ones((T, Q, 2)), tau=tau, t=0.0).matrix
-
-
-def gradient_norm(q, disc):
-    return error_scalar(disc, disc.p1, disc.p1.dof_coords[:, 0],
-                        lambda x, y, t: 0.0 * x, 0.0, "gradlq",
-                        exact_grad=lambda x, y, t: np.zeros(x.shape + (2,)),
-                        q=q)
 
 
 class Field(NamedTuple):
@@ -119,8 +111,6 @@ FIELDS = [Field(*spec) for spec in [
      variants(0.25, 1, 3), NOT_POSITIVE, "result"),
     ("degree", lambda v, d: quadrature_rule(v).points,
      variants(1, 3, 4, 6), NOT_INTEGRAL + [0, 7, 7.0, -1], "result"),
-    ("q", gradient_norm, variants(1.5, 2, 4), [1, 1.0, 0.5, 0, -2],
-     "result"),
     # the study config, whose errors are ConfigErrors naming the field
     ("T", lambda v, d: StudyConfig(final_time=v).final_time,
      variants(0.5, 1, 3), NOT_POSITIVE, float),
