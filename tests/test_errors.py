@@ -37,6 +37,28 @@ def shifted(field, shift, times):
     return exact
 
 
+def discrepant(disc, grid, step, a, b, v, d, s, g, e, h, times):
+    """A stub state whose concentration, velocity and pressure are the
+    linear fields of ``a``, ``v`` and ``b``, and exact fields that differ
+    from them by constants: c by d with gradient by g, u by e, p by s with
+    gradient by h.  Each exact-field call appends its t to ``times``."""
+    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    c, c_grad = linear(a)
+    u, _ = linear(v)
+    p, p_grad = linear(b)
+    state = SimpleNamespace(
+        step_index=step, concentration=interpolate(disc.p1, c),
+        pressure=interpolate(disc.p2, p),
+        velocity=np.stack([u(x, y), -2.0 * u(x, y)], axis=-1))
+    sol = SimpleNamespace(
+        concentration=shifted(c, -d, times),
+        concentration_grad=shifted(c_grad, np.negative(g), times),
+        velocity=shifted(lambda xx, yy: state.velocity, np.negative(e), times),
+        pressure=shifted(p, s, times),
+        pressure_grad=shifted(p_grad, np.negative(h), times))
+    return state, sol
+
+
 @settings(max_examples=60)
 @given(a=st.tuples(*[coefficient] * 3), b=st.tuples(*[coefficient] * 3),
        v=st.tuples(*[coefficient] * 3), d=coefficient, s=coefficient,
@@ -46,33 +68,19 @@ def shifted(field, shift, times):
        step=st.integers(0, 8), use_disc8=st.booleans())
 def test_measure_errors_matches_closed_forms(disc8, disc16, a, b, v, d, s,
                                              g, e, h, step, use_disc8):
-    """A state whose concentration, velocity and pressure are linear
-    fields, against exact fields that differ from them by constants:
-    c by d with gradient by g, u by e, p by s with gradient by h.  Then
-    c_l2 = |d| sqrt(area), c_linf = |d|, c_h1semi = |g| area^(1/2),
-    u_l2 = |e| sqrt(area), u_linf = |e|, p_grad_l4 = |h| area^(1/4), and
-    p_l2 = |mean p_h| sqrt(area) whatever s is: the comparison removes
-    the exact pressure's mean, so only the discrete pressure's own mean
-    is left.  Every exact field is evaluated at the state's time."""
+    """With the discrepancies of ``discrepant``: c_l2 = |d| sqrt(area),
+    c_linf = |d|, c_h1semi = |g| area^(1/2), u_l2 = |e| sqrt(area),
+    u_linf = |e|, p_grad_l4 = |h| area^(1/4), and p_l2 = |mean p_h|
+    sqrt(area) whatever s is: the comparison removes the exact pressure's
+    mean, so only the discrete pressure's own mean is left.  Every exact
+    field is evaluated at the state's time."""
     disc = disc8 if use_disc8 else disc16
     grid = TimeGrid(final_time=0.75, num_steps=8)
     x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
     w = disc.cell_weights
     area = float(w.sum())
-    c, c_grad = linear(a)
-    u, _ = linear(v)
-    p, p_grad = linear(b)
-    state = SimpleNamespace(
-        step_index=step, concentration=interpolate(disc.p1, c),
-        pressure=interpolate(disc.p2, p),
-        velocity=np.stack([u(x, y), -2.0 * u(x, y)], axis=-1))
     times = []
-    sol = SimpleNamespace(
-        concentration=shifted(c, -d, times),
-        concentration_grad=shifted(c_grad, np.negative(g), times),
-        velocity=shifted(lambda xx, yy: state.velocity, np.negative(e), times),
-        pressure=shifted(p, s, times),
-        pressure_grad=shifted(p_grad, np.negative(h), times))
+    state, sol = discrepant(disc, grid, step, a, b, v, d, s, g, e, h, times)
 
     record = measure_errors(disc, state, grid, sol)
 
@@ -80,7 +88,7 @@ def test_measure_errors_matches_closed_forms(disc8, disc16, a, b, v, d, s,
     assert record.time == grid.time(step)
     assert times and set(times) == {grid.time(step)}
     scale = 1.0 + max(map(abs, a + b + v + (d, s)))
-    p_mean = float(np.sum(w * p(x, y))) / area
+    p_mean = float(np.sum(w * linear(b)[0](x, y))) / area
     expected = dict(
         c_l2=abs(d) * np.sqrt(area), c_linf=abs(d),
         c_h1semi=np.hypot(*g) * area ** 0.5,
@@ -90,6 +98,42 @@ def test_measure_errors_matches_closed_forms(disc8, disc16, a, b, v, d, s,
     for name, want in expected.items():
         got = getattr(record, name)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-11 * scale), name
+
+
+def fixed_discrepancy(disc, d=0.0, g=(0.0, 0.0), e=(0.0, 0.0),
+                      h=(0.0, 0.0)):
+    """measure_errors at t = 0 on ``discrepant`` with fixed linear fields
+    and the given discrepancies; returns the record and the area."""
+    grid = TimeGrid(final_time=1.0, num_steps=1)
+    state, sol = discrepant(disc, grid, 0, (0.5, 2.0, -1.0), (0.0, 0.6, -0.8),
+                            (0.3, -0.4, 0.2), d, 0.0, g, e, h, [])
+    return (measure_errors(disc, state, grid, sol),
+            float(disc.cell_weights.sum()))
+
+
+def test_l2_error_of_constant_discrepancy(disc16):
+    """Field minus exact equal to a constant d: the L2 error is exactly
+    |d| sqrt(area) and the max error |d|."""
+    record, area = fixed_discrepancy(disc16, d=-3.0)
+    assert record.c_l2 == pytest.approx(3.0 * np.sqrt(area), rel=1e-13)
+    assert record.c_linf == pytest.approx(3.0, rel=1e-13)
+
+
+def test_gradient_error_of_linear_discrepancy(disc16):
+    """Field minus exact with constant gradient g: the L^q gradient norm
+    is |g| area^(1/q), for q = 2 on the concentration and q = 4 on the
+    pressure."""
+    record, area = fixed_discrepancy(disc16, g=(0.6, -0.8), h=(0.6, -0.8))
+    assert record.c_h1semi == pytest.approx(area ** 0.5, rel=1e-12)
+    assert record.p_grad_l4 == pytest.approx(area ** 0.25, rel=1e-12)
+
+
+def test_velocity_error_of_constant_field(disc16):
+    """Velocity minus exact equal to a constant e: the L2 error is
+    |e| sqrt(area) and the max error |e|."""
+    record, area = fixed_discrepancy(disc16, e=(0.3, -0.4))
+    assert record.u_l2 == pytest.approx(0.5 * np.sqrt(area), rel=1e-13)
+    assert record.u_linf == pytest.approx(0.5, rel=1e-13)
 
 
 def test_each_exact_field_is_evaluated_once(disc8):
