@@ -77,7 +77,8 @@ class CoefficientBlowupError(RuntimeError):
     """Viscosity left its admissible band, so the transported
     concentration has overshot far enough that the coefficient model is
     meaningless; or the permeability made k/mu zero, negative or not
-    finite; or the data made a matrix or a load vector not finite."""
+    finite; or the data made a matrix or a load vector not finite; or a
+    row's errors against the exact solution are not finite."""
 
 
 def check_mode(mode: str) -> None:

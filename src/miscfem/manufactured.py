@@ -18,6 +18,13 @@ Wall data follow the assembly contract ``flux(x, y, t, nx, ny)``: the
 analytic flux vector at the requested point dotted with whatever outward
 normal the caller passes in, so the Neumann data stay exactly compatible
 with the divergence theorem on the discrete polygonal domain.
+
+Every time step evaluates the sources and wall fluxes at the same volume
+and edge quadrature points, so the disk-trig case computes sin x, cos x,
+sin y and cos y once per point set (:class:`_TrigTable`) and a later
+call at those points applies only e^-t and x - t.  Stored values serve
+only coordinates equal byte for byte to theirs, so every callable
+returns exactly what a fresh evaluation returns.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ class ManufacturedSolution:
     must replace the closed forms with it, or :func:`problem_coefficients`
     keeps the old sources.  Only ``porosity`` and ``velocity_coupling``
     are applied to the sources in generic code.
+
+    The closures of :func:`disk_trig_case` share sin x, cos x, sin y and
+    cos y, computed once per point set.  Those depend on the coordinates
+    only, so a ``replace`` of a field must still replace the closed forms
+    derived from it.
     """
 
     domain_center: tuple
@@ -82,6 +94,39 @@ class ManufacturedSolution:
         return np.einsum("...ab,...b->...a", D, self.concentration_grad(x, y, t))
 
 
+class _TrigTable:
+    """sin x, cos x, sin y and cos y of a point set, computed once.
+
+    The coordinates are taken as float64.  A call whose coordinates hold,
+    byte for byte, those of a stored call of the same shapes returns the
+    stored values; any other call computes them and stores them under its
+    shapes.  Keying by shape keeps the kink band's stencil points, which
+    change from call to call, from evicting the fixed volume and edge
+    quadrature points; past ``slots`` shapes the least recently used is
+    dropped."""
+
+    slots = 8
+
+    def __init__(self):
+        self.entries = {}   # (x shape, y shape) -> ((x bytes, y bytes), trig)
+
+    def __call__(self, x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        key, points = (x.shape, y.shape), (x.tobytes(), y.tobytes())
+        entry = self.entries.pop(key, None)
+        if entry is None or entry[0] != points:
+            trig = tuple(np.asarray(f(v)) for v in (x, y)
+                         for f in (np.sin, np.cos))
+            for array in trig:
+                array.flags.writeable = False
+            entry = (points, trig)
+        self.entries[key] = entry           # now the most recently used
+        if len(self.entries) > self.slots:
+            del self.entries[next(iter(self.entries))]
+        return entry[1]
+
+
 def disk_trig_case() -> ManufacturedSolution:
     """Benchmark on the disk of radius 1/2 around (1/2, 1/2):
 
@@ -115,6 +160,8 @@ def disk_trig_case() -> ManufacturedSolution:
                         + 40 e^-t m (sign(s) c_x - |s| m |grad c|^2).
     """
 
+    trig = _TrigTable()
+
     def pressure(x, y, t):
         return 100.0 * (x - t) ** 2 * np.exp(-t) + 0.0 * y
 
@@ -123,15 +170,17 @@ def disk_trig_case() -> ManufacturedSolution:
         return np.stack([gx, np.zeros_like(gx)], axis=-1)
 
     def concentration(x, y, t):
-        return 0.5 + 0.2 * np.exp(-t) * np.cos(x) * np.sin(y)
+        _, cos_x, sin_y, _ = trig(x, y)
+        return 0.5 + 0.2 * np.exp(-t) * cos_x * sin_y
 
     def concentration_grad(x, y, t):
+        sin_x, cos_x, sin_y, cos_y = trig(x, y)
         e = 0.2 * np.exp(-t)
-        return np.stack([-e * np.sin(x) * np.sin(y),
-                         e * np.cos(x) * np.cos(y)], axis=-1)
+        return np.stack([-e * sin_x * sin_y, e * cos_x * cos_y], axis=-1)
 
     def concentration_dt(x, y, t):
-        return -0.2 * np.exp(-t) * np.cos(x) * np.sin(y)
+        _, cos_x, sin_y, _ = trig(x, y)
+        return -0.2 * np.exp(-t) * cos_x * sin_y
 
     def permeability(x, y):
         return np.full(np.broadcast(x, y).shape, 2.0)
@@ -140,22 +189,23 @@ def disk_trig_case() -> ManufacturedSolution:
         return 1.0 + np.asarray(c, dtype=np.float64)
 
     def velocity_divergence(x, y, t):
+        sin_x, cos_x, sy, _ = trig(x, y)
         e = np.exp(-t)
-        sy = np.sin(y)
-        m = 1.0 / (1.0 + (0.5 + 0.2 * e * np.cos(x) * sy))
-        c_x = -0.2 * e * np.sin(x) * sy
+        m = 1.0 / (1.0 + (0.5 + 0.2 * e * cos_x * sy))
+        c_x = -0.2 * e * sin_x * sy
         return -400.0 * e * m * (1.0 - (x - t) * m * c_x)
 
     def flux_divergence(x, y, t):
         e, s = np.exp(-t), x - t
-        sin_x, cos_x, sin_y, cos_y = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+        sin_x, cos_x, sin_y, cos_y = trig(x, y)
         a = 0.2 * e
         w = a * cos_x * sin_y                   # c - 1/2
         c_x, c_y = -a * sin_x * sin_y, a * cos_x * cos_y
         m = 1.0 / (1.0 + (0.5 + w))
-        k = 40.0 * e * m * np.abs(s)            # |u|/10
+        g = 40.0 * e * m
+        k = g * np.abs(s)                       # |u|/10
         return ((1.0 + k) * (-2.0 * w)
-                + 40.0 * e * m * np.sign(s) * c_x - k * m * (c_x ** 2 + c_y ** 2))
+                + g * np.sign(s) * c_x - k * m * (c_x ** 2 + c_y ** 2))
 
     def kink_distance(x, y, t):
         return np.abs(x - t)
@@ -254,12 +304,14 @@ def problem_coefficients(sol: ManufacturedSolution,
     damps, carries that difference into the computed errors.
     """
     def flux_divergence(x, y, t):
-        div = np.array(sol.flux_divergence(x, y, t), dtype=np.float64)
-        x, y, t = np.broadcast_arrays(x, y, t)
+        div = sol.flux_divergence(x, y, t)
         band = sol.kink_distance(x, y, t) < fd_step
-        if band.any():
-            div[band] = fd_divergence(sol.concentration_flux,
-                                      x[band], y[band], t[band], fd_step)
+        if not band.any():
+            return div
+        div = np.array(div, dtype=np.float64)
+        x, y, t, band = np.broadcast_arrays(x, y, t, band)
+        div[band] = fd_divergence(sol.concentration_flux,
+                                  x[band], y[band], t[band], fd_step)
         return div
 
     return replace(manufacture_sources(sol, fd_step),

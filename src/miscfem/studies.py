@@ -13,6 +13,7 @@ fixed config (wall-clock timings live only in the JSON report).
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -23,7 +24,7 @@ import numpy as np
 from .checks import check_number
 from .elements import quadrature_rule
 from .errors import ErrorRecord, measure_errors, observed_orders
-from .forms import build_discretization, check_mode
+from .forms import CoefficientBlowupError, build_discretization, check_mode
 from .manufactured import CASES, problem_coefficients
 from .meshing import generate_disk_mesh
 from .timestepping import SolverOptions, TimeGrid, run
@@ -112,7 +113,7 @@ class StudyConfig:
     pressure_tol: float = 1e-11     # relative solver tolerances
     concentration_tol: float = 1e-10
     fd_step: float = 1e-5           # manufactured-source finite difference step
-    quad_degree: int = 4            # volume quadrature exactness, 1..6
+    quad_degree: int = 4            # volume quadrature exactness, 2..6
     dump_fields: bool = False       # write VTK fields
     dump_steps: tuple = ()          # extra step indices; final step is implied
     output_dir: str = "miscfem-out"
@@ -155,6 +156,11 @@ class StudyConfig:
             check_mode(self.mode)
         with _field("quad_degree"):
             quadrature_rule(self.quad_degree)
+            if self.quad_degree < 2:
+                # the P2 stiffness has degree-2 integrands
+                raise ValueError("must be at least 2: a one-point rule "
+                                 "makes the P2 pressure matrix singular "
+                                 "beyond the constants")
         put("quad_degree", int(self.quad_degree))
         if not isinstance(self.dump_fields, bool):
             raise ConfigError("dump_fields", "must be a boolean")
@@ -326,7 +332,14 @@ def simulate_row(config: StudyConfig, mesh_size: int, tau: float,
     state, history = run(disc, coeffs, grid, mode=config.mode,
                          options=options, observers=observers)
     elapsed = time.perf_counter() - start
-    record = measure_errors(disc, state, grid, sol)
+    with np.errstate(all="ignore"):     # checked below
+        record = measure_errors(disc, state, grid, sol)
+    bad = [c for c in _ERROR_COLUMNS if not math.isfinite(getattr(record, c))]
+    if bad:
+        raise CoefficientBlowupError(
+            f"at step {state.step_index}: the errors against the exact "
+            f"solution at t = {record.time:g} are not finite in "
+            f"{', '.join(bad)}")
     return RowResult(mesh_size=mesh_size, tau=tau, record=record,
                      runtime_seconds=elapsed,
                      pressure_iterations=sum(h.pressure_iterations
@@ -353,8 +366,9 @@ def _dump_state(out_dir, mesh, disc, state):
 
 
 def _write_json(path, data):
+    """Write ``data`` as strict JSON: NaN and Infinity are refused."""
     with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
+        json.dump(data, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -124,7 +124,7 @@ FIELDS = [Field(*spec) for spec in [
     ("fd_step", lambda v, d: StudyConfig(fd_step=v).fd_step,
      variants(1e-5, 1), NOT_POSITIVE, float),
     ("quad_degree", lambda v, d: StudyConfig(quad_degree=v).quad_degree,
-     variants(1, 4, 6), NOT_INTEGRAL + [0, 7, 7.0], int),
+     variants(2, 4, 6), NOT_INTEGRAL + [0, 1, 1.0, 7, 7.0], int),
 ]]
 
 

@@ -58,13 +58,18 @@ def test_mesh_gen_rejects_config_flag(tmp_path, capsys):
     assert "--M" in capsys.readouterr().err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_run_with_config(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "M=8" in out
     assert "c_l2=" in out
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_refuse_constant)
     assert report["kind"] == "single"
     assert (tmp_path / "out" / "config-echo.json").is_file()
 
@@ -271,6 +276,28 @@ def test_tiny_tau_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, tau=[1e-300])
     assert main(["run", "--config", str(cfg)]) == 2
     assert "'tau[0]'" in capsys.readouterr().err
+
+
+def test_one_point_quadrature_exits_2(tmp_path, capsys):
+    """A one-point rule leaves the P2 pressure matrix singular, so the
+    config check refuses it and names the field, before any solve."""
+    cfg = write_config(tmp_path, quad_degree=1)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "'quad_degree'" in err
+
+
+def test_non_finite_errors_exit_3(tmp_path, capsys):
+    """At t = 1e300 the exact pressure overflows where the errors are
+    measured: the run ends with exit 3 and a message naming the step and
+    the column, with no numpy warning and no report holding NaN."""
+    cfg = write_config(tmp_path, tau=[1e300], T=1e300)
+    assert main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "at step 1" in err
+    assert "p_l2" in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_viscosity_blowup_exits_3(tmp_path, capsys, monkeypatch):

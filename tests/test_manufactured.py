@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miscfem import (CASES, ManufacturedSolution, TimeGrid,
                      build_discretization, disk_trig_case, fd_divergence,
                      generate_disk_mesh, manufacture_sources, measure_errors,
                      problem_coefficients, run, strong_residuals)
+from miscfem.manufactured import _TrigTable
 
 
 def disk_points(rng, n, sol):
@@ -203,3 +206,95 @@ def test_finite_difference_oracle_drives_the_solver(sol):
     oracle, closed = records
     for name, want in oracle.items():
         assert closed[name] == pytest.approx(want, rel=1e-6, abs=0), name
+
+
+# Every callable of a disk-trig case and of its problem_coefficients,
+# (x, y, t) -> value; the wall fluxes get a fixed unit normal.
+def _evaluations(sol):
+    coeffs = problem_coefficients(sol)
+    calls = {name: getattr(sol, name) for name in (
+        "pressure", "pressure_grad", "concentration", "concentration_grad",
+        "concentration_dt", "velocity_divergence", "flux_divergence",
+        "kink_distance", "velocity", "concentration_flux")}
+    calls.update(
+        pressure_source=coeffs.pressure_source,
+        concentration_source=coeffs.concentration_source,
+        pressure_wall_flux=lambda x, y, t: coeffs.pressure_flux(
+            x, y, t, 0.6, -0.8),
+        concentration_wall_flux=lambda x, y, t: coeffs.concentration_flux(
+            x, y, t, 0.6, -0.8))
+    return calls
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+# signed zeros often: sin(-0.0) and sin(0.0) differ in their sign bit
+_COORD = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 2.0)
+_STEPS = st.lists(st.sampled_from(
+    ["call", "mutate x", "mutate y", "new content", "band", "scalars",
+     "broadcast"]), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), t=st.floats(0.0, 1.0),
+       steps=_STEPS)
+def test_stored_factors_give_a_fresh_evaluation_bit_for_bit(data, n, t,
+                                                            steps):
+    """One case answers a sequence of calls -- on arrays mutated in place
+    between calls, on new arrays of the same shape, on scalars, on
+    broadcast shapes and on points within fd_step of the kink x = t,
+    interleaved -- and after each step every callable answers with the
+    bits that a case with no stored factors gives for the same
+    arguments."""
+    live = _evaluations(disk_trig_case())
+    x = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
+    for step in steps:
+        args = (x, y, t)
+        if step in ("mutate x", "mutate y"):
+            target = x if step == "mutate x" else y
+            target[data.draw(st.integers(0, n - 1))] = data.draw(_COORD)
+        elif step == "new content":
+            x = x + data.draw(st.sampled_from([1e-300, 1e-12, 0.25]))
+            args = (x, y, t)
+        elif step == "band":
+            offsets = data.draw(st.lists(st.floats(-9.9e-6, 9.9e-6),
+                                         min_size=n, max_size=n))
+            args = (t + np.array(offsets), y, t)
+        elif step == "scalars":
+            args = (float(x[0]), float(y[0]), t)
+        elif step == "broadcast":
+            args = (x[:, None], y[None, :], t)
+        for name, call in live.items():
+            want = _evaluations(disk_trig_case())[name](*args)
+            assert _bits(call(*args)) == _bits(want), (step, name)
+
+
+def test_a_signed_zero_is_new_content():
+    """sin(-0.0) is -0.0: a point mutated from 0.0 to -0.0 must not get
+    the factors stored for 0.0, whose sign the x-derivative of c keeps."""
+    sol = disk_trig_case()
+    x, y = np.array([0.0, 0.3]), np.array([0.4, 0.4])
+    sol.concentration_grad(x, y, 0.5)
+    x[0] = -0.0
+    want = disk_trig_case().concentration_grad(x, y, 0.5)
+    assert _bits(sol.concentration_grad(x, y, 0.5)) == _bits(want)
+    assert np.signbit(want[0, 0]) != np.signbit(
+        disk_trig_case().concentration_grad(abs(x), y, 0.5)[0, 0])
+
+
+def test_band_shapes_leave_the_volume_factors_stored():
+    """Stencil calls of other shapes, however many distinct contents they
+    bring, do not evict a point set: the next call on a copy of it
+    returns the stored arrays themselves."""
+    table = _TrigTable()
+    x, y = np.linspace(0.0, 1.0, 50), np.linspace(1.0, 0.0, 50)
+    stored = table(x, y)
+    for k in range(1, 4):
+        for shift in (1e-5, -1e-5):
+            table(x[:k] + shift, y[:k])
+    assert all(a is b for a, b in zip(table(x.copy(), y.copy()), stored))
+    assert not any(a.flags.writeable for a in stored)
