@@ -56,7 +56,7 @@ def measure_errors(disc: Discretization, state, grid, sol) -> ErrorRecord:
     norm is the largest such magnitude at the quadrature points.
     """
     t = grid.time(state.step_index)
-    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    x, y = disc.quad_x, disc.quad_y
     w = disc.cell_weights
 
     def l2(diff):

@@ -30,7 +30,11 @@ A ``Discretization`` bundles everything reusable across time steps:
 dof maps, quadrature tabulations, per-triangle affine geometry, the
 sparsity patterns of both systems, the (time-independent) linear mass
 matrix, the quadratic load vector of basis integrals, and the
-boundary-edge traces of the bases that the wall-flux terms need.  The
+boundary-edge traces of the bases that the wall-flux terms need.  Its
+coordinates of the volume and edge quadrature points, and the outward
+normals at the edge points, are read-only C-contiguous arrays, and
+assembly passes these same objects to every coefficient callable at
+every step, so a callable can keep what depends on the points alone.  The
 mesh and the dof maps never change, so neither does the structure of
 either matrix: each assembly sums its cell blocks into the slots of its
 pattern (see :class:`~miscfem.solvers.SparsityPattern`), and no step
@@ -147,6 +151,10 @@ class PressureSystem:
 class ConcentrationSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    # whether the matrix holds a convection term; without one it is
+    # (gamma/tau) M plus the D(u)-weighted stiffness, symmetric positive
+    # definite by construction
+    convection: bool
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,8 @@ class Discretization:
     p2: DofMap
     cell_weights: np.ndarray       # (T, Q) quadrature weight * |det J|
     quad_points: np.ndarray        # (T, Q, 2) physical coordinates
+    quad_x: np.ndarray             # (T, Q) its x and y, read-only and
+    quad_y: np.ndarray             # C-contiguous, for the callables
     p1_values: np.ndarray          # (Q, 3)
     p2_values: np.ndarray          # (Q, 6)
     p1_ref_grads: np.ndarray       # (3, 2Q) reference gradients, (i, (q, b))
@@ -186,7 +196,10 @@ class Discretization:
     p1_pattern: SparsityPattern
     p2_pattern: SparsityPattern
     edge_weights: np.ndarray       # (B, Qe) arc weight * edge length
-    edge_points: np.ndarray        # (B, Qe, 2)
+    edge_x: np.ndarray             # (B, Qe) edge point coordinates and
+    edge_y: np.ndarray             # outward normals, likewise
+    edge_nx: np.ndarray
+    edge_ny: np.ndarray
     edge_p1_values: np.ndarray     # (B, Qe, 3) traces of the owner's basis
     edge_p2_values: np.ndarray     # (B, Qe, 6)
 
@@ -266,10 +279,18 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     lengths = np.hypot(*(pb - pa).T)
     edge_weights = ws[None, :] * lengths[:, None]
     edge_points = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+    normals = np.broadcast_to(mesh.boundary_normals[:, None, :],
+                              edge_points.shape)
+    quad_x, quad_y, edge_x, edge_y, edge_nx, edge_ny = (
+        np.ascontiguousarray(a[..., k]) for a in (quad_points, edge_points,
+                                                  normals) for k in (0, 1))
+    for arr in (quad_x, quad_y, edge_x, edge_y, edge_nx, edge_ny):
+        arr.flags.writeable = False
 
     return Discretization(
         mesh=mesh, p1=p1, p2=p2,
         cell_weights=cell_weights, quad_points=quad_points,
+        quad_x=quad_x, quad_y=quad_y,
         p1_values=p1_values, p2_values=p2_values,
         p1_ref_grads=p1_ref_grads.transpose(1, 0, 2).reshape(3, 2 * Q),
         p2_ref_grads=p2_ref_grads.transpose(1, 0, 2).reshape(6, 2 * Q),
@@ -280,7 +301,8 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
         mass_local=mass_local, mass_p1=mass_p1,
         p2_basis_integrals=p2_basis_integrals,
         p1_pattern=p1_pattern, p2_pattern=p2_pattern,
-        edge_weights=edge_weights, edge_points=edge_points,
+        edge_weights=edge_weights, edge_x=edge_x, edge_y=edge_y,
+        edge_nx=edge_nx, edge_ny=edge_ny,
         edge_p1_values=edge_p1_values, edge_p2_values=edge_p2_values)
 
 
@@ -313,9 +335,8 @@ def _eval_field(func, x, y, *args):
 def _eval_wall_flux(disc, func, t):
     """Evaluate a wall-flux field at the edge quadrature points, feeding it
     the outward normals of the owning boundary edges."""
-    ex, ey = disc.edge_points[..., 0], disc.edge_points[..., 1]
-    n = disc.mesh.boundary_normals
-    return _eval_field(func, ex, ey, t, n[:, None, 0], n[:, None, 1])
+    return _eval_field(func, disc.edge_x, disc.edge_y, t, disc.edge_nx,
+                       disc.edge_ny)
 
 
 def _load_vector(disc, dofmap, source, flux, t, sign=1.0):
@@ -345,8 +366,8 @@ def _mobility(disc, coeffs, c_prev):
         raise CoefficientBlowupError(
             f"viscosity range [{mu.min():.6g}, {mu.max():.6g}] left the "
             f"admissible band [{0.5 * lo:.6g}, {2.0 * hi:.6g}]")
-    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
-    mobility = _eval_field(coeffs.permeability, x, y) / mu
+    mobility = _eval_field(coeffs.permeability, disc.quad_x,
+                           disc.quad_y) / mu
     if not (mobility.min() > 0.0 and mobility.max() < math.inf):  # NaN too
         raise CoefficientBlowupError(
             f"permeability gives k/mu in [{mobility.min():.6g}, "
@@ -365,7 +386,7 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     compatible (sum ~ 0), and a warning is emitted when the defect
     exceeds 1e-2 of its norm.
     """
-    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    x, y = disc.quad_x, disc.quad_y
     mobility = _mobility(disc, coeffs, c_prev)
     T, Q = mobility.shape
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -409,28 +430,30 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     The unknown is the new concentration; diffusion uses the dispersion
     model evaluated at the lagged ``velocity`` (T, Q, 2) of
     :func:`compute_velocity`, convection enters in the chosen form (see
-    module docstring), and the right-hand side carries (gamma/tau) M
-    c_prev plus sources chat*q_I + g and the wall flux; a matrix or
-    right-hand side that is not finite is a
+    module docstring) unless the coupling is "none", and the right-hand
+    side carries (gamma/tau) M c_prev plus sources chat*q_I + g and the
+    wall flux.  A matrix or right-hand side that is not finite, or one
+    whose 2-norm overflows (as gamma/tau = 1e300 makes it), is a
     :class:`CoefficientBlowupError`.
     """
     check_number("time step tau", tau, above=0)
     check_mode(mode)
 
     gamma = coeffs.porosity
-    x, y = disc.quad_points[..., 0], disc.quad_points[..., 1]
+    x, y = disc.quad_x, disc.quad_y
 
     # the P1 gradients g_j are constant per cell, so the diffusion block
     # needs only the cell integrals of D, and the convection block is
     # U_i . g_j with U_i = |det J| sum_q w_q phi_i(x_q) u_q
     T, Q = disc.cell_weights.shape
-    skew = mode == "skew" and coeffs.velocity_coupling == "advection"
+    convection = coeffs.velocity_coupling == "advection"
+    skew = mode == "skew" and convection
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         D = dispersion_matrices(velocity, coeffs.dispersion)
         D_cell = D.reshape(T, 4 * Q) @ disc.dispersion_weights
         local = np.einsum("tk,tkn->tn", D_cell,
                           disc.p1_grad_products).reshape(T, 3, 3)
-        if coeffs.velocity_coupling == "advection":
+        if convection:
             U = velocity.reshape(T, 2 * Q) @ disc.convection_weights
             U = (disc.det_j[:, None] * U).reshape(T, 3, 1, 2)
             G = disc.p1_grads[:, None, :, :]
@@ -471,4 +494,11 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
                             coeffs.concentration_flux, t)
     if not np.isfinite(rhs).all():
         raise CoefficientBlowupError("concentration load vector is not finite")
-    return ConcentrationSystem(matrix=A, rhs=rhs)
+    with np.errstate(over="ignore"):
+        rhs_norm = np.linalg.norm(rhs)
+    if not math.isfinite(rhs_norm):
+        # every residual norm of the solve would overflow with it
+        raise CoefficientBlowupError(
+            f"concentration load vector has a 2-norm beyond the float "
+            f"range (gamma/tau = {gamma / tau:.3g})")
+    return ConcentrationSystem(matrix=A, rhs=rhs, convection=convection)

@@ -7,24 +7,26 @@ fields involve divergences of coefficient-weighted fluxes.
 :func:`manufacture_sources` recovers them with central finite
 differences of the analytic fluxes (step ``fd_step``) for any case; it
 is the oracle.  :func:`problem_coefficients`, which feeds the driver,
-is the same coefficient bundle with the divergences a case gives in
-closed form instead.  Those are exact where the fluxes are smooth, but
-the dispersive flux D(u) grad c is only Lipschitz where |u| has a kink,
-and there the finite-difference source is kept: at points closer than
-``fd_step`` to the kink, where the stencil straddles it.  So ``fd_step``
-is both the stencil step and the width of that band, and changing it
-can change results.
+is the same coefficient bundle with the divergences and the wall data a
+case gives in closed form instead.  Those are exact where the fluxes
+are smooth, but the dispersive flux D(u) grad c is only Lipschitz where
+|u| has a kink, and there the finite-difference source is kept: at
+points closer than ``fd_step`` to the kink, where the stencil straddles
+it.  So ``fd_step`` is both the stencil step and the width of that band,
+and changing it can change results.
 Wall data follow the assembly contract ``flux(x, y, t, nx, ny)``: the
 analytic flux vector at the requested point dotted with whatever outward
 normal the caller passes in, so the Neumann data stay exactly compatible
 with the divergence theorem on the discrete polygonal domain.
 
 Every time step evaluates the sources and wall fluxes at the same volume
-and edge quadrature points, so the disk-trig case computes sin x, cos x,
-sin y and cos y once per point set (:class:`_TrigTable`) and a later
-call at those points applies only e^-t and x - t.  Stored values serve
-only coordinates equal byte for byte to theirs, so every callable
-returns exactly what a fresh evaluation returns.
+and edge quadrature points, so the disk-trig case computes the
+time-independent trigonometric products of its closed forms once per
+point set (:class:`_ProductTable`) and a later call at those points
+applies only e^-t and x - t.  Stored values serve only coordinates equal
+byte for byte to theirs, and a fresh evaluation forms the same products
+first, so every callable returns exactly what a fresh evaluation
+returns.
 """
 
 from __future__ import annotations
@@ -47,18 +49,22 @@ class ManufacturedSolution:
     All callables are numpy-vectorized; gradients return (..., 2) arrays
     with the components stacked on the last axis.
 
-    ``velocity_divergence`` and ``flux_divergence`` are closed forms
-    derived from the permeability, viscosity, dispersion, pressure and
-    concentration fields, and ``kink_distance`` from where |u| is not
-    smooth.  A ``dataclasses.replace`` that changes any of those fields
-    must replace the closed forms with it, or :func:`problem_coefficients`
-    keeps the old sources.  Only ``porosity`` and ``velocity_coupling``
-    are applied to the sources in generic code.
+    ``velocity_divergence``, ``flux_divergence``, ``normal_velocity``
+    and ``normal_flux`` are closed forms derived from the permeability,
+    viscosity, dispersion, pressure and concentration fields, and
+    ``kink_distance`` from where |u| is not smooth.  A
+    ``dataclasses.replace`` that changes any of those fields must replace
+    the closed forms with it, or :func:`problem_coefficients` keeps the
+    old sources and wall data.  Only ``porosity`` and
+    ``velocity_coupling`` are applied to the sources in generic code.
 
-    The closures of :func:`disk_trig_case` share sin x, cos x, sin y and
-    cos y, computed once per point set.  Those depend on the coordinates
-    only, so a ``replace`` of a field must still replace the closed forms
-    derived from it.
+    The closures of :func:`disk_trig_case` share one
+    :class:`_ProductTable`.  For each point set it stores cos x sin y,
+    sin x sin y, cos x cos y and (sin x sin y)^2 + (cos x cos y)^2, the
+    only forms in which the coordinates' sines and cosines enter c,
+    grad c, dc/dt, the two divergences and the two wall data.  Those
+    depend on the coordinates only, so a ``replace`` of a field must
+    still replace the closed forms derived from it.
     """
 
     domain_center: tuple
@@ -79,6 +85,8 @@ class ManufacturedSolution:
     # any field they are derived from (see the class docstring).
     velocity_divergence: Callable     # div u (x, y, t)
     flux_divergence: Callable         # div(D grad c) (x, y, t)
+    normal_velocity: Callable         # u . n (x, y, t, nx, ny)
+    normal_flux: Callable             # D(u) grad c . n (x, y, t, nx, ny)
     kink_distance: Callable           # (x, y, t) -> distance
     velocity_coupling: str = "advection"   # "advection" (u . grad c) or "none"
 
@@ -94,33 +102,46 @@ class ManufacturedSolution:
         return np.einsum("...ab,...b->...a", D, self.concentration_grad(x, y, t))
 
 
-class _TrigTable:
-    """sin x, cos x, sin y and cos y of a point set, computed once.
+@dataclass(frozen=True)
+class _Products:
+    """The trigonometric products of one point set, read-only."""
+
+    cs: np.ndarray          # cos x sin y
+    ss: np.ndarray          # sin x sin y
+    cc: np.ndarray          # cos x cos y
+    grad2: np.ndarray       # ss^2 + cc^2, so that |grad c|^2 = a^2 grad2
+
+
+class _ProductTable:
+    """The :class:`_Products` of a point set, computed once.
 
     The coordinates are taken as float64.  A call whose coordinates hold,
     byte for byte, those of a stored call of the same shapes returns the
-    stored values; any other call computes them and stores them under its
-    shapes.  Keying by shape keeps the kink band's stencil points, which
-    change from call to call, from evicting the fixed volume and edge
-    quadrature points; past ``slots`` shapes the least recently used is
-    dropped."""
+    stored products; any other call computes them and stores them under
+    its shapes.  Keying by shape keeps the kink band's stencil points,
+    which change from call to call, from evicting the fixed volume and
+    edge quadrature points; past ``slots`` shapes the least recently used
+    is dropped."""
 
     slots = 8
 
     def __init__(self):
-        self.entries = {}   # (x shape, y shape) -> ((x bytes, y bytes), trig)
+        self.entries = {}   # (x shape, y shape) -> ((x bytes, y bytes), products)
 
-    def __call__(self, x, y):
+    def __call__(self, x, y) -> _Products:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         key, points = (x.shape, y.shape), (x.tobytes(), y.tobytes())
         entry = self.entries.pop(key, None)
         if entry is None or entry[0] != points:
-            trig = tuple(np.asarray(f(v)) for v in (x, y)
-                         for f in (np.sin, np.cos))
-            for array in trig:
+            sin_x, cos_x = np.sin(x), np.cos(x)
+            sin_y, cos_y = np.sin(y), np.cos(y)
+            ss, cc = np.asarray(sin_x * sin_y), np.asarray(cos_x * cos_y)
+            products = (np.asarray(cos_x * sin_y), ss, cc,
+                        np.asarray(ss * ss + cc * cc))
+            for array in products:
                 array.flags.writeable = False
-            entry = (points, trig)
+            entry = (points, _Products(*products))
         self.entries[key] = entry           # now the most recently used
         if len(self.entries) > self.slots:
             del self.entries[next(iter(self.entries))]
@@ -158,9 +179,12 @@ def disk_trig_case() -> ManufacturedSolution:
 
         div(D grad c) = (1 + |u|/10) Laplacian(c)
                         + 40 e^-t m (sign(s) c_x - |s| m |grad c|^2).
+
+    On the wall u . n = -400 s e^-t m n_x and
+    D grad c . n = (1 + |u|/10) (c_x n_x + c_y n_y).
     """
 
-    trig = _TrigTable()
+    table = _ProductTable()
 
     def pressure(x, y, t):
         return 100.0 * (x - t) ** 2 * np.exp(-t) + 0.0 * y
@@ -170,17 +194,14 @@ def disk_trig_case() -> ManufacturedSolution:
         return np.stack([gx, np.zeros_like(gx)], axis=-1)
 
     def concentration(x, y, t):
-        _, cos_x, sin_y, _ = trig(x, y)
-        return 0.5 + 0.2 * np.exp(-t) * cos_x * sin_y
+        return 0.5 + 0.2 * np.exp(-t) * table(x, y).cs
 
     def concentration_grad(x, y, t):
-        sin_x, cos_x, sin_y, cos_y = trig(x, y)
-        e = 0.2 * np.exp(-t)
-        return np.stack([-e * sin_x * sin_y, e * cos_x * cos_y], axis=-1)
+        p, a = table(x, y), 0.2 * np.exp(-t)
+        return np.stack([-a * p.ss, a * p.cc], axis=-1)
 
     def concentration_dt(x, y, t):
-        _, cos_x, sin_y, _ = trig(x, y)
-        return -0.2 * np.exp(-t) * cos_x * sin_y
+        return -0.2 * np.exp(-t) * table(x, y).cs
 
     def permeability(x, y):
         return np.full(np.broadcast(x, y).shape, 2.0)
@@ -188,24 +209,35 @@ def disk_trig_case() -> ManufacturedSolution:
     def viscosity(c):
         return 1.0 + np.asarray(c, dtype=np.float64)
 
+    # e^-t leads every product with s = x - t, so a large t gives zero,
+    # not an overflow
     def velocity_divergence(x, y, t):
-        sin_x, cos_x, sy, _ = trig(x, y)
-        e = np.exp(-t)
-        m = 1.0 / (1.0 + (0.5 + 0.2 * e * cos_x * sy))
-        c_x = -0.2 * e * sin_x * sy
-        return -400.0 * e * m * (1.0 - (x - t) * m * c_x)
+        p, e = table(x, y), np.exp(-t)
+        a = 0.2 * e
+        m = 1.0 / (1.0 + (0.5 + a * p.cs))
+        return -400.0 * e * m * (1.0 - (x - t) * m * (-a * p.ss))
 
     def flux_divergence(x, y, t):
-        e, s = np.exp(-t), x - t
-        sin_x, cos_x, sin_y, cos_y = trig(x, y)
+        p, e, s = table(x, y), np.exp(-t), x - t
         a = 0.2 * e
-        w = a * cos_x * sin_y                   # c - 1/2
-        c_x, c_y = -a * sin_x * sin_y, a * cos_x * cos_y
+        w = a * p.cs                            # c - 1/2
         m = 1.0 / (1.0 + (0.5 + w))
         g = 40.0 * e * m
         k = g * np.abs(s)                       # |u|/10
         return ((1.0 + k) * (-2.0 * w)
-                + g * np.sign(s) * c_x - k * m * (c_x ** 2 + c_y ** 2))
+                + g * np.sign(s) * (-a * p.ss) - k * m * (a * a * p.grad2))
+
+    def normal_velocity(x, y, t, nx, ny):
+        e = np.exp(-t)
+        m = 1.0 / (1.0 + (0.5 + 0.2 * e * table(x, y).cs))
+        return -400.0 * e * m * (x - t) * nx
+
+    def normal_flux(x, y, t, nx, ny):
+        p, e = table(x, y), np.exp(-t)
+        a = 0.2 * e
+        m = 1.0 / (1.0 + (0.5 + a * p.cs))
+        k = 40.0 * e * m * np.abs(x - t)        # |u|/10
+        return (1.0 + k) * (a * (p.cc * ny - p.ss * nx))
 
     def kink_distance(x, y, t):
         return np.abs(x - t)
@@ -219,7 +251,8 @@ def disk_trig_case() -> ManufacturedSolution:
         concentration=concentration, concentration_grad=concentration_grad,
         concentration_dt=concentration_dt,
         velocity_divergence=velocity_divergence,
-        flux_divergence=flux_divergence, kink_distance=kink_distance,
+        flux_divergence=flux_divergence, normal_velocity=normal_velocity,
+        normal_flux=normal_flux, kink_distance=kink_distance,
         velocity_coupling="none")
 
 
@@ -295,9 +328,10 @@ def problem_coefficients(sol: ManufacturedSolution,
                          fd_step: float = 1e-5) -> ProblemCoefficients:
     """Bundle a benchmark and its manufactured sources for the driver.
 
-    This is :func:`manufacture_sources` with the case's closed-form
-    divergences in place of the finite differences, except that at
-    points closer than ``fd_step`` to the case's kink the flux
+    This is :func:`manufacture_sources` with the case's closed-form wall
+    data in place of the normal components of its fluxes, and its
+    closed-form divergences in place of the finite differences, except
+    that at points closer than ``fd_step`` to the case's kink the flux
     divergence is the finite difference, bit for bit.  Its smeared value
     there differs from the exact one (by up to 0.07 on the disk-trig
     case), and the mean mode of the no-flux transport, which nothing
@@ -317,7 +351,9 @@ def problem_coefficients(sol: ManufacturedSolution,
     return replace(manufacture_sources(sol, fd_step),
                    pressure_source=sol.velocity_divergence,
                    concentration_source=_transport_source(sol,
-                                                          flux_divergence))
+                                                          flux_divergence),
+                   pressure_flux=sol.normal_velocity,
+                   concentration_flux=sol.normal_flux)
 
 
 def strong_residuals(sol: ManufacturedSolution, coeffs: ProblemCoefficients,

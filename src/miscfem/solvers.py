@@ -5,13 +5,14 @@ fixed dof map is written into a :class:`SparsityPattern` built once from
 that map: each step sums the blocks into the pattern's slots, and a
 permutation and a scatter of the data, both fixed with the pattern, give
 the symmetry check and the LAPACK band storage of the matrix reordered
-by reverse Cuthill-McKee, which a band LU factors.  The CG loop is
+by reverse Cuthill-McKee, which a band LU or, for a symmetric positive
+definite matrix, a band Cholesky factors.  The CG loop is
 written out here because the pressure solver needs deflation against a
 weighted mean constraint; GMRES runs each restart cycle through
 ``scipy.sparse.linalg.gmres``.  Both solvers report iteration counts and
 true relative residuals in a fixed, reproducible way, and both take any
 preconditioner v -> M^{-1} v.  The time stepper passes GMRES the solve
-of an exact band LU factor of each step's transport matrix; GMRES
+of an exact band factor of each step's transport matrix; GMRES
 first tries one correction x0 + M^{-1} r0, which is then one exact solve
 plus a true-residual check that reports one iteration, with its restart
 cycles as the fallback should that check miss the tolerance.  It passes
@@ -29,7 +30,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dorgqr, dtrtrs
+from scipy.linalg.lapack import (dgbtrf, dgbtrs, dgeqrf, dorgqr, dpbtrf,
+                                 dpbtrs, dtrtrs)
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .checks import check_number
@@ -65,23 +67,27 @@ class BandOrdering:
     and the LAPACK band storage of its matrices: ``order`` is q and
     ``position`` its inverse, the new index of each old one, so that
     B = A[q][:, q] has half-bandwidth k = ``half_bandwidth``, and A x = b
-    is B y = b[q] with x = y[position].  ``slots[s]`` is the flat position
-    of entry s of A's data in the Fortran-ordered (3k + 1, n) storage of B
-    that ``dgbtrf`` factors, whose top k rows take the fill of its row
-    exchanges.  The arrays are read-only."""
+    is B y = b[q] with x = y[position].  ``lu_slots[s]`` is the flat
+    position of entry s of A's data in the Fortran-ordered (3k + 1, n)
+    storage of B that ``dgbtrf`` factors, whose top k rows take the fill
+    of its row exchanges; ``cholesky_slots[s]`` is its position in the
+    (k + 1, n) storage of B's lower triangle that ``dpbtrf`` factors, or,
+    for an entry above the diagonal, the one spare slot past its end.
+    The arrays are read-only."""
 
     order: np.ndarray
     position: np.ndarray
     half_bandwidth: int
-    slots: np.ndarray
+    lu_slots: np.ndarray
+    cholesky_slots: np.ndarray
 
-    def factor(self, A):
+    def lu(self, A):
         """The solve v -> A^{-1} v of the band LU factor of B, with
         partial pivoting, for A on the pattern; RuntimeError when a pivot
         is exactly zero."""
         k, n = self.half_bandwidth, self.order.size
         band = np.zeros((3 * k + 1) * n)
-        band[self.slots] = A.data
+        band[self.lu_slots] = A.data
         lu, pivots, info = dgbtrf(band.reshape(3 * k + 1, n, order="F"),
                                   k, k, overwrite_ab=True)
         if info > 0:
@@ -90,6 +96,24 @@ class BandOrdering:
 
         def solve(v):
             return dgbtrs(lu, k, k, v[self.order], pivots)[0][self.position]
+        return solve
+
+    def cholesky(self, A):
+        """The solve v -> A^{-1} v of the band Cholesky factor of B, for a
+        symmetric A on the pattern, of which only the lower triangle is
+        read; RuntimeError when a pivot is not positive, as it is for a
+        matrix that is not positive definite."""
+        k, n = self.half_bandwidth, self.order.size
+        band = np.zeros((k + 1) * n + 1)
+        band[self.cholesky_slots] = A.data
+        factor, info = dpbtrf(band[:-1].reshape(k + 1, n, order="F"),
+                              lower=1, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError(f"pivot {info} is not positive: the matrix "
+                               f"is not positive definite")
+
+        def solve(v):
+            return dpbtrs(factor, v[self.order], lower=1)[0][self.position]
         return solve
 
 
@@ -136,12 +160,14 @@ class SparsityPattern:
         rows = position[np.repeat(np.arange(n), np.diff(self.indptr))]
         cols = position[self.indices]
         k = int(np.max(np.abs(rows - cols), initial=0))
-        # entry (i, j) of B sits in row 2k + i - j, column j of the storage,
-        # at flat position 2k + i - j + (3k + 1) j
-        slots = 2 * k + rows + 3 * k * cols
-        for arr in (order, position, slots):
+        # entry (i, j) of B sits in row 2k + i - j, column j of the LU
+        # storage, at flat position 2k + i - j + (3k + 1) j, and, when
+        # i >= j, in row i - j of the Cholesky storage, at i - j + (k + 1) j
+        lu_slots = 2 * k + rows + 3 * k * cols
+        cholesky_slots = np.where(rows >= cols, rows + k * cols, (k + 1) * n)
+        for arr in (order, position, lu_slots, cholesky_slots):
             arr.flags.writeable = False
-        return BandOrdering(order, position, k, slots)
+        return BandOrdering(order, position, k, lu_slots, cholesky_slots)
 
     def leading_block(self, m, k) -> SparsityPattern:
         """The pattern of the leading m x m block, assembled from the first
@@ -168,28 +194,28 @@ class SparsityPattern:
 def number_pairs(rows, cols, n):
     """Number the distinct (row, col) pairs of two broadcast integer
     arrays with entries in [0, n), in row-major order, from one sort of
-    the keys row * n + col.  Returns ``distinct``, the sorted distinct
-    keys; ``first``, the flat position of each one's first occurrence; and
-    ``inverse``, the number of the pair at each flat position: what
-    ``np.unique`` returns as its values, ``return_index`` and
-    ``return_inverse`` for the keys."""
+    the keys row * n + col packed with their flat positions into int64;
+    keys that would leave int64 are a ValueError, which no admitted mesh
+    meets (at M = 1024 they take about 60 bits).  Returns ``distinct``,
+    the sorted distinct keys; ``first``, the flat position of each one's
+    first occurrence; and ``inverse``, the number of the pair at each flat
+    position: what ``np.unique`` returns as its values, ``return_index``
+    and ``return_inverse`` for the keys."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     shape = np.broadcast_shapes(rows.shape, cols.shape)
     count = math.prod(shape)
     shift = count.bit_length()
-    if n * n << shift <= np.iinfo(np.int64).max:
-        # the key with its position in the low bits: one plain sort, about
-        # half the cost of an argsort, orders both, equal keys by position
-        keys = (rows * (n << shift) + (cols << shift)).ravel()
-        keys |= np.arange(count)
-        keys.sort()
-        order = keys & ((1 << shift) - 1)
-        keys >>= shift
-    else:
-        keys = (rows * n + cols).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+    if n * n << shift > np.iinfo(np.int64).max:
+        raise ValueError(f"keys of {n} x {n} pairs at {count} positions "
+                         f"do not fit in int64")
+    # the key with its position in the low bits: one plain sort, about
+    # half the cost of an argsort, orders both, equal keys by position
+    keys = (rows * (n << shift) + (cols << shift)).ravel()
+    keys |= np.arange(count)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
     new = np.empty(count, dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])

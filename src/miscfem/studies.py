@@ -112,7 +112,8 @@ class StudyConfig:
     mode: str = "direct"            # or "skew"
     pressure_tol: float = 1e-11     # relative solver tolerances
     concentration_tol: float = 1e-10
-    fd_step: float = 1e-5           # manufactured-source finite difference step
+    fd_step: float = 1e-5           # manufactured-source finite difference
+                                    # step, at most 1
     quad_degree: int = 4            # volume quadrature exactness, 2..6
     dump_fields: bool = False       # write VTK fields
     dump_steps: tuple = ()          # extra step indices; final step is implied
@@ -177,6 +178,12 @@ class StudyConfig:
         for name in ("pressure_tol", "concentration_tol", "fd_step"):
             with _field(name):
                 put(name, float(check_number(name, getattr(self, name), above=0)))
+        if self.fd_step > 1.0:
+            # the benchmark disk has diameter 1; a stencil wider than the
+            # domain measures nothing, and near 1e306 its fluxes overflow
+            raise ConfigError("fd_step", f"must be at most 1, the diameter "
+                                         f"of the benchmark's domain, got "
+                                         f"{self.fd_step!r}")
 
     def echo_dict(self) -> dict:
         """Schema-keyed dict of the full configuration.

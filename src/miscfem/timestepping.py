@@ -22,8 +22,10 @@ once a solve takes more than ``REFACTOR_ITERATIONS`` iterations.
 The transport matrix changes its values every step but never its
 structure, so its bandwidth-reducing ordering is computed once per
 sparsity pattern (:attr:`~miscfem.solvers.SparsityPattern.band`), by
-:func:`initialize`, and each step factors the reordered matrix with a
-LAPACK band LU.
+:func:`initialize`, and each step factors the reordered matrix in LAPACK
+band storage: with a Cholesky factor when the matrix holds no convection
+term, which leaves it symmetric positive definite, and with an LU factor
+otherwise.
 
 Memory stays O(1) in the number of steps; anything that must be recorded
 along the way goes through observer callables or the returned per-step
@@ -55,13 +57,20 @@ PRESSURE_WINDOW = 8
 
 class StepFailure(RuntimeError):
     """A linear solve inside one time step did not converge (``report``
-    says how far it got), or its matrix could not be factored (``report``
-    is None and ``reason`` gives the factorization's error)."""
+    says how far it got, against the relative ``tolerance`` when given),
+    or its matrix could not be factored (``report`` is None and
+    ``reason`` gives the factorization's error)."""
 
-    def __init__(self, step_index, what, report=None, reason=None):
+    def __init__(self, step_index, what, report=None, reason=None,
+                 tolerance=None):
         if reason is None:
             reason = (f"residual {report.relative_residual:.3e} after "
                       f"{report.iterations} iterations")
+        if tolerance is not None:
+            eps = np.finfo(np.float64).eps
+            below = (f", below the machine epsilon {eps:.3g}"
+                     if tolerance < eps else "")
+            reason += f" (tolerance {tolerance:.3g}{below})"
         super().__init__(f"{what} solve failed at step {step_index}: {reason}")
         self.step_index = step_index
         self.report = report
@@ -71,15 +80,16 @@ class StepFailure(RuntimeError):
         return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
-def _factor(factorize, matrix, step_index, what, **options):
-    """``factorize(matrix, **options)``; a matrix that cannot be factored
-    (e.g. an exactly singular one) fails step ``step_index`` with
-    :class:`StepFailure`."""
+def _factor(factorize, method, matrix, step_index, what, **options):
+    """``factorize(matrix, **options)``, a ``method`` ("LU" or
+    "Cholesky") factorization; a matrix that it cannot factor (e.g. an
+    exactly singular one, or for Cholesky one with a pivot that is not
+    positive) fails step ``step_index`` with :class:`StepFailure`."""
     try:
         return factorize(matrix, **options)
     except RuntimeError as exc:
         raise StepFailure(step_index, what,
-                          reason=f"LU factorization: {exc}") from exc
+                          reason=f"{method} factorization: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,17 @@ class TimeGrid:
         return self.final_time / self.num_steps
 
     def time(self, n: int) -> float:
-        return n * self.final_time / self.num_steps
+        # n / num_steps <= 1 first, so no level's time overflows, and the
+        # last one is final_time exactly
+        return self.final_time * (n / self.num_steps)
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Relative tolerances (> 0) of the pressure CG, preconditioned by a
     lagged sparse LU factor of the bordered Neumann system, and of the
-    transport solve: one exact solve with a band LU factor of each
-    step's matrix plus a true-residual check, with GMRES
+    transport solve: one exact solve with a band Cholesky or LU factor of
+    each step's matrix plus a true-residual check, with GMRES
     right-preconditioned by that factor as the fallback."""
 
     pressure_tol: float = 1e-11
@@ -177,7 +189,7 @@ def _bordered_factor(disc, matrix, step_index) -> SuperLU:
     m = disc.p2_basis_integrals[:, None]
     bordered = sp.bmat([[matrix, m], [m.T, None]], format="csc")
     # minimum degree on A^T + A fills about half as much as COLAMD here
-    return _factor(splu, bordered, step_index, "pressure",
+    return _factor(splu, "LU", bordered, step_index, "pressure",
                    permc_spec="MMD_AT_PLUS_A")
 
 
@@ -209,7 +221,8 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
                                 rel_tol=options.pressure_tol,
                                 x0=x0, r0=r0, precond=precond)
         if not report.converged:
-            raise StepFailure(n, "pressure", report)
+            raise StepFailure(n, "pressure", report,
+                              tolerance=options.pressure_tol)
         if report.iterations > REFACTOR_ITERATIONS:
             factor = factor_diagonal = None
         velocity = compute_velocity(disc, system.mobility, p)
@@ -247,15 +260,20 @@ def _transport(disc, coeffs, grid, state, mode, options, n):
     # first correction with it is the solution, which GMRES checks by its
     # true residual before it would start a cycle.  Reverse Cuthill-McKee
     # leaves a narrow band (k = 27 at M = 64, 101 at M = 256), whose
-    # LAPACK LU costs less than a sparse LU's per-call symbolic work up
-    # to M = 256; at M = 512 its n k^2 arithmetic makes it the slower.
-    precond = _factor(disc.p1_pattern.band.factor, system.matrix, n,
-                      "concentration")
+    # LAPACK factor costs less than a sparse LU's per-call symbolic work
+    # up to M = 256; at M = 512 its n k^2 arithmetic makes it the slower.
+    # Without convection the matrix is symmetric positive definite, and
+    # a Cholesky factor takes half the work and a third of the storage.
+    band = disc.p1_pattern.band
+    method, factorize = (("LU", band.lu) if system.convection
+                         else ("Cholesky", band.cholesky))
+    precond = _factor(factorize, method, system.matrix, n, "concentration")
     c, c_report = gmres(system.matrix, system.rhs,
                         rel_tol=options.concentration_tol,
                         x0=state.concentration, precond=precond)
     if not c_report.converged:
-        raise StepFailure(n, "concentration", c_report)
+        raise StepFailure(n, "concentration", c_report,
+                          tolerance=options.concentration_tol)
     return c, c_report
 
 

@@ -203,7 +203,7 @@ def transport_matrix_oracle(disc, coeffs, velocity, tau, t, mode):
     n = disc.p1.dof_count
     out = _scatter(disc.p1.cell_dofs, local, n)
     if skew and coeffs.pressure_flux is not None:
-        ex, ey = disc.edge_points[..., 0], disc.edge_points[..., 1]
+        ex, ey = disc.edge_x, disc.edge_y
         nrm = disc.mesh.boundary_normals
         flux = coeffs.pressure_flux(ex, ey, t, nrm[:, None, 0],
                                     nrm[:, None, 1])
@@ -223,7 +223,7 @@ def _scatter_loads(cell_dofs, local, n):
 def _wall_loads(disc, flux, edge_values, t):
     """Per-edge loads (flux(x, y, t, n), phi_i) on the boundary edges, in
     the owner triangles' bases."""
-    ex, ey = disc.edge_points[..., 0], disc.edge_points[..., 1]
+    ex, ey = disc.edge_x, disc.edge_y
     nrm = disc.mesh.boundary_normals
     g = flux(ex, ey, t, nrm[:, None, 0], nrm[:, None, 1])
     return np.einsum("bq,bq,bqi->bi", np.broadcast_to(g, ex.shape),

@@ -122,7 +122,7 @@ FIELDS = [Field(*spec) for spec in [
      lambda v, d: StudyConfig(concentration_tol=v).concentration_tol,
      variants(1e-10, 1), NOT_POSITIVE, float),
     ("fd_step", lambda v, d: StudyConfig(fd_step=v).fd_step,
-     variants(1e-5, 1), NOT_POSITIVE, float),
+     variants(1e-5, 1), NOT_POSITIVE + [1.5, 1e308], float),
     ("quad_degree", lambda v, d: StudyConfig(quad_degree=v).quad_degree,
      variants(2, 4, 6), NOT_INTEGRAL + [0, 1, 1.0, 7, 7.0], int),
 ]]

@@ -4,13 +4,15 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import pickle
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from miscfem import (CoefficientBlowupError, ConfigError,
@@ -247,11 +249,25 @@ def test_broken_json_exits_2(tmp_path, capsys):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
+    """A tolerance no residual in double precision need reach ends as exit
+    3, and the message gives the residual reached and names the cause."""
     cfg = write_config(tmp_path, pressure_tol=1e-300)
     assert main(["run", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "pressure" in err
+    assert "(tolerance 1e-300, below the machine epsilon 2.22e-16)" in err
+
+
+def test_overflowing_transport_load_exits_3(tmp_path, capsys):
+    """At tau = 1e-300, gamma/tau = 1e300 makes the 2-norm of the
+    transport load vector overflow, which every residual of its solve
+    would inherit: the step ends as a coefficient failure naming it."""
+    cfg = write_config(tmp_path, tau=[1e-300], T=1e-300)
+    assert main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert ("at step 1: concentration load vector has a 2-norm beyond the "
+            "float range (gamma/tau = 1e+300)") in err
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):
@@ -387,6 +403,55 @@ def test_no_argv_ends_in_a_traceback(verb, flags, out, M, config, obstacles):
                 code = "argparse" if exc.code == 2 else exc.code
     event(f"exit {code}")
     assert code in (0, 2, 3, "argparse"), argv
+
+
+# positive finite doubles, subnormal to the largest, with the values
+# where the run changes behaviour drawn often
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True,
+                      allow_infinity=False) | st.sampled_from(
+    [5e-324, 1e-300, 1e-160, 1e-17, 1e-5, 0.25, 1.0, 1e150, 1e300,
+     1.7976931348623157e308])
+_ERROR_FIELDS = ("c_l2", "u_l2", "c_linf", "u_linf", "c_h1semi", "p_l2",
+                 "p_grad_l4")
+
+
+@settings(max_examples=250)
+@example(tau=1e-300, steps=1, pressure_tol=1e-11, concentration_tol=1e-10,
+         fd_step=1e-5)
+@example(tau=0.25, steps=2, pressure_tol=1e-300, concentration_tol=1e-10,
+         fd_step=1e-5)
+# the times of a march to T near the float maximum
+@example(tau=4.49423283715579e+307, steps=2, pressure_tol=1.0,
+         concentration_tol=1.0, fd_step=1.0)
+@given(tau=_POSITIVE, steps=st.integers(1, 3), pressure_tol=_POSITIVE,
+       concentration_tol=_POSITIVE, fd_step=_POSITIVE)
+def test_numeric_extremes_end_in_a_documented_exit(tau, steps, pressure_tol,
+                                                   concentration_tol,
+                                                   fd_step):
+    """Any positive tau (with T = steps * tau, which may overflow), either
+    tolerance and fd_step, on one M=8 row, exits 0, 2 or 3 with no numpy
+    warning; on exit 0 report.json is strict JSON and every error column
+    is finite."""
+    config = {"mesh_M": [8], "tau": [tau], "T": tau * steps,
+              "pressure_tol": pressure_tol,
+              "concentration_tol": concentration_tol, "fd_step": fd_step,
+              "output_dir": "out"}
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.chdir(tmp)
+        Path("config.json").write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["run", "--config", "config.json"])
+        report = Path("out/report.json")
+        event(f"exit {code}")
+        assert code in (0, 2, 3), err.getvalue()
+        assert report.exists() == (code == 0), err.getvalue()
+        if code == 0:
+            row = json.loads(report.read_text(),
+                             parse_constant=_refuse_constant)
+            assert all(math.isfinite(row[c]) for c in _ERROR_FIELDS), row
 
 
 @pytest.mark.parametrize("error", [

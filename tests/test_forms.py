@@ -16,11 +16,11 @@ from oracles import (concentration_rhs_oracle, p1_mass_oracle,
                      write_unit_triangle_mesh)
 
 from miscfem import (CoefficientBlowupError, DispersionParams,
-                     ProblemCoefficients, ScalarDispersionParams,
+                     ProblemCoefficients, ScalarDispersionParams, TimeGrid,
                      assemble_concentration, assemble_pressure,
                      build_discretization, compute_velocity, disk_trig_case,
                      generate_disk_mesh, interpolate, load_mesh,
-                     problem_coefficients, save_mesh)
+                     measure_errors, problem_coefficients, run, save_mesh)
 from miscfem.forms import _eval_wall_flux
 
 
@@ -252,9 +252,49 @@ def test_wall_flux_receives_discrete_normals(disc16):
         return np.zeros(np.broadcast(x, y).shape)
 
     _eval_wall_flux(disc16, flux, 0.0)
-    n = disc16.mesh.boundary_normals
-    assert np.array_equal(np.asarray(seen["nx"]).ravel(), n[:, 0])
-    assert np.array_equal(np.asarray(seen["ny"]).ravel(), n[:, 1])
+    n = disc16.mesh.boundary_normals[:, None, :]
+    assert np.array_equal(seen["nx"], np.broadcast_to(n[..., 0],
+                                                      disc16.edge_x.shape))
+    assert np.array_equal(seen["ny"], np.broadcast_to(n[..., 1],
+                                                      disc16.edge_x.shape))
+
+
+def test_callables_receive_the_discretizations_own_points(disc8):
+    """Through a march and measure_errors, every coefficient callable gets
+    the discretization's read-only, C-contiguous coordinate arrays
+    themselves, the same objects at every call, so that it can keep what
+    depends on the points alone."""
+    sol = disk_trig_case()
+    volume = (disc8.quad_x, disc8.quad_y)
+    edge = (disc8.edge_x, disc8.edge_y, disc8.edge_nx, disc8.edge_ny)
+    for arr in volume + edge:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert np.array_equal(np.stack(volume, axis=-1), disc8.quad_points)
+    seen = []
+
+    def spy(func):
+        def wrapped(*args):
+            seen.append(args[:2] + args[3:])
+            return func(*args)
+        return wrapped
+
+    coeffs = problem_coefficients(sol)
+    coeffs = dataclasses.replace(coeffs, **{
+        name: spy(getattr(coeffs, name)) for name in (
+            "pressure_source", "concentration_source", "pressure_flux",
+            "concentration_flux")})
+    sol = dataclasses.replace(sol, **{
+        name: spy(getattr(sol, name)) for name in (
+            "pressure", "pressure_grad", "concentration_grad")})
+    grid = TimeGrid(final_time=0.5, num_steps=2)
+    state, _ = run(disc8, coeffs, grid)
+    measure_errors(disc8, state, grid, sol)
+    # the source and flux of three pressure levels and of two transport
+    # steps, then p, grad p, grad p again inside the velocity, and grad c
+    assert len(seen) == 3 * 2 + 2 * 2 + 4
+    for args in seen:
+        want = volume if len(args) == 2 else edge
+        assert all(a is b for a, b in zip(args, want, strict=True))
 
 
 def test_quadratic_pressure_reproduced_exactly(disc16):

@@ -13,7 +13,7 @@ from miscfem import (CASES, ManufacturedSolution, TimeGrid,
                      build_discretization, disk_trig_case, fd_divergence,
                      generate_disk_mesh, manufacture_sources, measure_errors,
                      problem_coefficients, run, strong_residuals)
-from miscfem.manufactured import _TrigTable
+from miscfem.manufactured import _ProductTable
 
 
 def disk_points(rng, n, sol):
@@ -192,6 +192,27 @@ def test_closed_form_sources_match_the_finite_difference_oracle(sol, rng):
     assert banded == 3                      # at t = 17/32 and 24/32
 
 
+def test_closed_form_wall_data_match_the_oracle(sol, rng):
+    """problem_coefficients' wall data, in closed form, equal the normal
+    components of the analytic fluxes that manufacture_sources gives, to
+    rounding, at random points and normals and at the edge quadrature
+    points of the temporal M=128 row with their outward normals."""
+    oracle = manufacture_sources(sol)
+    coeffs = problem_coefficients(sol)
+    x, y = disk_points(rng, 1000, sol)
+    samples = [(x, y, rng.uniform(0.0, 1.0, 1000), rng.standard_normal(1000),
+                rng.standard_normal(1000))]
+    disc = build_discretization(generate_disk_mesh(M=128))
+    samples += [(disc.edge_x, disc.edge_y, n / 32.0, disc.edge_nx,
+                 disc.edge_ny) for n in range(33)]
+    for args in samples:
+        for fd, closed in ((oracle.pressure_flux, coeffs.pressure_flux),
+                           (oracle.concentration_flux,
+                            coeffs.concentration_flux)):
+            want, got = fd(*args), closed(*args)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_finite_difference_oracle_drives_the_solver(sol):
     """manufacture_sources returns coefficients the driver can march, and
     marching them gives the errors of problem_coefficients' closed-form
@@ -209,7 +230,7 @@ def test_finite_difference_oracle_drives_the_solver(sol):
 
 
 # Every callable of a disk-trig case and of its problem_coefficients,
-# (x, y, t) -> value; the wall fluxes get a fixed unit normal.
+# (x, y, t) -> value; the wall data get a fixed unit normal.
 def _evaluations(sol):
     coeffs = problem_coefficients(sol)
     calls = {name: getattr(sol, name) for name in (
@@ -218,11 +239,12 @@ def _evaluations(sol):
         "kink_distance", "velocity", "concentration_flux")}
     calls.update(
         pressure_source=coeffs.pressure_source,
-        concentration_source=coeffs.concentration_source,
-        pressure_wall_flux=lambda x, y, t: coeffs.pressure_flux(
-            x, y, t, 0.6, -0.8),
-        concentration_wall_flux=lambda x, y, t: coeffs.concentration_flux(
-            x, y, t, 0.6, -0.8))
+        concentration_source=coeffs.concentration_source)
+    for name, flux in (("normal_velocity", sol.normal_velocity),
+                       ("normal_flux", sol.normal_flux),
+                       ("pressure_wall_flux", coeffs.pressure_flux),
+                       ("concentration_wall_flux", coeffs.concentration_flux)):
+        calls[name] = lambda x, y, t, flux=flux: flux(x, y, t, 0.6, -0.8)
     return calls
 
 
@@ -246,9 +268,9 @@ def test_stored_factors_give_a_fresh_evaluation_bit_for_bit(data, n, t,
     """One case answers a sequence of calls -- on arrays mutated in place
     between calls, on new arrays of the same shape, on scalars, on
     broadcast shapes and on points within fd_step of the kink x = t,
-    interleaved -- and after each step every callable answers with the
-    bits that a case with no stored factors gives for the same
-    arguments."""
+    interleaved -- and after each step every callable, the closed-form
+    wall data among them, answers with the bits that a case with no
+    stored products gives for the same arguments."""
     live = _evaluations(disk_trig_case())
     x = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
     y = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
@@ -275,7 +297,7 @@ def test_stored_factors_give_a_fresh_evaluation_bit_for_bit(data, n, t,
 
 def test_a_signed_zero_is_new_content():
     """sin(-0.0) is -0.0: a point mutated from 0.0 to -0.0 must not get
-    the factors stored for 0.0, whose sign the x-derivative of c keeps."""
+    the products stored for 0.0, whose sign the x-derivative of c keeps."""
     sol = disk_trig_case()
     x, y = np.array([0.0, 0.3]), np.array([0.4, 0.4])
     sol.concentration_grad(x, y, 0.5)
@@ -289,12 +311,14 @@ def test_a_signed_zero_is_new_content():
 def test_band_shapes_leave_the_volume_factors_stored():
     """Stencil calls of other shapes, however many distinct contents they
     bring, do not evict a point set: the next call on a copy of it
-    returns the stored arrays themselves."""
-    table = _TrigTable()
+    returns the stored products themselves, which are read-only."""
+    table = _ProductTable()
     x, y = np.linspace(0.0, 1.0, 50), np.linspace(1.0, 0.0, 50)
     stored = table(x, y)
     for k in range(1, 4):
         for shift in (1e-5, -1e-5):
             table(x[:k] + shift, y[:k])
-    assert all(a is b for a, b in zip(table(x.copy(), y.copy()), stored))
-    assert not any(a.flags.writeable for a in stored)
+    assert table(x.copy(), y.copy()) is stored
+    products = (stored.cs, stored.ss, stored.cc, stored.grad2)
+    assert not any(a.flags.writeable for a in products)
+    assert np.array_equal(stored.cs, np.cos(x) * np.sin(y))

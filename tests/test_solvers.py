@@ -109,8 +109,9 @@ def covering_maps(draw):
 def test_band_ordering_permutes_the_pattern(case):
     """The pattern keeps one ordering: ``order`` and ``position`` are
     inverse permutations, the half-bandwidth k is the widest reach of the
-    reordered pattern, the band slots scatter any A on the pattern into
-    LAPACK's (3k + 1, n) storage of A[q][:, q], and the factor's solve
+    reordered pattern, the LU slots scatter any A on the pattern into
+    LAPACK's (3k + 1, n) storage of A[q][:, q] and the Cholesky slots its
+    lower triangle into the (k + 1, n) storage, and the LU factor's solve
     matches a dense solve on a diagonally dominant A."""
     n, cell_dofs, seed = case
     rng = np.random.default_rng(seed)
@@ -127,7 +128,7 @@ def test_band_ordering_permutes_the_pattern(case):
                         size=cell_dofs.shape + cell_dofs.shape[-1:])
     A = pattern.assemble(local)
     storage = np.zeros((3 * k + 1) * n)
-    storage[band.slots] = A.data
+    storage[band.lu_slots] = A.data
     storage = storage.reshape(3 * k + 1, n, order="F")
     i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n),
                                                np.arange(n))) <= k)
@@ -136,13 +137,55 @@ def test_band_ordering_permutes_the_pattern(case):
     assert np.array_equal(dense, A.toarray()[q][:, q])
     assert not storage[:k].any()        # the rows for the pivoting fill
 
+    lower = np.zeros((k + 1) * n + 1)   # the last slot takes the upper half
+    lower[band.cholesky_slots] = A.data
+    lower = lower[:-1].reshape(k + 1, n, order="F")
+    i, j = i[i >= j], j[i >= j]
+    dense = np.zeros((n, n))
+    dense[i, j] = lower[i - j, j]
+    assert np.array_equal(dense, np.tril(A.toarray()[q][:, q]))
+
     diagonal = np.flatnonzero(pattern.indices == rows)
     A.data[diagonal] += 1.0 + np.add.reduceat(np.abs(A.data),
                                              pattern.indptr[:-1])
     b = rng.standard_normal(n)
-    np.testing.assert_allclose(band.factor(A)(b),
+    np.testing.assert_allclose(band.lu(A)(b),
                                np.linalg.solve(A.toarray(), b),
                                rtol=1e-10, atol=1e-12)
+
+
+def symmetric_on_pattern(pattern, cell_dofs, rng):
+    """A symmetric, strictly diagonally dominant matrix with positive
+    diagonal on the pattern, so positive definite, and its diagonal's
+    positions in the data."""
+    local = rng.uniform(-1.0, 1.0,
+                        size=cell_dofs.shape + cell_dofs.shape[-1:])
+    A = pattern.assemble(local + local.transpose(0, 2, 1))
+    rows = np.repeat(np.arange(pattern.size), np.diff(pattern.indptr))
+    diagonal = np.flatnonzero(pattern.indices == rows)
+    A.data[diagonal] += 1.0 + np.add.reduceat(np.abs(A.data),
+                                             pattern.indptr[:-1])
+    return A, diagonal
+
+
+@settings(max_examples=100)
+@given(covering_maps())
+def test_band_cholesky_solves_symmetric_positive_definite_matrices(case):
+    """The band Cholesky factor's solve of a random symmetric positive
+    definite matrix on a pattern matches a dense solve; with the diagonal
+    negated the matrix is indefinite, and the factorization refuses it
+    with a RuntimeError naming the pivot."""
+    n, cell_dofs, seed = case
+    rng = np.random.default_rng(seed)
+    pattern = sparsity_pattern(n, cell_dofs)
+    A, diagonal = symmetric_on_pattern(pattern, cell_dofs, rng)
+    b = rng.standard_normal(n)
+    np.testing.assert_allclose(pattern.band.cholesky(A)(b),
+                               np.linalg.solve(A.toarray(), b),
+                               rtol=1e-10, atol=1e-12)
+    A.data[diagonal] *= -1.0
+    with pytest.raises(RuntimeError, match=r"pivot \d+ is not positive"):
+        pattern.band.cholesky(A)
 
 
 @settings(max_examples=100)
@@ -203,28 +246,29 @@ def test_leading_block_refuses_maps_not_numbered_leading_first(cell_dofs, m):
 
 def test_sparsity_pattern_without_room_to_pack_positions():
     """When n * n with the entry positions in its low bits would overflow
-    int64, the keys are argsorted instead, with the same result."""
+    int64 the keys cannot be packed, and the pattern is refused; a mesh
+    of the largest admitted resolution is far from that."""
     cell_dofs = np.random.default_rng(3).integers(0, 5000, (28000, 6))
-    small = sparsity_pattern(5000, cell_dofs)
-    large = sparsity_pattern(3_500_000, cell_dofs)
     assert (3_500_000 ** 2) << (cell_dofs.size * 6).bit_length() > 2**63
-    assert np.array_equal(large.indptr[:5001], small.indptr)
-    for name in ("indices", "slots", "transpose"):
-        assert np.array_equal(getattr(large, name), getattr(small, name))
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        sparsity_pattern(3_500_000, cell_dofs)
 
 
 @settings(max_examples=200)
 @given(st.integers(1, 40), st.booleans(), st.data())
 def test_number_pairs_matches_np_unique(count, wide, data):
     """Sorted distinct keys, first occurrences and inverse as np.unique
-    gives them, whether the positions are packed into the keys' low bits
-    or, for n this wide, the keys are argsorted."""
+    gives them, with the positions packed into the keys' low bits; for n
+    this wide the packed keys would leave int64, which is a ValueError."""
     n = 3_000_000_000 if wide else data.draw(st.integers(1, 12))
     pairs = st.lists(st.integers(0, min(n, 12) - 1), min_size=count,
                      max_size=count)
     rows, cols = (np.array(data.draw(pairs)) for _ in range(2))
     if wide:
         rows = rows * 250_000_000      # spread over [0, n)
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            number_pairs(rows, cols, n)
+        return
     keys = rows * n + cols
     distinct, first, inverse = number_pairs(rows, cols, n)
     want = np.unique(keys, return_index=True, return_inverse=True)

@@ -95,6 +95,7 @@ RENAMED = {"mesh_M": "mesh_sizes", "tau": "time_steps", "T": "final_time"}
     ({"mesh_M": [16, MAX_MESH_M + 1]}, "mesh_M[1]"),
     ({"mesh_M": [10 ** 9]}, "mesh_M[0]"),
     ({"quad_degree": 1}, "quad_degree"),  # singular P2 stiffness
+    ({"fd_step": 1.5}, "fd_step"),       # wider than the domain
 ])
 def test_schema_violations_name_the_field(data, path):
     """The same field is named whether the config comes from JSON or is

@@ -48,6 +48,11 @@ class TestTimeGrid:
         assert grid.time(8) == 2.0
         assert grid.time(3) == pytest.approx(0.75)
 
+    def test_times_stay_finite_up_to_the_float_maximum(self):
+        grid = TimeGrid(final_time=1.7976931348623157e308, num_steps=3)
+        assert grid.time(1) == pytest.approx(5.99e307, rel=1e-3)
+        assert grid.time(3) == grid.final_time
+
     @pytest.mark.parametrize("bad", [dict(final_time=0.0, num_steps=4),
                                      dict(final_time=-1.0, num_steps=4),
                                      dict(final_time=1.0, num_steps=0),
@@ -398,11 +403,12 @@ def test_viscosity_blowup_names_the_step(disc16):
 @pytest.mark.parametrize("case", ["disk-trig", "skew-plume"])
 def test_each_step_factors_its_own_transport_matrix(disc16, monkeypatch,
                                                     case):
-    """One LU policy serves the symmetric transport matrix of the
-    disk-trig case (no advection, direct form) and the nonsymmetric one
-    of an anisotropic plume in skew form: every step factors its own
-    matrix in the pattern's band storage, and the solve it gives is that
-    matrix's exact solve, so GMRES reports one iteration."""
+    """Every step factors its own transport matrix in the pattern's band
+    storage: the symmetric positive definite one of the disk-trig case
+    (no advection, direct form) with a band Cholesky, the nonsymmetric
+    one of an anisotropic plume in skew form with a band LU.  The solve
+    either gives is that matrix's exact solve, so GMRES reports one
+    iteration."""
     if case == "disk-trig":
         coeffs, mode = problem_coefficients(disk_trig_case()), "direct"
     else:
@@ -413,14 +419,18 @@ def test_each_step_factors_its_own_transport_matrix(disc16, monkeypatch,
                 -50.0 * ((x - 0.35) ** 2 + (y - 0.5) ** 2)))
         mode = "skew"
     calls = []
-    original = solvers.BandOrdering.factor
 
-    def recording(band, matrix):
-        solve = original(band, matrix)
-        calls.append((matrix, solve))
-        return solve
+    def recording(method):
+        original = getattr(solvers.BandOrdering, method)
 
-    monkeypatch.setattr(solvers.BandOrdering, "factor", recording)
+        def factor(band, matrix):
+            solve = original(band, matrix)
+            calls.append((method, matrix, solve))
+            return solve
+        return factor
+
+    for method in ("cholesky", "lu"):
+        monkeypatch.setattr(solvers.BandOrdering, method, recording(method))
     grid = TimeGrid(final_time=0.25, num_steps=16)
     state = initialize(disc16, coeffs, grid)
     for _ in range(3):
@@ -429,14 +439,15 @@ def test_each_step_factors_its_own_transport_matrix(disc16, monkeypatch,
         assert state.concentration_report.relative_residual < 1e-12
     assert len(calls) == 3
     rng = np.random.default_rng(0)
-    for matrix, solve in calls:
+    for method, matrix, solve in calls:
+        assert method == ("cholesky" if case == "disk-trig" else "lu")
         defect = abs(matrix - matrix.T).max()
-        assert (defect < 1e-14) == (case == "disk-trig")
+        assert (defect == 0.0) == (case == "disk-trig")
         b = rng.standard_normal(matrix.shape[0])
         np.testing.assert_allclose(solve(b),
                                    np.linalg.solve(matrix.toarray(), b),
                                    rtol=1e-10, atol=1e-12)
-    assert not np.array_equal(calls[0][0].data, calls[1][0].data)
+    assert not np.array_equal(calls[0][1].data, calls[1][1].data)
 
 
 def test_one_ordering_per_pattern(monkeypatch):
@@ -531,9 +542,10 @@ def test_time_independent_pressure_takes_no_cg_iterations(disc16):
 def test_singular_matrices_fail_the_step(disc8):
     """A permeability of zero, which would make the pressure matrix zero,
     is refused before any factorization as a CoefficientBlowupError that
-    names step 0 and the permeability.  A transport matrix that LU finds
-    exactly singular (a porosity and molecular diffusion small enough to
-    round it to zero) fails step 1 as a StepFailure naming the system."""
+    names step 0 and the permeability.  A transport matrix without
+    convection that a porosity and molecular diffusion small enough
+    round to zero has a zero pivot, which its Cholesky factorization
+    refuses: step 1 fails as a StepFailure naming the system."""
     grid = TimeGrid(final_time=1.0, num_steps=2)
     coeffs = make_coefficients(disc8, permeability=lambda x, y: 0.0 * x * y)
     with pytest.raises(CoefficientBlowupError, match=r"at step 0: "
@@ -544,9 +556,28 @@ def test_singular_matrices_fail_the_step(disc8):
         dispersion=DispersionParams(gamma_dm=5e-324, alpha_l=0.0,
                                     alpha_t=0.0))
     with pytest.raises(StepFailure, match="concentration solve failed at "
-                       "step 1: LU factorization: .*singular") as info:
+                       "step 1: Cholesky factorization: pivot 1 is not "
+                       "positive") as info:
         run(disc8, coeffs, grid)
     assert info.value.step_index == 1 and info.value.report is None
+
+
+def test_indefinite_symmetric_transport_fails_the_step(disc8, monkeypatch):
+    """A transport matrix without convection is factored by Cholesky; one
+    that is symmetric but not positive definite (here negated) ends the
+    step as a StepFailure naming the pivot, not as a wrong solution."""
+    original = timestepping.assemble_concentration
+
+    def negated(*args):
+        system = original(*args)
+        return replace(system, matrix=-system.matrix)
+
+    monkeypatch.setattr(timestepping, "assemble_concentration", negated)
+    with pytest.raises(StepFailure, match="concentration solve failed at "
+                       "step 1: Cholesky factorization: pivot 1 is not "
+                       "positive: the matrix is not positive definite"):
+        run(disc8, problem_coefficients(disk_trig_case()),
+            TimeGrid(final_time=0.5, num_steps=2))
 
 
 def poisoned(func, points, value):
