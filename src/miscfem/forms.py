@@ -176,9 +176,9 @@ class Discretization:
     p1: DofMap
     p2: DofMap
     cell_weights: np.ndarray       # (T, Q) quadrature weight * |det J|
-    quad_points: np.ndarray        # (T, Q, 2) physical coordinates
-    quad_x: np.ndarray             # (T, Q) its x and y, read-only and
-    quad_y: np.ndarray             # C-contiguous, for the callables
+    quad_points: np.ndarray        # (T, Q, 2) physical coordinates, a
+    quad_x: np.ndarray             # view of these (T, Q) x and y, each
+    quad_y: np.ndarray             # read-only and C-contiguous
     p1_values: np.ndarray          # (Q, 3)
     p2_values: np.ndarray          # (Q, 6)
     p1_ref_grads: np.ndarray       # (3, 2Q) reference gradients, (i, (q, b))
@@ -281,15 +281,19 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     edge_points = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
     normals = np.broadcast_to(mesh.boundary_normals[:, None, :],
                               edge_points.shape)
-    quad_x, quad_y, edge_x, edge_y, edge_nx, edge_ny = (
-        np.ascontiguousarray(a[..., k]) for a in (quad_points, edge_points,
-                                                  normals) for k in (0, 1))
-    for arr in (quad_x, quad_y, edge_x, edge_y, edge_nx, edge_ny):
+    # each coordinate on its own and contiguous, as every coefficient
+    # callable receives it; quad_points is a view of the same memory
+    quad_coords = np.ascontiguousarray(np.moveaxis(quad_points, -1, 0))
+    edge_coords = np.ascontiguousarray(np.concatenate(
+        [np.moveaxis(edge_points, -1, 0), np.moveaxis(normals, -1, 0)]))
+    for arr in (quad_coords, edge_coords):
         arr.flags.writeable = False
+    quad_x, quad_y = quad_coords
+    edge_x, edge_y, edge_nx, edge_ny = edge_coords
 
     return Discretization(
-        mesh=mesh, p1=p1, p2=p2,
-        cell_weights=cell_weights, quad_points=quad_points,
+        mesh=mesh, p1=p1, p2=p2, cell_weights=cell_weights,
+        quad_points=np.moveaxis(quad_coords, 0, -1),
         quad_x=quad_x, quad_y=quad_y,
         p1_values=p1_values, p2_values=p2_values,
         p1_ref_grads=p1_ref_grads.transpose(1, 0, 2).reshape(3, 2 * Q),

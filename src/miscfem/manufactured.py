@@ -136,9 +136,10 @@ class _ProductTable:
         if entry is None or entry[0] != points:
             sin_x, cos_x = np.sin(x), np.cos(x)
             sin_y, cos_y = np.sin(y), np.cos(y)
-            ss, cc = np.asarray(sin_x * sin_y), np.asarray(cos_x * cos_y)
-            products = (np.asarray(cos_x * sin_y), ss, cc,
-                        np.asarray(ss * ss + cc * cc))
+            cs, ss, cc = cos_x * sin_y, sin_x * sin_y, cos_x * cos_y
+            del sin_x, cos_x, sin_y, cos_y      # fewer arrays live at once
+            products = tuple(np.asarray(a) for a in (cs, ss, cc,
+                                                     ss * ss + cc * cc))
             for array in products:
                 array.flags.writeable = False
             entry = (points, _Products(*products))

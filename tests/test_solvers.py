@@ -173,8 +173,9 @@ def symmetric_on_pattern(pattern, cell_dofs, rng):
 def test_band_cholesky_solves_symmetric_positive_definite_matrices(case):
     """The band Cholesky factor's solve of a random symmetric positive
     definite matrix on a pattern matches a dense solve; with the diagonal
-    negated the matrix is indefinite, and the factorization refuses it
-    with a RuntimeError naming the pivot."""
+    entry that the ordering puts last negated, the matrix is indefinite
+    (or, for n = 1, negative), and the factorization refuses it at that
+    last pivot with a RuntimeError naming it."""
     n, cell_dofs, seed = case
     rng = np.random.default_rng(seed)
     pattern = sparsity_pattern(n, cell_dofs)
@@ -183,8 +184,8 @@ def test_band_cholesky_solves_symmetric_positive_definite_matrices(case):
     np.testing.assert_allclose(pattern.band.cholesky(A)(b),
                                np.linalg.solve(A.toarray(), b),
                                rtol=1e-10, atol=1e-12)
-    A.data[diagonal] *= -1.0
-    with pytest.raises(RuntimeError, match=r"pivot \d+ is not positive"):
+    A.data[diagonal[pattern.band.order[-1]]] *= -1.0
+    with pytest.raises(RuntimeError, match=rf"pivot {n} is not positive"):
         pattern.band.cholesky(A)
 
 
