@@ -235,11 +235,12 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     detJ, invJT = triangle_geometry(corners)
 
     cell_weights = rule.weights[None, :] * detJ[:, None]
-    # the barycentric combination, summed in the order einsum sums it
-    lam = rule.points[:, :, None]
-    quad_points = (lam[:, 0] * corners[:, None, 0]
-                   + lam[:, 1] * corners[:, None, 1]
-                   + lam[:, 2] * corners[:, None, 2])
+    # the barycentric combination, summed in the order einsum sums it,
+    # x and y each contiguous, as every coefficient callable receives them
+    lam = rule.points
+    xy = np.ascontiguousarray(np.moveaxis(corners, -1, 0))[..., None]
+    quad_coords = (lam[:, 0] * xy[:, :, 0] + lam[:, 1] * xy[:, :, 1]
+                   + lam[:, 2] * xy[:, :, 2])
     p1_grads = p1_ref_grads[0] @ invJT.transpose(0, 2, 1)
     Q = rule.weights.size
 
@@ -278,14 +279,10 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     pa, pb = mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]]
     lengths = np.hypot(*(pb - pa).T)
     edge_weights = ws[None, :] * lengths[:, None]
-    edge_points = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
-    normals = np.broadcast_to(mesh.boundary_normals[:, None, :],
-                              edge_points.shape)
-    # each coordinate on its own and contiguous, as every coefficient
-    # callable receives it; quad_points is a view of the same memory
-    quad_coords = np.ascontiguousarray(np.moveaxis(quad_points, -1, 0))
-    edge_coords = np.ascontiguousarray(np.concatenate(
-        [np.moveaxis(edge_points, -1, 0), np.moveaxis(normals, -1, 0)]))
+    # x and y of the edge points, then of their outward normals
+    edge_coords = np.empty((4,) + edge_weights.shape)
+    edge_coords[:2] = pa.T[..., None] + s * (pb - pa).T[..., None]
+    edge_coords[2:] = mesh.boundary_normals.T[..., None]
     for arr in (quad_coords, edge_coords):
         arr.flags.writeable = False
     quad_x, quad_y = quad_coords
