@@ -67,10 +67,7 @@ class StepFailure(RuntimeError):
             reason = (f"residual {report.relative_residual:.3e} after "
                       f"{report.iterations} iterations")
         if tolerance is not None:
-            eps = np.finfo(np.float64).eps
-            below = (f", below the machine epsilon {eps:.3g}"
-                     if tolerance < eps else "")
-            reason += f" (tolerance {tolerance:.3g}{below})"
+            reason += f" (tolerance {tolerance:.3g})"
         super().__init__(f"{what} solve failed at step {step_index}: {reason}")
         self.step_index = step_index
         self.report = report

@@ -542,24 +542,30 @@ def test_time_independent_pressure_takes_no_cg_iterations(disc16):
 def test_singular_matrices_fail_the_step(disc8):
     """A permeability of zero, which would make the pressure matrix zero,
     is refused before any factorization as a CoefficientBlowupError that
-    names step 0 and the permeability.  A transport matrix without
-    convection that a porosity and molecular diffusion small enough
-    round to zero has a zero pivot, which its Cholesky factorization
-    refuses: step 1 fails as a StepFailure naming the system."""
+    names step 0 and the permeability.  A transport matrix that a
+    porosity and molecular diffusion small enough round to zero has a
+    zero pivot: without convection its Cholesky factorization refuses
+    it, and with a convection term that a zero velocity leaves empty its
+    LU factorization does.  Either way step 1 fails as a StepFailure
+    naming the system."""
     grid = TimeGrid(final_time=1.0, num_steps=2)
     coeffs = make_coefficients(disc8, permeability=lambda x, y: 0.0 * x * y)
     with pytest.raises(CoefficientBlowupError, match=r"at step 0: "
                        r"permeability gives k/mu in \[0, 0\]"):
         run(disc8, coeffs, grid)
-    coeffs = make_coefficients(
-        disc8, porosity=5e-324, velocity_coupling="none",
-        dispersion=DispersionParams(gamma_dm=5e-324, alpha_l=0.0,
-                                    alpha_t=0.0))
-    with pytest.raises(StepFailure, match="concentration solve failed at "
-                       "step 1: Cholesky factorization: pivot 1 is not "
-                       "positive") as info:
-        run(disc8, coeffs, grid)
-    assert info.value.step_index == 1 and info.value.report is None
+    for coupling, failure in [
+            ("none", "Cholesky factorization: pivot 1 is not positive"),
+            ("advection", "LU factorization: pivot .* is exactly zero: "
+                          "the matrix is singular")]:
+        coeffs = make_coefficients(
+            disc8, velocity="off", porosity=5e-324,
+            velocity_coupling=coupling,
+            dispersion=DispersionParams(gamma_dm=5e-324, alpha_l=0.0,
+                                        alpha_t=0.0))
+        with pytest.raises(StepFailure, match="concentration solve failed "
+                           "at step 1: " + failure) as info:
+            run(disc8, coeffs, grid)
+        assert info.value.step_index == 1 and info.value.report is None
 
 
 def test_indefinite_symmetric_transport_fails_the_step(disc8, monkeypatch):
