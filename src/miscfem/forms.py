@@ -259,6 +259,11 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
         convection_weights[:, k, :, k] = rule.weights[:, None] * p1_values
 
     mass_local = np.einsum("tq,qi,qj->tij", cell_weights, p1_values, p1_values)
+    # (w phi_i) phi_j and (w phi_j) phi_i differ in their last bits: the
+    # upper triangle, mirrored, keeps the blocks and every matrix that
+    # sums them exactly symmetric
+    i, j = np.tril_indices(3, -1)
+    mass_local[:, i, j] = mass_local[:, j, i]
 
     p2_pattern = sparsity_pattern(p2.dof_count, p2.cell_dofs)
     # P2 numbers its vertex dofs, which are the P1 dofs, first

@@ -112,13 +112,27 @@ class _Products:
     grad2: np.ndarray       # ss^2 + cc^2, so that |grad c|^2 = a^2 grad2
 
 
+def _frozen(a) -> bool:
+    """Whether nothing can write to ``a``: it and every array it views
+    are read-only, down to one that owns its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 class _ProductTable:
     """The :class:`_Products` of a point set, computed once.
 
     The coordinates are taken as float64.  A call whose coordinates hold,
     byte for byte, those of a stored call of the same shapes returns the
     stored products; any other call computes them and stores them under
-    its shapes.  Keying by shape keeps the kink band's stencil points,
+    its shapes.  A call that passes the very arrays of the stored call,
+    when those and the arrays they view are read-only (as a
+    :class:`~miscfem.forms.Discretization`'s coordinates are), returns
+    them without comparing bytes; making such an array writable again
+    voids that.  Keying by shape keeps the kink band's stencil points,
     which change from call to call, from evicting the fixed volume and
     edge quadrature points; past ``slots`` shapes the least recently used
     is dropped."""
@@ -126,27 +140,34 @@ class _ProductTable:
     slots = 8
 
     def __init__(self):
-        self.entries = {}   # (x shape, y shape) -> ((x bytes, y bytes), products)
+        # (x shape, y shape) -> (x, y, (x bytes, y bytes), products), x
+        # and y the last read-only arrays that hit, or None
+        self.entries = {}
 
     def __call__(self, x, y) -> _Products:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        key, points = (x.shape, y.shape), (x.tobytes(), y.tobytes())
+        key = (x.shape, y.shape)
         entry = self.entries.pop(key, None)
-        if entry is None or entry[0] != points:
-            sin_x, cos_x = np.sin(x), np.cos(x)
-            sin_y, cos_y = np.sin(y), np.cos(y)
-            cs, ss, cc = cos_x * sin_y, sin_x * sin_y, cos_x * cos_y
-            del sin_x, cos_x, sin_y, cos_y      # fewer arrays live at once
-            products = tuple(np.asarray(a) for a in (cs, ss, cc,
-                                                     ss * ss + cc * cc))
-            for array in products:
-                array.flags.writeable = False
-            entry = (points, _Products(*products))
+        frozen = _frozen(x) and _frozen(y)
+        if entry is None or not (frozen and entry[0] is x and entry[1] is y):
+            points = (x.tobytes(), y.tobytes())
+            if entry is None or entry[2] != points:
+                sin_x, cos_x = np.sin(x), np.cos(x)
+                sin_y, cos_y = np.sin(y), np.cos(y)
+                cs, ss, cc = cos_x * sin_y, sin_x * sin_y, cos_x * cos_y
+                del sin_x, cos_x, sin_y, cos_y  # fewer arrays live at once
+                products = tuple(np.asarray(a) for a in (cs, ss, cc,
+                                                         ss * ss + cc * cc))
+                for array in products:
+                    array.flags.writeable = False
+                entry = (None, None, points, _Products(*products))
+            if frozen:
+                entry = (x, y) + entry[2:]
         self.entries[key] = entry           # now the most recently used
         if len(self.entries) > self.slots:
             del self.entries[next(iter(self.entries))]
-        return entry[1]
+        return entry[3]
 
 
 def disk_trig_case() -> ManufacturedSolution:

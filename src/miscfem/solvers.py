@@ -16,9 +16,12 @@ of an exact band factor of each step's transport matrix; GMRES
 first tries one correction x0 + M^{-1} r0, which is then one exact solve
 plus a true-residual check that reports one iteration, with its restart
 cycles as the fallback should that check miss the tolerance.  It passes
-CG the solve of a lagged LU factor of the bordered Neumann pressure
-system, rescaled to the diagonal of each level's matrix, which CG keeps
-across steps while the concentration drifts.
+CG the bordered Neumann solve of a lagged LU factor of the pressure
+stiffness with one dof pinned, rescaled to the diagonal of each level's
+matrix, which CG keeps across steps while the concentration drifts.
+GMRES gives up when a restart cycle leaves its residual where it was,
+and CG when its residual has made no new minimum in
+``STAGNATION_ITERATIONS`` iterations.
 """
 
 from __future__ import annotations
@@ -270,6 +273,12 @@ def _symmetry_defect(A) -> float:
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
+# CG stops, unconverged, once its residual has made no new minimum in
+# this many iterations: rounding holds it above the tolerance.  No
+# converging solve of the test suite, the benchmark workloads or the
+# --fast CLI protocols goes more than 19 iterations without one
+STAGNATION_ITERATIONS = 50
+
 # both Krylov loops stop at the first non-finite curvature or residual
 # and say so in their report, so numpy's warnings on the arithmetic that
 # made it are noise
@@ -310,8 +319,10 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     is not m-orthogonal solvable; the returned solution x satisfies
     m^T x = 0 up to roundoff and the report carries the projected residual
     ||P(b - A x)|| / ||P b||.  A curvature p^T A p that is not positive
-    and finite (lost definiteness, or non-finite data) ends the iteration
-    with converged=False.
+    and finite (lost definiteness, or non-finite data), or a residual
+    norm that has made no new minimum in ``STAGNATION_ITERATIONS``
+    iterations (a tolerance below what rounding lets CG reach), ends the
+    iteration with converged=False.
 
     Parameters
     ----------
@@ -367,6 +378,7 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
+    least, least_at = rnorm, 0
     for _ in range(max_iter):
         Ap = project(A @ p)
         pAp = float(p @ Ap)
@@ -381,6 +393,10 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
         rnorm = float(np.linalg.norm(r))
         if rnorm / bnorm <= rel_tol:
             return x, SolveReport(iterations, rnorm / bnorm, True)
+        if rnorm < least:
+            least, least_at = rnorm, iterations
+        elif iterations - least_at >= STAGNATION_ITERATIONS:
+            break
         z = r if precond is None else project(precond(r))
         rz_new = float(r @ z)
         beta = rz_new / rz

@@ -9,6 +9,7 @@ import json
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
@@ -315,3 +316,18 @@ def gmres_cycles_oracle(A, b, rel_tol, restart, max_iter, x0, precond):
                           maxiter=1, callback=history.append,
                           callback_type="pr_norm")
         x += precond(y)
+
+
+def bordered_neumann_solve(A, m):
+    """The solve r -> x of the bordered Neumann system [[A, m], [m^T, 0]]
+    [x, l] = [r, 0], for A singular on the constants and positive m, by a
+    sparse LU factor of the whole bordered matrix, whose zero diagonal
+    entry makes SuperLU pivot off the diagonal.  Returns the solve and
+    the factor."""
+    m = np.asarray(m, dtype=np.float64)[:, None]
+    factor = spla.splu(sp.bmat([[A, m], [m.T, None]], format="csc"),
+                       permc_spec="MMD_AT_PLUS_A")
+
+    def solve(r):
+        return factor.solve(np.append(r, 0.0))[:-1]
+    return solve, factor

@@ -184,6 +184,19 @@ def test_porosity_accepted_exactly_when_positive_and_finite(porosity):
             unit_coefficients(porosity=porosity)
 
 
+@pytest.mark.parametrize("M", [8, 16, 64, 128])
+def test_p1_mass_is_exactly_symmetric(M):
+    """(w phi_i) phi_j and (w phi_j) phi_i round apart in their last bit
+    on some cells, so the mass blocks are built with one triangle
+    mirrored: they, and the mass matrix that sums them, are symmetric
+    bit for bit."""
+    disc = build_discretization(generate_disk_mesh(M=M))
+    assert np.array_equal(disc.mass_local,
+                          disc.mass_local.transpose(0, 2, 1))
+    mass = disc.mass_p1
+    assert np.array_equal(mass.data, mass.data[disc.p1_pattern.transpose])
+
+
 def test_transport_matrix_symmetric_without_advection(disc16):
     sol = disk_trig_case()
     coeffs = problem_coefficients(sol)

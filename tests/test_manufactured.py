@@ -322,3 +322,28 @@ def test_band_shapes_leave_the_volume_factors_stored():
     products = (stored.cs, stored.ss, stored.cc, stored.grad2)
     assert not any(a.flags.writeable for a in products)
     assert np.array_equal(stored.cs, np.cos(x) * np.sin(y))
+
+
+def test_read_only_points_hit_by_identity_and_copies_by_bytes():
+    """A call on the very read-only arrays of the stored call returns the
+    stored products; a copy with the same bytes still hits, and changed
+    bytes miss.  A read-only view of a writable array is compared by its
+    bytes, so a write through the array it views is seen."""
+    table = _ProductTable()
+    x, y = np.linspace(0.0, 1.0, 50), np.linspace(1.0, 0.0, 50)
+    x.flags.writeable = y.flags.writeable = False
+    stored = table(x, y)
+    assert table(x, y) is stored
+    assert table(x.copy(), y.copy()) is stored
+    assert table(x, y) is stored
+    moved = table(x + 1e-12, y)
+    assert moved is not stored
+    assert np.array_equal(moved.cs, np.cos(x + 1e-12) * np.sin(y))
+    base = np.linspace(0.0, 1.0, 50)
+    view = base[:]
+    view.flags.writeable = False
+    first = table(view, y)
+    base[0] = 0.5
+    second = table(view, y)
+    assert second is not first
+    assert np.array_equal(second.cs, np.cos(base) * np.sin(y))

@@ -12,9 +12,9 @@ from scipy.sparse.linalg import spilu, splu
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import gmres_cycles_oracle
+from oracles import bordered_neumann_solve, gmres_cycles_oracle
 
-from miscfem import (SolveReport, cg_deflated, from_triplets, gmres,
+from miscfem import (SolveReport, cg_deflated, from_triplets, gmres, solvers,
                      sparsity_pattern)
 from miscfem.solvers import _symmetry_defect, deflated_start, number_pairs
 
@@ -330,12 +330,7 @@ def test_cg_bordered_factor_preconditioner(rng):
     b = rng.standard_normal(n)
     b -= b.mean()                       # compatible: orthogonal to the kernel
     A = sp.csr_matrix(A)
-    factor = splu(sp.bmat([[A, m[:, None]], [m[None, :], None]],
-                          format="csc"))
-
-    def bordered_solve(r):
-        return factor.solve(np.append(r, 0.0))[:n]
-
+    bordered_solve, _ = bordered_neumann_solve(A, m)
     tol = 1e-12
     x_jac, jac = cg_deflated(A, b, deflate=m, rel_tol=tol,
                              precond=lambda v: v / A.diagonal())
@@ -453,6 +448,39 @@ def test_cg_rejects_nonsymmetric(rng):
     A = sp.csr_matrix(np.triu(np.ones((4, 4))) + np.eye(4))
     with pytest.raises(ValueError):
         cg_deflated(A, np.ones(4))
+
+
+def test_cg_stops_when_its_residual_stagnates(rng):
+    """On the Neumann-like system of the bordered preconditioner test, a
+    tolerance below what rounding lets CG reach ends the solve,
+    unconverged, STAGNATION_ITERATIONS iterations after its least
+    residual, long before its budget of 10 n; up to there the iterates
+    are those of the same solve to a tolerance it reaches."""
+    n = 30
+    ones = np.ones(n)
+    P1 = np.eye(n) - np.outer(ones, ones) / n
+    A = sp.csr_matrix(P1 @ random_spd(n, rng, cond=1e4) @ P1)
+    A = 0.5 * (A + A.T)
+    m = rng.random(n) + 0.5
+    b = rng.standard_normal(n)
+    b -= b.mean()
+    solve, _ = bordered_neumann_solve(A, m)
+
+    def cg(rel_tol, max_iter=None):
+        return cg_deflated(A, b, deflate=m, rel_tol=rel_tol,
+                           max_iter=max_iter, precond=solve)
+
+    _, report = cg(1e-300)
+    assert not report.converged
+    residuals = [cg(1e-300, k)[1].relative_residual
+                 for k in range(1, report.iterations + 1)]
+    least = int(np.argmin(residuals)) + 1
+    assert report.iterations == least + solvers.STAGNATION_ITERATIONS
+    assert report.iterations < 10 * n
+    assert residuals[least - 1] < 1e-14
+    x, reached = cg(1e-12)
+    assert reached.converged
+    assert np.array_equal(x, cg(1e-300, reached.iterations)[0])
 
 
 def test_cg_jacobi_preconditioning_converges(rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bordered_neumann_solve
 
 from miscfem import (CoefficientBlowupError, DispersionParams,
                      ProblemCoefficients, ScalarDispersionParams,
@@ -270,7 +271,8 @@ def test_march_never_converts_triplets(disc16, monkeypatch, mode):
 
 def record_factorizations(monkeypatch, size):
     """Record (matrix, factor) of every ``timestepping.splu`` call on a
-    size x size matrix: n2 + 1 for the bordered pressure system."""
+    size x size matrix: n2 - 1 for the pressure matrix with a dof
+    pinned."""
     calls = []
     original = timestepping.splu
 
@@ -289,7 +291,7 @@ def test_one_pressure_factor_serves_the_whole_run(disc16, monkeypatch):
     initial pressure preconditions every later level within a few CG
     iterations, so the run factors the pressure system once."""
     factorizations = record_factorizations(monkeypatch,
-                                           disc16.p2.dof_count + 1)
+                                           disc16.p2.dof_count - 1)
     coeffs = make_coefficients(
         disc16, viscosity=lambda c: 1.0 + 0.5 * np.asarray(c, dtype=float),
         viscosity_bounds=(0.5, 2.0),
@@ -306,22 +308,83 @@ def test_one_pressure_factor_serves_the_whole_run(disc16, monkeypatch):
 def test_rescaling_leaves_the_factors_own_level_unchanged(disc16):
     """At the level a pressure factor is built from, the rescaling
     sqrt(diag(A0) / diag(A)) is exactly one, so that solve is the plain
-    bordered-factor preconditioned CG, bit for bit."""
+    CG preconditioned by the pinned factor's solve, bit for bit."""
     coeffs = make_coefficients(
         disc16, viscosity=lambda c: 1.0 + 0.5 * np.asarray(c, dtype=float),
         viscosity_bounds=(0.5, 2.0),
         initial_concentration=lambda x, y: 0.4 + 0.2 * x * y)
     state = initialize(disc16, coeffs, TimeGrid(final_time=0.2, num_steps=4))
     system = forms.assemble_pressure(disc16, coeffs, state.concentration, 0.0)
-    factor = timestepping._bordered_factor(disc16, system.matrix, 0)
     p, report = solvers.cg_deflated(
         system.matrix, system.rhs, deflate=disc16.p2_basis_integrals,
         rel_tol=SolverOptions().pressure_tol,
-        precond=lambda r: factor.solve(np.append(r, 0.0))[:-1])
+        precond=timestepping._pinned_factor(disc16, system.matrix, 0))
     assert np.array_equal(state.pressure, p)
     assert state.pressure_report == report
     assert np.array_equal(state.level.factor_diagonal,
                           system.matrix.diagonal())
+
+
+@settings(max_examples=40)
+@given(fine=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       orthogonal=st.booleans(), slope=st.floats(0.0, 4.0))
+def test_pinned_factor_gives_the_bordered_solve(disc8, disc16, fine, seed,
+                                                orthogonal, slope):
+    """The solve of the pressure matrix with its last dof pinned, with
+    the rank-one corrections on either side, is the solve of the bordered
+    Neumann system [[A, m], [m^T, 0]] with right-hand side [r, 0], to
+    1e-12 relative, for a right-hand side r orthogonal to the basis
+    integrals m or not, on pressure matrices of varying mobility."""
+    disc = disc16 if fine else disc8
+    rng = np.random.default_rng(seed)
+    coeffs = make_coefficients(
+        disc, viscosity=lambda c: 1.0 + slope * np.asarray(c, dtype=float),
+        viscosity_bounds=(0.5, 6.0))
+    c = rng.uniform(0.0, 1.0, disc.p1.dof_count)
+    A = forms.assemble_pressure(disc, coeffs, c, 0.0).matrix
+    m = disc.p2_basis_integrals
+    r = rng.standard_normal(m.size)
+    if orthogonal:
+        r -= ((m @ r) / (m @ m)) * m
+    want = bordered_neumann_solve(A, m)[0](r)
+    got = timestepping._pinned_factor(disc, A, 0)(r)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("M", [16, 64])
+def test_pinned_factor_pivots_on_its_diagonal(monkeypatch, M):
+    """The pressure matrix with its last dof pinned is symmetric positive
+    definite, so SuperLU factors it in symmetric mode on its diagonal:
+    the row permutation is the column permutation, and the fill is no
+    larger than that of the bordered matrix's LU factor."""
+    disc = build_discretization(generate_disk_mesh(M=M))
+    factorizations = record_factorizations(monkeypatch,
+                                           disc.p2.dof_count - 1)
+    coeffs = problem_coefficients(disk_trig_case())
+    state = initialize(disc, coeffs, TimeGrid(final_time=1.0, num_steps=4))
+    (matrix, factor), = factorizations
+    A = forms.assemble_pressure(disc, coeffs, state.concentration,
+                                0.0).matrix
+    assert (matrix != A[:-1, :-1]).nnz == 0
+    assert np.array_equal(factor.perm_r, factor.perm_c)
+    _, bordered = bordered_neumann_solve(A, disc.p2_basis_integrals)
+    assert (factor.L.nnz + factor.U.nnz
+            <= bordered.L.nnz + bordered.U.nnz)
+
+
+def test_singular_pressure_matrix_fails_the_step(disc8):
+    """A pressure matrix whose pinned block is singular, here one with a
+    dof cut off from the others, cannot be factored: the step it belongs
+    to fails as a StepFailure naming the LU factorization."""
+    coeffs = problem_coefficients(disk_trig_case())
+    c = interpolate(disc8.p1, coeffs.initial_concentration)
+    A = forms.assemble_pressure(disc8, coeffs, c, 0.0).matrix.tolil()
+    A[3, :] = 0.0
+    A[:, 3] = 0.0
+    with pytest.raises(StepFailure, match="pressure solve failed at step 2: "
+                       "LU factorization: ") as info:
+        timestepping._pinned_factor(disc8, A.tocsr(), 2)
+    assert info.value.step_index == 2 and info.value.report is None
 
 
 def test_viscosity_jump_triggers_a_refactor(disc16, monkeypatch):
@@ -335,7 +398,7 @@ def test_viscosity_jump_triggers_a_refactor(disc16, monkeypatch):
     it in one iteration.  The swap keeps the level-2 system apart from
     the level-1 one, whose pressure the start could otherwise reuse."""
     factorizations = record_factorizations(monkeypatch,
-                                           disc16.p2.dof_count + 1)
+                                           disc16.p2.dof_count - 1)
     levels = []
 
     def viscosity(c):
@@ -448,6 +511,28 @@ def test_each_step_factors_its_own_transport_matrix(disc16, monkeypatch,
                                    np.linalg.solve(matrix.toarray(), b),
                                    rtol=1e-10, atol=1e-12)
     assert not np.array_equal(calls[0][1].data, calls[1][1].data)
+
+
+def test_transport_without_convection_is_exactly_symmetric(monkeypatch):
+    """The disk-trig transport matrix, which holds no convection term, is
+    symmetric bit for bit at every step of a march on M=64, as the band
+    Cholesky that factors it reads only its lower triangle."""
+    matrices = []
+    original = timestepping.assemble_concentration
+
+    def recording(*args):
+        system = original(*args)
+        matrices.append(system.matrix)
+        return system
+
+    monkeypatch.setattr(timestepping, "assemble_concentration", recording)
+    disc = build_discretization(generate_disk_mesh(M=64))
+    run(disc, problem_coefficients(disk_trig_case()),
+        TimeGrid(final_time=0.125, num_steps=4))
+    assert len(matrices) == 4
+    transpose = disc.p1_pattern.transpose
+    for A in matrices:
+        assert np.array_equal(A.data, A.data[transpose])
 
 
 def test_one_ordering_per_pattern(monkeypatch):
