@@ -32,13 +32,14 @@ sparsity patterns of both systems, the (time-independent) linear mass
 matrix, the quadratic load vector of basis integrals, and the
 boundary-edge traces of the bases that the wall-flux terms need.  Its
 coordinates of the volume and edge quadrature points, and the outward
-normals at the edge points, are read-only C-contiguous arrays, and
-assembly passes these same objects to every coefficient callable at
-every step, so a callable can keep what depends on the points alone.  The
-mesh and the dof maps never change, so neither does the structure of
-either matrix: each assembly sums its cell blocks into the slots of its
-pattern (see :class:`~miscfem.solvers.SparsityPattern`), and no step
-converts triplets to CSR.
+normals at the edge points, are C-contiguous views of ``bytes``, which
+no flag can make writable, and assembly passes these same objects to
+every coefficient callable at every step, so a callable can keep what
+depends on the points alone, found by identity.  The mesh and the dof
+maps never change, so neither does the structure of either matrix:
+each assembly sums its cell blocks into the slots of its pattern (see
+:class:`~miscfem.solvers.SparsityPattern`), and no step converts
+triplets to CSR.
 
 Every per-step cell kernel is one dense product with a reference tensor
 tabulated once per mesh (Kirby & Logg, "A compiler for variational
@@ -81,8 +82,9 @@ class CoefficientBlowupError(RuntimeError):
     """Viscosity left its admissible band, so the transported
     concentration has overshot far enough that the coefficient model is
     meaningless; or the permeability made k/mu zero, negative or not
-    finite; or the data made a matrix or a load vector not finite; or a
-    row's errors against the exact solution are not finite."""
+    finite; or the data made a matrix or a load vector not finite, or
+    the transport matrix singular in floating point; or a row's errors
+    against the exact solution are not finite."""
 
 
 def check_mode(mode: str) -> None:
@@ -170,7 +172,9 @@ class Discretization:
     Rows 1 and 2 of ``p1_grads`` double as J^-1 for :meth:`gradient_at_quad`;
     the six fields after it are the per-cell geometry factors and the
     reference tensors of the per-step kernels (see the module docstring
-    and :func:`_gradient_products`, which orders the entries k)."""
+    and :func:`_gradient_products`, which orders the entries k).
+    ``quad_points``, ``quad_x``, ``quad_y`` and the four edge point and
+    normal arrays view ``bytes``, so numpy refuses to make them writable."""
 
     mesh: Mesh
     p1: DofMap
@@ -178,7 +182,7 @@ class Discretization:
     cell_weights: np.ndarray       # (T, Q) quadrature weight * |det J|
     quad_points: np.ndarray        # (T, Q, 2) physical coordinates, a
     quad_x: np.ndarray             # view of these (T, Q) x and y, each
-    quad_y: np.ndarray             # read-only and C-contiguous
+    quad_y: np.ndarray             # immutable and C-contiguous
     p1_values: np.ndarray          # (Q, 3)
     p2_values: np.ndarray          # (Q, 6)
     p1_ref_grads: np.ndarray       # (3, 2Q) reference gradients, (i, (q, b))
@@ -288,8 +292,9 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     edge_coords = np.empty((4,) + edge_weights.shape)
     edge_coords[:2] = pa.T[..., None] + s * (pb - pa).T[..., None]
     edge_coords[2:] = mesh.boundary_normals.T[..., None]
-    for arr in (quad_coords, edge_coords):
-        arr.flags.writeable = False
+    # on a bytes object, which no flag can make writable again
+    quad_coords, edge_coords = (np.frombuffer(arr.tobytes()).reshape(arr.shape)
+                                for arr in (quad_coords, edge_coords))
     quad_x, quad_y = quad_coords
     edge_x, edge_y, edge_nx, edge_ny = edge_coords
 
@@ -438,9 +443,11 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     :func:`compute_velocity`, convection enters in the chosen form (see
     module docstring) unless the coupling is "none", and the right-hand
     side carries (gamma/tau) M c_prev plus sources chat*q_I + g and the
-    wall flux.  A matrix or right-hand side that is not finite, or one
-    whose 2-norm overflows (as gamma/tau = 1e300 makes it), is a
-    :class:`CoefficientBlowupError`.
+    wall flux.  A matrix or right-hand side that is not finite, a
+    right-hand side whose 2-norm overflows (as gamma/tau = 1e300 makes
+    it), or a matrix in which gamma/tau times the least entry of M is at
+    most the machine epsilon times its largest entry (as gamma/tau =
+    1e-300 makes it) is a :class:`CoefficientBlowupError`.
     """
     check_number("time step tau", tau, above=0)
     check_mode(mode)
@@ -487,6 +494,15 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     A = disc.p1_pattern.assemble(local)
     if not np.isfinite(A.data).all():
         raise CoefficientBlowupError("concentration matrix is not finite")
+    # the dispersion stiffness vanishes on constants, so (gamma/tau) M is
+    # what keeps A nonsingular; lost in the rounding of A's largest entry
+    # (its largest diagonal entry when A is symmetric positive definite),
+    # it leaves A singular in floating point
+    if ((gamma / tau) * disc.mass_p1.data.min()
+            <= np.finfo(np.float64).eps * np.abs(A.data).max()):
+        raise CoefficientBlowupError(
+            f"concentration matrix is singular in floating point: "
+            f"gamma/tau = {gamma / tau:.3g} vanishes beside the dispersion")
 
     rhs = (gamma / tau) * (disc.mass_p1 @ c_prev)
     source = np.zeros(x.shape)

@@ -20,13 +20,14 @@ normal the caller passes in, so the Neumann data stay exactly compatible
 with the divergence theorem on the discrete polygonal domain.
 
 Every time step evaluates the sources and wall fluxes at the same volume
-and edge quadrature points, so the disk-trig case computes the
-time-independent trigonometric products of its closed forms once per
-point set (:class:`_ProductTable`) and a later call at those points
-applies only e^-t and x - t.  Stored values serve only coordinates equal
-byte for byte to theirs, and a fresh evaluation forms the same products
-first, so every callable returns exactly what a fresh evaluation
-returns.
+and edge quadrature points, which a
+:class:`~miscfem.forms.Discretization` holds on immutable memory.  So
+the disk-trig case keeps the time-independent trigonometric products of
+its closed forms for those two point sets (:class:`_ProductTable`),
+finds them by the identity of the coordinate arrays, and a later call
+at those points applies only e^-t and x - t.  Every other call computes
+the products afresh, in the same operations, so every callable returns
+exactly what a fresh evaluation returns.
 """
 
 from __future__ import annotations
@@ -59,12 +60,12 @@ class ManufacturedSolution:
     ``velocity_coupling`` are applied to the sources in generic code.
 
     The closures of :func:`disk_trig_case` share one
-    :class:`_ProductTable`.  For each point set it stores cos x sin y,
-    sin x sin y, cos x cos y and (sin x sin y)^2 + (cos x cos y)^2, the
-    only forms in which the coordinates' sines and cosines enter c,
-    grad c, dc/dt, the two divergences and the two wall data.  Those
-    depend on the coordinates only, so a ``replace`` of a field must
-    still replace the closed forms derived from it.
+    :class:`_ProductTable`, which gives cos x sin y, sin x sin y,
+    cos x cos y and (sin x sin y)^2 + (cos x cos y)^2, the only forms in
+    which the coordinates' sines and cosines enter c, grad c, dc/dt, the
+    two divergences and the two wall data, and keeps them for immutable
+    coordinates.  Those depend on the coordinates only, so a ``replace``
+    of a field must still replace the closed forms derived from it.
     """
 
     domain_center: tuple
@@ -102,72 +103,45 @@ class ManufacturedSolution:
         return np.einsum("...ab,...b->...a", D, self.concentration_grad(x, y, t))
 
 
-@dataclass(frozen=True)
-class _Products:
-    """The trigonometric products of one point set, read-only."""
-
-    cs: np.ndarray          # cos x sin y
-    ss: np.ndarray          # sin x sin y
-    cc: np.ndarray          # cos x cos y
-    grad2: np.ndarray       # ss^2 + cc^2, so that |grad c|^2 = a^2 grad2
-
-
-def _frozen(a) -> bool:
-    """Whether nothing can write to ``a``: it and every array it views
-    are read-only, down to one that owns its data."""
+def _immutable(a) -> bool:
+    """Whether ``a`` views memory that no flag makes writable again: its
+    chain of bases ends in a ``bytes`` object."""
     while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
         a = a.base
-    return a is None
+    return isinstance(a, bytes)
 
 
 class _ProductTable:
-    """The :class:`_Products` of a point set, computed once.
+    """cos x sin y, sin x sin y, cos x cos y and (sin x sin y)^2 +
+    (cos x cos y)^2 at the points (x, y), taken as float64.
 
-    The coordinates are taken as float64.  A call whose coordinates hold,
-    byte for byte, those of a stored call of the same shapes returns the
-    stored products; any other call computes them and stores them under
-    its shapes.  A call that passes the very arrays of the stored call,
-    when those and the arrays they view are read-only (as a
-    :class:`~miscfem.forms.Discretization`'s coordinates are), returns
-    them without comparing bytes; making such an array writable again
-    voids that.  Keying by shape keeps the kink band's stencil points,
-    which change from call to call, from evicting the fixed volume and
-    edge quadrature points; past ``slots`` shapes the least recently used
-    is dropped."""
-
-    slots = 8
+    Only coordinates on immutable memory (see :func:`_immutable`), such
+    as a :class:`~miscfem.forms.Discretization`'s, keep their products,
+    read-only, and a call that passes those very arrays again gets them
+    back.  The last two such point sets are kept: the volume and edge
+    points of one discretization.  Any other call computes the products
+    afresh."""
 
     def __init__(self):
-        # (x shape, y shape) -> (x, y, (x bytes, y bytes), products), x
-        # and y the last read-only arrays that hit, or None
-        self.entries = {}
+        self.entries = []                   # (x, y, products), oldest first
 
-    def __call__(self, x, y) -> _Products:
+    def __call__(self, x, y) -> tuple:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        key = (x.shape, y.shape)
-        entry = self.entries.pop(key, None)
-        frozen = _frozen(x) and _frozen(y)
-        if entry is None or not (frozen and entry[0] is x and entry[1] is y):
-            points = (x.tobytes(), y.tobytes())
-            if entry is None or entry[2] != points:
-                sin_x, cos_x = np.sin(x), np.cos(x)
-                sin_y, cos_y = np.sin(y), np.cos(y)
-                cs, ss, cc = cos_x * sin_y, sin_x * sin_y, cos_x * cos_y
-                del sin_x, cos_x, sin_y, cos_y  # fewer arrays live at once
-                products = tuple(np.asarray(a) for a in (cs, ss, cc,
-                                                         ss * ss + cc * cc))
-                for array in products:
-                    array.flags.writeable = False
-                entry = (None, None, points, _Products(*products))
-            if frozen:
-                entry = (x, y) + entry[2:]
-        self.entries[key] = entry           # now the most recently used
-        if len(self.entries) > self.slots:
-            del self.entries[next(iter(self.entries))]
-        return entry[3]
+        for stored_x, stored_y, products in self.entries:
+            if stored_x is x and stored_y is y:
+                return products
+        sin_x, cos_x = np.sin(x), np.cos(x)
+        sin_y, cos_y = np.sin(y), np.cos(y)
+        cs, ss, cc = cos_x * sin_y, sin_x * sin_y, cos_x * cos_y
+        del sin_x, cos_x, sin_y, cos_y      # fewer arrays live at once
+        products = tuple(np.asarray(a)
+                         for a in (cs, ss, cc, ss * ss + cc * cc))
+        if _immutable(x) and _immutable(y):
+            for array in products:
+                array.flags.writeable = False
+            self.entries = self.entries[-1:] + [(x, y, products)]
+        return products
 
 
 def disk_trig_case() -> ManufacturedSolution:
@@ -216,14 +190,17 @@ def disk_trig_case() -> ManufacturedSolution:
         return np.stack([gx, np.zeros_like(gx)], axis=-1)
 
     def concentration(x, y, t):
-        return 0.5 + 0.2 * np.exp(-t) * table(x, y).cs
+        cs, _, _, _ = table(x, y)
+        return 0.5 + 0.2 * np.exp(-t) * cs
 
     def concentration_grad(x, y, t):
-        p, a = table(x, y), 0.2 * np.exp(-t)
-        return np.stack([-a * p.ss, a * p.cc], axis=-1)
+        _, ss, cc, _ = table(x, y)
+        a = 0.2 * np.exp(-t)
+        return np.stack([-a * ss, a * cc], axis=-1)
 
     def concentration_dt(x, y, t):
-        return -0.2 * np.exp(-t) * table(x, y).cs
+        cs, _, _, _ = table(x, y)
+        return -0.2 * np.exp(-t) * cs
 
     def permeability(x, y):
         return np.full(np.broadcast(x, y).shape, 2.0)
@@ -234,32 +211,33 @@ def disk_trig_case() -> ManufacturedSolution:
     # e^-t leads every product with s = x - t, so a large t gives zero,
     # not an overflow
     def velocity_divergence(x, y, t):
-        p, e = table(x, y), np.exp(-t)
+        (cs, ss, _, _), e = table(x, y), np.exp(-t)
         a = 0.2 * e
-        m = 1.0 / (1.0 + (0.5 + a * p.cs))
-        return -400.0 * e * m * (1.0 - (x - t) * m * (-a * p.ss))
+        m = 1.0 / (1.0 + (0.5 + a * cs))
+        return -400.0 * e * m * (1.0 - (x - t) * m * (-a * ss))
 
     def flux_divergence(x, y, t):
-        p, e, s = table(x, y), np.exp(-t), x - t
+        (cs, ss, _, grad2), e, s = table(x, y), np.exp(-t), x - t
         a = 0.2 * e
-        w = a * p.cs                            # c - 1/2
+        w = a * cs                              # c - 1/2
         m = 1.0 / (1.0 + (0.5 + w))
         g = 40.0 * e * m
         k = g * np.abs(s)                       # |u|/10
         return ((1.0 + k) * (-2.0 * w)
-                + g * np.sign(s) * (-a * p.ss) - k * m * (a * a * p.grad2))
+                + g * np.sign(s) * (-a * ss) - k * m * (a * a * grad2))
 
     def normal_velocity(x, y, t, nx, ny):
         e = np.exp(-t)
-        m = 1.0 / (1.0 + (0.5 + 0.2 * e * table(x, y).cs))
+        cs, _, _, _ = table(x, y)
+        m = 1.0 / (1.0 + (0.5 + 0.2 * e * cs))
         return -400.0 * e * m * (x - t) * nx
 
     def normal_flux(x, y, t, nx, ny):
-        p, e = table(x, y), np.exp(-t)
+        (cs, ss, cc, _), e = table(x, y), np.exp(-t)
         a = 0.2 * e
-        m = 1.0 / (1.0 + (0.5 + a * p.cs))
+        m = 1.0 / (1.0 + (0.5 + a * cs))
         k = 40.0 * e * m * np.abs(x - t)        # |u|/10
-        return (1.0 + k) * (a * (p.cc * ny - p.ss * nx))
+        return (1.0 + k) * (a * (cc * ny - ss * nx))
 
     def kink_distance(x, y, t):
         return np.abs(x - t)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from miscfem import (CoefficientBlowupError, ConfigError,
                      MeshConstructionError, MeshFormatError, SolveReport,
-                     StepFailure, cli, initialize, load_mesh, studies)
+                     StepFailure, cli, initialize, load_mesh,
+                     problem_coefficients, studies)
 from miscfem.cli import main
 from miscfem.studies import MAX_MESH_M
 
@@ -309,17 +310,25 @@ def test_non_finite_errors_exit_3(tmp_path, capsys, monkeypatch):
     """At t = 1e300 the exact pressure overflows where the errors are
     measured: the run ends with exit 3 and a message naming the step and
     the column, with no numpy warning and no report holding NaN.  The
-    march to T = tau = 1e300 need not get there: gamma/tau = 1e-300
-    vanishes beside the dispersion stiffness, so the transport matrix of
-    step 1 is singular in floating point, and whether its Cholesky
-    factorization meets a pivot that is not positive (exit 3 naming step
-    1 as well) rests on the last bits of the velocity.  So after the
-    march as it is, the errors are measured on the initial state carried
-    to the final level without a transport solve."""
+    march to T = tau = 1e300 does not get there: gamma/tau = 1e-300
+    vanishes beside the dispersion, so the transport matrix of step 1 is
+    singular in floating point, and assembly refuses it before any
+    factorization, with and without the advective term (exit 3 naming
+    step 1 and gamma/tau).  So the errors are then measured on the
+    initial state carried to the final level without a transport
+    solve."""
     cfg = write_config(tmp_path, tau=[1e300], T=1e300)
-    assert main(["run", "--config", str(cfg)]) == 3
-    assert "at step 1" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
+    for coupling in ("none", "advection"):
+        monkeypatch.setattr(
+            studies, "problem_coefficients",
+            lambda sol, coupling=coupling, **kwargs: dataclasses.replace(
+                problem_coefficients(sol, **kwargs),
+                velocity_coupling=coupling))
+        assert main(["run", "--config", str(cfg)]) == 3, coupling
+        err = capsys.readouterr().err
+        assert "at step 1" in err and "singular" in err, coupling
+        assert "gamma/tau = 1e-300" in err, coupling
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def without_transport(disc, coeffs, grid, mode, options, observers):
         state = initialize(disc, coeffs, grid, options)

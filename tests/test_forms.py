@@ -274,7 +274,7 @@ def test_wall_flux_receives_discrete_normals(disc16):
 
 def test_callables_receive_the_discretizations_own_points(disc8):
     """Through a march and measure_errors, every coefficient callable gets
-    the discretization's read-only, C-contiguous coordinate arrays
+    the discretization's immutable, C-contiguous coordinate arrays
     themselves, the same objects at every call, so that it can keep what
     depends on the points alone."""
     sol = disk_trig_case()
@@ -308,6 +308,22 @@ def test_callables_receive_the_discretizations_own_points(disc8):
     for args in seen:
         want = volume if len(args) == 2 else edge
         assert all(a is b for a, b in zip(args, want, strict=True))
+
+
+def test_coordinates_cannot_be_made_writable(disc8):
+    """The six coordinate arrays and ``quad_points`` view bytes: numpy
+    refuses to make any of them, or any array they view, writable, and
+    the six stay C-contiguous."""
+    coords = (disc8.quad_x, disc8.quad_y, disc8.edge_x, disc8.edge_y,
+              disc8.edge_nx, disc8.edge_ny)
+    for arr in coords + (disc8.quad_points,):
+        while isinstance(arr, np.ndarray):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+            assert not arr.flags.writeable
+            arr = arr.base
+        assert isinstance(arr, bytes)
+    assert all(arr.flags.c_contiguous for arr in coords)
 
 
 def test_quadratic_pressure_reproduced_exactly(disc16):

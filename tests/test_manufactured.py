@@ -13,6 +13,7 @@ from miscfem import (CASES, ManufacturedSolution, TimeGrid,
                      build_discretization, disk_trig_case, fd_divergence,
                      generate_disk_mesh, manufacture_sources, measure_errors,
                      problem_coefficients, run, strong_residuals)
+from miscfem import manufactured
 from miscfem.manufactured import _ProductTable
 
 
@@ -256,8 +257,8 @@ def _bits(value):
 # signed zeros often: sin(-0.0) and sin(0.0) differ in their sign bit
 _COORD = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 2.0)
 _STEPS = st.lists(st.sampled_from(
-    ["call", "mutate x", "mutate y", "new content", "band", "scalars",
-     "broadcast"]), min_size=1, max_size=8)
+    ["call", "mutate x", "mutate y", "new content", "immutable", "band",
+     "scalars", "broadcast"]), min_size=1, max_size=8)
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,19 +267,26 @@ _STEPS = st.lists(st.sampled_from(
 def test_stored_factors_give_a_fresh_evaluation_bit_for_bit(data, n, t,
                                                             steps):
     """One case answers a sequence of calls -- on arrays mutated in place
-    between calls, on new arrays of the same shape, on scalars, on
-    broadcast shapes and on points within fd_step of the kink x = t,
-    interleaved -- and after each step every callable, the closed-form
-    wall data among them, answers with the bits that a case with no
-    stored products gives for the same arguments."""
+    between calls, on new arrays of the same shape, on immutable arrays
+    (whose products it keeps), on scalars, on broadcast shapes and on
+    points within fd_step of the kink x = t, interleaved -- and after
+    each step every callable, the closed-form wall data among them,
+    answers with the bits that a case with no stored products gives for
+    the same arguments."""
     live = _evaluations(disk_trig_case())
     x = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
     y = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
     for step in steps:
         args = (x, y, t)
         if step in ("mutate x", "mutate y"):
+            # in place, but an immutable array only through a copy
+            x, y = (a if a.flags.writeable else a.copy() for a in (x, y))
             target = x if step == "mutate x" else y
             target[data.draw(st.integers(0, n - 1))] = data.draw(_COORD)
+            args = (x, y, t)
+        elif step == "immutable":
+            x, y = (np.frombuffer(a.tobytes()) for a in (x, y))
+            args = (x, y, t)
         elif step == "new content":
             x = x + data.draw(st.sampled_from([1e-300, 1e-12, 0.25]))
             args = (x, y, t)
@@ -308,42 +316,80 @@ def test_a_signed_zero_is_new_content():
         disk_trig_case().concentration_grad(abs(x), y, 0.5)[0, 0])
 
 
-def test_band_shapes_leave_the_volume_factors_stored():
-    """Stencil calls of other shapes, however many distinct contents they
-    bring, do not evict a point set: the next call on a copy of it
-    returns the stored products themselves, which are read-only."""
+def _immutable_points(n):
+    """x and y of n points on bytes, as a Discretization holds them."""
+    return tuple(np.frombuffer(a.tobytes()) for a in (
+        np.linspace(0.0, 1.0, n), np.linspace(1.0, 0.0, n)))
+
+
+def test_immutable_points_hit_by_identity():
+    """A call on the very immutable arrays of a stored call returns the
+    stored products themselves, which are read-only and equal to a fresh
+    evaluation's."""
     table = _ProductTable()
-    x, y = np.linspace(0.0, 1.0, 50), np.linspace(1.0, 0.0, 50)
+    x, y = _immutable_points(50)
     stored = table(x, y)
-    for k in range(1, 4):
-        for shift in (1e-5, -1e-5):
-            table(x[:k] + shift, y[:k])
-    assert table(x.copy(), y.copy()) is stored
-    products = (stored.cs, stored.ss, stored.cc, stored.grad2)
-    assert not any(a.flags.writeable for a in products)
-    assert np.array_equal(stored.cs, np.cos(x) * np.sin(y))
+    assert table(x, y) is stored
+    assert not any(a.flags.writeable for a in stored)
+    fresh = _ProductTable()(x.copy(), y.copy())
+    assert all(_bits(a) == _bits(b) for a, b in zip(stored, fresh,
+                                                      strict=True))
 
 
-def test_read_only_points_hit_by_identity_and_copies_by_bytes():
-    """A call on the very read-only arrays of the stored call returns the
-    stored products; a copy with the same bytes still hits, and changed
-    bytes miss.  A read-only view of a writable array is compared by its
-    bytes, so a write through the array it views is seen."""
+def test_other_arrays_are_evaluated_fresh():
+    """Copies, views of writable arrays and read-only arrays that own
+    their data keep nothing: each call computes the products again, bit
+    for bit the same."""
     table = _ProductTable()
-    x, y = np.linspace(0.0, 1.0, 50), np.linspace(1.0, 0.0, 50)
+    x, y = _immutable_points(50)
+    want = [_bits(a) for a in table(x, y)]
+    owned_x, owned_y = x.copy(), y.copy()
+    owned_x.flags.writeable = owned_y.flags.writeable = False
+    view_x = x.copy()[:]
+    view_x.flags.writeable = False
+    for args in ((x.copy(), y.copy()), (owned_x, owned_y), (view_x, y),
+                 (list(x), y)):
+        first, second = table(*args), table(*args)
+        assert first is not second
+        assert [_bits(a) for a in second] == want
+    assert len(table.entries) == 1 and table.entries[0][0] is x
+
+
+def test_a_refrozen_array_written_in_between_gets_fresh_products():
+    """An array that owns its data can be made writable again after a
+    call, written and made read-only once more: the next call must see
+    the new values, not products kept from the old ones."""
+    sol = disk_trig_case()
+    x, y = np.linspace(0.0, 1.0, 20).copy(), np.linspace(1.0, 0.0, 20).copy()
+    assert x.base is None and y.base is None
     x.flags.writeable = y.flags.writeable = False
-    stored = table(x, y)
-    assert table(x, y) is stored
-    assert table(x.copy(), y.copy()) is stored
-    assert table(x, y) is stored
-    moved = table(x + 1e-12, y)
-    assert moved is not stored
-    assert np.array_equal(moved.cs, np.cos(x + 1e-12) * np.sin(y))
-    base = np.linspace(0.0, 1.0, 50)
-    view = base[:]
-    view.flags.writeable = False
-    first = table(view, y)
-    base[0] = 0.5
-    second = table(view, y)
-    assert second is not first
-    assert np.array_equal(second.cs, np.cos(base) * np.sin(y))
+    sol.concentration(x, y, 0.5)
+    x.flags.writeable = True
+    x[:] = x[::-1]
+    x.flags.writeable = False
+    want = disk_trig_case().concentration(x, y, 0.5)
+    assert _bits(sol.concentration(x, y, 0.5)) == _bits(want)
+
+
+def test_one_case_on_three_discretizations_keeps_two_entries(monkeypatch):
+    """A case marched on three discretizations in turn keeps the products
+    of two point sets at most: the volume and edge points of the last."""
+    tables = []
+
+    class Recording(_ProductTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(manufactured, "_ProductTable", Recording)
+    coeffs = problem_coefficients(disk_trig_case())
+    grid = TimeGrid(final_time=0.5, num_steps=2)
+    for M in (8, 12, 16):
+        disc = build_discretization(generate_disk_mesh(M=M))
+        run(disc, coeffs, grid)
+        (table,) = tables
+        assert len(table.entries) <= 2
+    for want_x, want_y in ((disc.quad_x, disc.quad_y),
+                           (disc.edge_x, disc.edge_y)):
+        assert any(x is want_x and y is want_y
+                   for x, y, _ in table.entries)
