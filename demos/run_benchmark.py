@@ -39,7 +39,7 @@ def main(out):
     coeffs = problem_coefficients(sol)
     grid = TimeGrid(final_time=FINAL_TIME, num_steps=NUM_STEPS)
 
-    state, records = run(disc, coeffs, grid, mode="skew")
+    state, records = run(disc, coeffs, grid)
     iters_p = sum(r.pressure_iterations for r in records)
     iters_c = sum(r.concentration_iterations for r in records)
     print(f"marched {grid.num_steps} steps of tau = {grid.tau:g} "

@@ -13,7 +13,7 @@ from .forms import (CoefficientBlowupError, ConcentrationSystem,
                     Discretization, PressureSystem, ProblemCoefficients,
                     assemble_concentration, assemble_pressure,
                     build_discretization, compute_velocity)
-from .manufactured import (CASES, ManufacturedSolution, disk_trig_case,
+from .manufactured import (ManufacturedSolution, disk_trig_case,
                            fd_divergence, manufacture_sources,
                            problem_coefficients, strong_residuals)
 from .meshing import (Mesh, MeshConstructionError, MeshFormatError,

@@ -6,11 +6,12 @@ Verbs:
   study-temporal time-step refinement study at fixed mesh
   mesh-gen       generate a disk mesh and write it as JSON
 
-Common flags: --config <json>, --out <dir>, --dump-fields, and the
-protocol switch --fast (default, desk-scale) / --paper-exact (the full
-table protocol: spatial tau = 2^-14, temporal M = 256).  The protocol
-switch applies to built-in defaults only and cannot be combined with an
-explicit --config.
+run and the study verbs take --config <json>, --out <dir> and
+--dump-fields.  The study verbs also take the protocol switch --fast
+(default, desk-scale) / --paper-exact (the full table protocol: spatial
+tau = 2^-14, temporal M = 256), which applies to built-in defaults only
+and cannot be combined with an explicit --config.  mesh-gen takes only
+--M <n> and --out <dir>.
 
 Exit codes: 0 success, 2 configuration error (message names the field),
 3 solver or coefficient failure (message names the step).
@@ -55,22 +56,25 @@ def _build_parser():
         description="Finite element benchmark driver for miscible "
                     "displacement in a disk")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("run", "study-spatial", "study-temporal", "mesh-gen"):
+    for verb in ("run", "study-spatial", "study-temporal"):
         p = sub.add_parser(verb)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--dump-fields", action="store_true",
                        help="write VTK field dumps")
+        if verb == "run":   # one row: no protocol to switch
+            p.set_defaults(paper_exact=False)
+            continue
         group = p.add_mutually_exclusive_group()
         group.add_argument("--fast", action="store_true", default=True,
                            help="desk-scale protocol (default)")
         group.add_argument("--paper-exact", dest="paper_exact",
                            action="store_true",
                            help="full table protocol")
-        if verb == "mesh-gen":
-            p.add_argument("--M", type=int, default=16,
-                           help=f"boundary node count, 8..{MAX_MESH_M} "
-                                "(default 16)")
+    p = sub.add_parser("mesh-gen")
+    p.add_argument("--M", type=int, default=16,
+                   help=f"boundary node count, 8..{MAX_MESH_M} (default 16)")
+    p.add_argument("--out", help="output directory")
     return parser
 
 
@@ -106,8 +110,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "mesh-gen":
-            if args.config is not None:
-                raise ConfigError("<flags>", "mesh-gen takes --M, not --config")
             check_mesh_size("M", args.M)
             out = make_output_dir("out", "miscfem-mesh-gen"
                                   if args.out is None else args.out)

@@ -30,18 +30,22 @@ class ErrorRecord:
     p_grad_l4: float
 
 
-def observed_orders(errors) -> np.ndarray:
-    """Pairwise convergence orders log2(e_i / e_{i+1}) of a table whose
-    mesh width or time step halves from row to row.
+def observed_orders(errors, refinement) -> np.ndarray:
+    """Pairwise convergence orders log(e_i / e_{i+1}) / log(r_i / r_{i+1})
+    of a table whose row i has error e_i at mesh width or time step r_i.
 
     The last entry is the headline order of a refinement table.
     """
     errors = np.asarray(errors, dtype=np.float64)
+    refinement = np.asarray(refinement, dtype=np.float64)
     if errors.size < 2:
         raise ValueError("need at least two errors")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive")
-    return np.log(errors[:-1] / errors[1:]) / np.log(2.0)
+    if np.any(errors <= 0) or np.any(refinement <= 0):
+        raise ValueError("errors and refinement values must be positive")
+    ratios = refinement[:-1] / refinement[1:]
+    if np.any(ratios == 1.0):
+        raise ValueError("a refinement pair of ratio 1 has no order")
+    return np.log(errors[:-1] / errors[1:]) / np.log(ratios)
 
 
 def measure_errors(disc: Discretization, state, grid, sol) -> ErrorRecord:

@@ -380,6 +380,3 @@ def strong_residuals(sol: ManufacturedSolution, coeffs: ProblemCoefficients,
              + coupled
              - coeffs.concentration_source(x, y, t))
     return res_p, res_c
-
-
-CASES = {"disk-trig": disk_trig_case}

@@ -24,8 +24,8 @@ import numpy as np
 from .checks import check_number
 from .elements import quadrature_rule
 from .errors import ErrorRecord, measure_errors, observed_orders
-from .forms import CoefficientBlowupError, build_discretization, check_mode
-from .manufactured import CASES, problem_coefficients
+from .forms import CoefficientBlowupError, build_discretization
+from .manufactured import disk_trig_case, problem_coefficients
 from .meshing import generate_disk_mesh
 from .timestepping import SolverOptions, TimeGrid, run
 from .vtkio import write_vtk
@@ -103,13 +103,12 @@ class StudyConfig:
     built (from JSON, directly or by :func:`dataclasses.replace`), a bad
     field is a ConfigError naming its schema key; numbers follow
     :func:`~miscfem.checks.check_number`.  A scalar mesh_M or tau stands
-    for a one-element list."""
+    for a one-element list; neither list may repeat a value, which would
+    make a refinement pair of ratio 1 with no observed order."""
 
-    case: str = "disk-trig"         # a registered benchmark name
     mesh_sizes: tuple = (16,)       # mesh_M: integers in 8..MAX_MESH_M
     time_steps: tuple = (1.0 / 32.0,)   # tau: each divides T, in <= 2**53 steps
     final_time: float = 1.0         # T
-    mode: str = "direct"            # or "skew"
     pressure_tol: float = 1e-11     # relative solver tolerances
     concentration_tol: float = 1e-10
     fd_step: float = 1e-5           # manufactured-source finite difference
@@ -123,9 +122,6 @@ class StudyConfig:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        if not isinstance(self.case, str) or self.case not in CASES:
-            raise ConfigError("case", f"unknown case {self.case!r}; "
-                                      f"registered: {sorted(CASES)}")
         for name in ("mesh_sizes", "time_steps"):
             value = getattr(self, name)
             put(name, tuple(value) if isinstance(value, (list, tuple))
@@ -135,6 +131,8 @@ class StudyConfig:
             raise ConfigError("mesh_M", "must be a nonempty list")
         for i, m in enumerate(self.mesh_sizes):
             check_mesh_size(f"mesh_M[{i}]", m)
+            if m in self.mesh_sizes[:i]:
+                raise ConfigError(f"mesh_M[{i}]", f"repeats the value {m!r}")
 
         with _field("T"):
             put("final_time", float(check_number("T", self.final_time, above=0)))
@@ -152,9 +150,9 @@ class StudyConfig:
             if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
                 raise ConfigError(f"tau[{i}]",
                                   f"T/tau = {steps!r} is not an integer")
+            if tau in self.time_steps[:i]:
+                raise ConfigError(f"tau[{i}]", f"repeats the value {tau!r}")
 
-        with _field("mode"):
-            check_mode(self.mode)
         with _field("quad_degree"):
             quadrature_rule(self.quad_degree)
             if self.quad_degree < 2:
@@ -256,12 +254,18 @@ _ORDER_COLUMNS = ("c_l2", "u_l2", "c_linf", "u_linf")
 @dataclass
 class ConvergenceReport:
     kind: str                      # "spatial" or "temporal"
-    case: str
-    mode: str
-    refinement_label: str          # "h" or "tau"
-    refinement: list
     rows: list                     # of RowResult
     protocol_note: str = ""
+
+    @property
+    def refinement_label(self) -> str:
+        return "h" if self.kind == "spatial" else "tau"
+
+    @property
+    def refinement(self) -> list:
+        """Each row's mesh width 1/M (spatial) or time step (temporal)."""
+        return [1.0 / r.mesh_size if self.kind == "spatial" else r.tau
+                for r in self.rows]
 
     def orders(self):
         pairwise = {}
@@ -269,7 +273,7 @@ class ConvergenceReport:
         for col in _ORDER_COLUMNS:
             errs = [getattr(r.record, col) for r in self.rows]
             if len(errs) >= 2 and all(e > 0 for e in errs):
-                o = observed_orders(errs)
+                o = observed_orders(errs, self.refinement)
                 pairwise[col] = [float(v) for v in o]
                 headline[col] = float(o[-1])
         return pairwise, headline
@@ -298,10 +302,9 @@ class ConvergenceReport:
 
     def to_json_dict(self) -> dict:
         pairwise, headline = self.orders()
-        return {"kind": self.kind, "case": self.case, "mode": self.mode,
-                "protocol_note": self.protocol_note,
+        return {"kind": self.kind, "protocol_note": self.protocol_note,
                 "refinement_label": self.refinement_label,
-                "refinement": list(self.refinement),
+                "refinement": self.refinement,
                 "rows": [r.row_dict() for r in self.rows],
                 "pairwise_orders": pairwise,
                 "headline_orders": headline}
@@ -317,7 +320,7 @@ def simulate_row(config: StudyConfig, mesh_size: int, tau: float,
 
     With ``config.dump_fields``, VTK fields go to the existing directory
     ``dump_dir``."""
-    sol = CASES[config.case]()
+    sol = disk_trig_case()
     coeffs = problem_coefficients(sol, fd_step=config.fd_step)
     mesh = generate_disk_mesh(sol.domain_center, sol.domain_radius, mesh_size)
     disc = build_discretization(mesh, config.quad_degree)
@@ -336,8 +339,8 @@ def simulate_row(config: StudyConfig, mesh_size: int, tau: float,
         observers.append(dump)
 
     start = time.perf_counter()
-    state, history = run(disc, coeffs, grid, mode=config.mode,
-                         options=options, observers=observers)
+    state, history = run(disc, coeffs, grid, options=options,
+                         observers=observers)
     elapsed = time.perf_counter() - start
     with np.errstate(all="ignore"):     # checked below
         record = measure_errors(disc, state, grid, sol)
@@ -406,22 +409,15 @@ def run_single(config: StudyConfig):
     """One simulation at (mesh_M[0], tau[0]); writes report.json."""
     out, (row,) = _run_rows(config, ("report.json",), [
         ("", config.mesh_sizes[0], config.time_steps[0])])
-    report = {"kind": "single", "case": config.case, "mode": config.mode,
-              "converged": True}
-    report.update(row.row_dict())
-    _write_json(out / "report.json", report)
+    _write_json(out / "report.json", {"kind": "single", **row.row_dict()})
     return row
 
 
-def _run_study(config, note, kind, label, rows) -> ConvergenceReport:
-    """Simulate ``rows``, each (dump subdirectory, M, tau, refinement
-    value), and write report.csv and report.json."""
-    out, results = _run_rows(config, ("report.csv", "report.json"),
-                             [row[:3] for row in rows])
-    report = ConvergenceReport(kind=kind, case=config.case, mode=config.mode,
-                               refinement_label=label,
-                               refinement=[row[3] for row in rows],
-                               rows=results, protocol_note=note)
+def _run_study(config, note, kind, rows) -> ConvergenceReport:
+    """Simulate ``rows``, each (dump subdirectory, M, tau), and write
+    report.csv and report.json."""
+    out, results = _run_rows(config, ("report.csv", "report.json"), rows)
+    report = ConvergenceReport(kind=kind, rows=results, protocol_note=note)
     with open(out / "report.csv", "w", newline="") as f:
         f.write(report.to_csv())
     _write_json(out / "report.json", report.to_json_dict())
@@ -430,13 +426,12 @@ def _run_study(config, note, kind, label, rows) -> ConvergenceReport:
 
 def run_spatial_study(config: StudyConfig, note: str = "") -> ConvergenceReport:
     """Refine the mesh over mesh_M at fixed tau = tau[0]."""
-    return _run_study(config, note, "spatial", "h", [
-        (f"M{M}", M, config.time_steps[0], 1.0 / M)
-        for M in config.mesh_sizes])
+    return _run_study(config, note, "spatial", [
+        (f"M{M}", M, config.time_steps[0]) for M in config.mesh_sizes])
 
 
 def run_temporal_study(config: StudyConfig, note: str = "") -> ConvergenceReport:
     """Refine the time step over tau at fixed M = mesh_M[0]."""
-    return _run_study(config, note, "temporal", "tau", [
-        (f"tau{i}", config.mesh_sizes[0], tau, tau)
+    return _run_study(config, note, "temporal", [
+        (f"tau{i}", config.mesh_sizes[0], tau)
         for i, tau in enumerate(config.time_steps)])

@@ -57,8 +57,36 @@ def test_mesh_gen_rejects_m_above_the_cap(tmp_path, capsys, monkeypatch):
 
 def test_mesh_gen_rejects_config_flag(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["mesh-gen", "--config", str(cfg)]) == 2
-    assert "--M" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["mesh-gen", "--config", str(cfg)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--paper-exact"], ["run", "--fast"],
+    ["mesh-gen", "--dump-fields"], ["mesh-gen", "--fast"],
+    ["mesh-gen", "--paper-exact"]], ids=" ".join)
+def test_flags_a_verb_does_not_read_exit_2(argv, capsys, monkeypatch):
+    """Each verb takes only the flags it reads: argparse refuses the
+    others before any work."""
+    monkeypatch.setattr(cli, "generate_disk_mesh", _no_work)
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("case", "disk-trig"),
+                                        ("mode", "skew")])
+def test_old_config_keys_exit_2(key, value, tmp_path, capsys, monkeypatch):
+    """A config written for the schema that had ``case`` and ``mode`` is
+    refused with the key named, before any row."""
+    monkeypatch.setattr(studies, "simulate_row", _no_work)
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["study-temporal", "--config", str(cfg)]) == 2
+    assert f"config field '{key}': unknown key" in capsys.readouterr().err
 
 
 def _refuse_constant(name):
@@ -74,6 +102,7 @@ def test_run_with_config(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text(),
                         parse_constant=_refuse_constant)
     assert report["kind"] == "single"
+    assert not {"case", "mode", "converged"} & set(report)
     assert (tmp_path / "out" / "config-echo.json").is_file()
 
 
@@ -94,7 +123,7 @@ def test_dump_fields_flag(tmp_path):
 
 def test_config_with_paper_exact_conflicts(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["run", "--config", str(cfg), "--paper-exact"]) == 2
+    assert main(["study-spatial", "--config", str(cfg), "--paper-exact"]) == 2
     assert "--paper-exact" in capsys.readouterr().err
 
 
@@ -113,6 +142,7 @@ def test_study_spatial_prints_csv(tmp_path, capsys):
     assert (tmp_path / "out" / "report.csv").is_file()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["kind"] == "spatial"
+    assert not {"case", "mode", "converged"} & set(report)
     assert "fast mode" not in report["protocol_note"]   # explicit config
 
 
@@ -330,7 +360,7 @@ def test_non_finite_errors_exit_3(tmp_path, capsys, monkeypatch):
         assert "gamma/tau = 1e-300" in err, coupling
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def without_transport(disc, coeffs, grid, mode, options, observers):
+    def without_transport(disc, coeffs, grid, *, options, observers):
         state = initialize(disc, coeffs, grid, options)
         return dataclasses.replace(state, step_index=grid.num_steps), []
 
@@ -371,6 +401,13 @@ _OUTPUT_NAMES = ("out", "out/config-echo.json", "out/report.csv",
 
 _DEFAULT_CONFIG = cli.default_config
 
+# the flags each verb reads; argparse refuses the others
+_VERB_FLAGS = {"run": {"--config", "--out", "--dump-fields"},
+               "study-spatial": {"--config", "--out", "--dump-fields",
+                                 "--fast", "--paper-exact"},
+               "mesh-gen": {"--M", "--out"}}
+_VERB_FLAGS["study-temporal"] = _VERB_FLAGS["study-spatial"]
+
 
 def _tiny_default_config(verb, paper_exact, out_dir, dump_fields):
     """The built-in protocol of ``verb`` shrunk to one M=8 row of 2 steps."""
@@ -384,19 +421,24 @@ def _tiny_default_config(verb, paper_exact, out_dir, dump_fields):
                              "mesh-gen"]),
        flags=st.sets(st.sampled_from(["--config", "--out", "--dump-fields",
                                       "--fast", "--paper-exact", "--M"])),
+       stray=st.integers(0, 3).map(lambda k: k == 0),
        out=st.sampled_from(["out", "out/sub", ""]),
        M=st.sampled_from(["8", "5", "2048"]),
        config=st.fixed_dictionaries({
-           "mode": st.sampled_from(["direct", "skew"]),
            "dump_fields": st.booleans(),
            "dump_steps": st.sampled_from([[], [1], [10 ** 300]]),
            "output_dir": st.sampled_from(["out", "o\u0000x", ""])}),
        obstacles=st.dictionaries(st.sampled_from(_OUTPUT_NAMES),
                                  st.sampled_from(["file", "dir"]),
                                  max_size=3))
-def test_no_argv_ends_in_a_traceback(verb, flags, out, M, config, obstacles):
+def test_no_argv_ends_in_a_traceback(verb, flags, stray, out, M, config,
+                                     obstacles):
     """Whatever the flags, the config and the files already in the output
-    directory, main returns 0, 2 or 3, or argparse exits with 2."""
+    directory, main returns 0, 2 or 3, or argparse exits with 2.  A
+    quarter of the draws keep flags the verb does not read; the rest
+    reach the verb's own code."""
+    if not stray:
+        flags &= _VERB_FLAGS[verb]
     argv = [verb] + sorted(flags & {"--dump-fields", "--fast",
                                     "--paper-exact"})
     if "--out" in flags:

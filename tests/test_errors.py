@@ -169,12 +169,22 @@ def test_each_exact_field_is_evaluated_once(disc8):
 
 
 def test_observed_orders():
-    got = observed_orders([1.0, 0.25, 0.0625])
+    got = observed_orders([1.0, 0.25, 0.0625], [0.5, 0.25, 0.125])
+    assert np.allclose(got, [2.0, 2.0], rtol=0, atol=1e-14)
+    # a step that quarters: first order is log(4) / log(4), not log2(4)
+    got = observed_orders([1.0, 0.25, 0.0625], [1 / 8, 1 / 32, 1 / 128])
+    assert np.allclose(got, [1.0, 1.0], rtol=0, atol=1e-14)
+    # and a mixed table: halving, then quartering, at second order
+    got = observed_orders([1.0, 0.25, 0.015625], [0.5, 0.25, 0.0625])
     assert np.allclose(got, [2.0, 2.0], rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
-        observed_orders([1.0])
+        observed_orders([1.0], [0.5])
     with pytest.raises(ValueError):
-        observed_orders([1.0, 0.0])
+        observed_orders([1.0, 0.0], [0.5, 0.25])
+    with pytest.raises(ValueError, match="ratio 1"):
+        observed_orders([1.0, 0.5], [0.25, 0.25])
+    with pytest.raises(ValueError):
+        observed_orders([1.0, 0.5], [0.25, -0.125])
 
 
 def test_interpolation_error_refines_at_second_order(disc8, disc16):
@@ -192,7 +202,7 @@ def test_interpolation_error_refines_at_second_order(disc8, disc16):
             pressure=np.zeros(disc.p2.dof_count),
             velocity=sol.velocity(x, y, 0.0))
         errors.append(measure_errors(disc, state, grid, sol).c_l2)
-    order = observed_orders(errors)[-1]
+    order = observed_orders(errors, [1 / 8, 1 / 16])[-1]
     assert 1.6 < order < 2.4
 
 

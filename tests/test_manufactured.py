@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miscfem import (CASES, ManufacturedSolution, TimeGrid,
+from miscfem import (ManufacturedSolution, TimeGrid,
                      build_discretization, disk_trig_case, fd_divergence,
                      generate_disk_mesh, manufacture_sources, measure_errors,
                      problem_coefficients, run, strong_residuals)
@@ -30,9 +30,8 @@ def sol():
     return disk_trig_case()
 
 
-def test_case_registry(sol):
-    assert "disk-trig" in CASES
-    assert isinstance(CASES["disk-trig"](), ManufacturedSolution)
+def test_benchmark_case_is_uncoupled(sol):
+    assert isinstance(sol, ManufacturedSolution)
     assert sol.velocity_coupling == "none"
 
 

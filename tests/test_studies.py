@@ -21,11 +21,9 @@ from miscfem.studies import MAX_MESH_M
 def test_defaults():
     cfg = config_from_dict({})
     assert cfg == StudyConfig()
-    assert cfg.case == "disk-trig"
     assert cfg.mesh_sizes == (16,)
     assert cfg.time_steps == (1.0 / 32.0,)
     assert cfg.final_time == 1.0
-    assert cfg.mode == "direct"
     assert cfg.quad_degree == 4
     assert not cfg.dump_fields
 
@@ -46,7 +44,7 @@ def test_scalars_are_listified():
 
 def test_echo_dict_roundtrips():
     cfg = config_from_dict({"mesh_M": [8, 16], "tau": [0.5, 0.25], "T": 2.0,
-                            "mode": "skew", "quad_degree": 5,
+                            "quad_degree": 5,
                             "dump_fields": True, "dump_steps": [0, 2],
                             "output_dir": "elsewhere"})
     assert config_from_dict(cfg.echo_dict()) == cfg
@@ -54,11 +52,13 @@ def test_echo_dict_roundtrips():
 
 # schema keys that differ from the StudyConfig field names
 RENAMED = {"mesh_M": "mesh_sizes", "tau": "time_steps", "T": "final_time"}
+# keys outside the schema, which no StudyConfig field takes
+UNKNOWN_KEYS = ("bogus", "case", "mode")
 
 
 @pytest.mark.parametrize("data,path", [
     ({"bogus": 1}, "bogus"),
-    ({"case": "nope"}, "case"),
+    ({"case": "disk-trig"}, "case"),    # a key of old configs, now unknown
     ({"mesh_M": []}, "mesh_M"),
     ({"mesh_M": [16, 4]}, "mesh_M[1]"),
     ({"mesh_M": [True]}, "mesh_M[0]"),
@@ -69,7 +69,7 @@ RENAMED = {"mesh_M": "mesh_sizes", "tau": "time_steps", "T": "final_time"}
     ({"tau": [-0.1]}, "tau[0]"),
     ({"tau": [0.3]}, "tau[0]"),          # 1/0.3 steps is not an integer
     ({"tau": [0.5, 0.3]}, "tau[1]"),
-    ({"mode": "explicit"}, "mode"),
+    ({"mode": "direct"}, "mode"),       # a key of old configs, now unknown
     ({"pressure_tol": 0}, "pressure_tol"),
     ({"concentration_tol": -1e-9}, "concentration_tol"),
     ({"fd_step": 0}, "fd_step"),
@@ -91,17 +91,19 @@ RENAMED = {"mesh_M": "mesh_sizes", "tau": "time_steps", "T": "final_time"}
     ({"T": 2.0 ** 60, "tau": [1.0]}, "tau[0]"),
     ({"T": 10 ** 400}, "T"),                       # beyond the float range
     ({"fd_step": 10 ** 400}, "fd_step"),
-    ({"case": ["disk-trig"]}, "case"),
+    ({"case": "nope", "mode": "skew"}, "case"),
     ({"mesh_M": [16, MAX_MESH_M + 1]}, "mesh_M[1]"),
     ({"mesh_M": [10 ** 9]}, "mesh_M[0]"),
     ({"quad_degree": 1}, "quad_degree"),  # singular P2 stiffness
     ({"fd_step": 1.5}, "fd_step"),       # wider than the domain
+    ({"mesh_M": [16, 32, 16]}, "mesh_M[2]"),    # a pair of ratio 1
+    ({"tau": [0.25, 0.125, 0.25]}, "tau[2]"),
 ])
 def test_schema_violations_name_the_field(data, path):
     """The same field is named whether the config comes from JSON or is
     built directly under the dataclass field names."""
     builders = [lambda: config_from_dict(data)]
-    if path != "bogus":
+    if path not in UNKNOWN_KEYS:
         fields = {RENAMED.get(key, key): v for key, v in data.items()}
         builders.append(lambda: StudyConfig(**fields))
     for build in builders:
@@ -125,7 +127,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=8)
-CONFIG_KEYS = st.sampled_from(["case", "mesh_M", "tau", "T", "mode",
+CONFIG_KEYS = st.sampled_from(["mesh_M", "tau", "T",
                                "pressure_tol", "concentration_tol",
                                "fd_step", "quad_degree", "dump_fields",
                                "dump_steps", "output_dir"])
@@ -200,9 +202,7 @@ def synthetic_record(scale: float) -> ErrorRecord:
 def synthetic_report():
     rows = [RowResult(16, 0.25, synthetic_record(1.0), 1.5, 10, 20),
             RowResult(32, 0.25, synthetic_record(0.25), 3.0, 12, 24)]
-    return ConvergenceReport(kind="spatial", case="disk-trig", mode="direct",
-                             refinement_label="h",
-                             refinement=[1.0 / 16.0, 1.0 / 32.0], rows=rows)
+    return ConvergenceReport(kind="spatial", rows=rows)
 
 
 def test_orders_of_synthetic_report(synthetic_report):
@@ -211,6 +211,16 @@ def test_orders_of_synthetic_report(synthetic_report):
         assert pairwise[col] == pytest.approx([2.0])
         assert headline[col] == pytest.approx(2.0)
     assert "p_l2" not in headline
+
+
+def test_orders_use_the_refinement_ratio():
+    """A time step that quarters while the errors quarter is first
+    order, not second."""
+    rows = [RowResult(16, tau, synthetic_record(scale), 1.0, 1, 1)
+            for tau, scale in ((0.25, 1.0), (0.0625, 0.25))]
+    pairwise, headline = ConvergenceReport(kind="temporal", rows=rows).orders()
+    assert pairwise["c_l2"] == pytest.approx([1.0])
+    assert headline["u_linf"] == pytest.approx(1.0)
 
 
 def test_csv_layout_oracle(synthetic_report):
@@ -230,6 +240,7 @@ def test_json_dict_of_synthetic_report(synthetic_report):
     d = synthetic_report.to_json_dict()
     assert d["kind"] == "spatial"
     assert d["refinement_label"] == "h"
+    assert d["refinement"] == [1.0 / 16.0, 1.0 / 32.0]
     assert d["rows"][0]["M"] == 16
     assert d["rows"][0]["h"] == pytest.approx(1.0 / 16.0)
     assert d["rows"][0]["runtime_seconds"] == 1.5
@@ -271,6 +282,10 @@ def test_pressure_iterations_total_counts_every_pressure_solve(
     assert row.pressure_iterations == sum(ran)
 
 
+# keys of earlier reports: the old config fields and a constant "converged"
+REMOVED_KEYS = {"case", "mode", "converged"}
+
+
 @pytest.fixture(scope="module")
 def tiny_temporal(tmp_path_factory):
     out = tmp_path_factory.mktemp("temporal")
@@ -290,6 +305,7 @@ def test_temporal_study_reports(tiny_temporal):
         assert (out / name).is_file()
     data = json.loads((out / "report.json").read_text())
     assert data["kind"] == "temporal"
+    assert not REMOVED_KEYS & set(data)
     assert data["protocol_note"] == "desk protocol"
     assert [row["M"] for row in data["rows"]] == [8, 8]
     assert data["rows"][0]["tau"] == 0.25
@@ -339,7 +355,7 @@ def test_run_single_writes_report(tmp_path):
     row = run_single(cfg)
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["kind"] == "single"
-    assert data["converged"] is True
+    assert not REMOVED_KEYS & set(data)
     assert data["M"] == 8
     assert data["h"] == pytest.approx(0.125)
     assert data["c_l2"] == pytest.approx(row.record.c_l2)
