@@ -1,20 +1,5 @@
-"""Command-line front end.
-
-Verbs:
-  run            one simulation, report.json (+ optional VTK dumps)
-  study-spatial  mesh refinement study at fixed time step
-  study-temporal time-step refinement study at fixed mesh
-  mesh-gen       generate a disk mesh and write it as JSON
-
-run and the study verbs take --config <json>, --out <dir> and
---dump-fields.  The study verbs also take the protocol switch --fast
-(default, desk-scale) / --paper-exact (the full table protocol: spatial
-tau = 2^-14, temporal M = 256), which applies to built-in defaults only
-and cannot be combined with an explicit --config.  mesh-gen takes only
---M <n> and --out <dir>.
-
-Exit codes: 0 success, 2 configuration error (message names the field),
-3 solver or coefficient failure (message names the step).
+"""The ``miscfem`` command-line front end; README "Command line" documents
+its verbs, flags and exit codes.
 """
 
 from __future__ import annotations
@@ -92,10 +77,6 @@ def _resolve_config(args) -> StudyConfig:
     return dataclasses.replace(load_config(args.config), **overrides)
 
 
-def _print_report(report):
-    print(report.to_csv(), end="")
-
-
 def _protocol_note(args) -> str:
     """Provenance line for the report header; the error-balance notes
     describe the built-in protocols only."""
@@ -127,10 +108,10 @@ def main(argv=None) -> int:
                   f"c_l2={row.record.c_l2:.4E} u_l2={row.record.u_l2:.4E} "
                   f"c_linf={row.record.c_linf:.4E} "
                   f"u_linf={row.record.u_linf:.4E}")
-        elif args.verb == "study-spatial":
-            _print_report(run_spatial_study(config, note=_protocol_note(args)))
-        elif args.verb == "study-temporal":
-            _print_report(run_temporal_study(config, note=_protocol_note(args)))
+        else:
+            study = (run_spatial_study if args.verb == "study-spatial"
+                     else run_temporal_study)
+            print(study(config, note=_protocol_note(args)).to_csv(), end="")
         print(f"reports written to {config.output_dir}")
         return 0
     except ConfigError as exc:

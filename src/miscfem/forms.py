@@ -26,35 +26,10 @@ points, through D(u) and the convection term; the skew boundary
 correction takes u.n from the prescribed ``pressure_flux`` datum, so no
 velocity trace on the boundary is ever formed.
 
-A ``Discretization`` bundles everything reusable across time steps:
-dof maps, quadrature tabulations, per-triangle affine geometry, the
-sparsity patterns of both systems, the (time-independent) linear mass
-matrix, the quadratic load vector of basis integrals, and the
-boundary-edge traces of the bases that the wall-flux terms need.  Its
-coordinates of the volume and edge quadrature points, and the outward
-normals at the edge points, are C-contiguous views of ``bytes``, which
-no flag can make writable, and assembly passes these same objects to
-every coefficient callable at every step, so a callable can keep what
-depends on the points alone, found by identity.  The mesh and the dof
-maps never change, so neither does the structure of either matrix:
-each assembly sums its cell blocks into the slots of its pattern (see
-:class:`~miscfem.solvers.SparsityPattern`), and no step converts
-triplets to CSR.
-
-Every per-step cell kernel is one dense product with a reference tensor
-tabulated once per mesh (Kirby & Logg, "A compiler for variational
-forms", ACM TOMS 32(3), 2006): on affine triangles an element matrix is
-a few geometry factors per cell contracted with a table that is the
-same for every cell.  With the metric K = |det J| J^-1 J^-T and the
-reference gradients r_i, the P2 stiffness block is
-sum_(q, k) kappa_q K_k R[(q, k), (i, j)], so all blocks are one GEMM
-(kappa (x) K).reshape(T, 3Q) @ R.  The P1 diffusion block pairs the
-cell integrals of D00, D11 and D01 (one GEMM) with the products of the
-constant P1 gradients, and the convection block is U_i . g_j with
-U_i = |det J| sum_q w_q phi_i(x_q) u_q (one GEMM).  Values at the
-quadrature points and the volume loads are GEMMs with the tabulated
-bases; a gradient is the GEMM with the reference gradients followed by
-J^-T per cell, for the error norms and the velocity alike.
+A :class:`Discretization` bundles everything reusable across time steps.
+Each assembly sums its cell blocks, one dense product with a reference
+tensor per system (README "Assembly kernels"), into the slots of a
+:class:`~miscfem.solvers.SparsityPattern` fixed at set-up.
 """
 
 from __future__ import annotations
@@ -122,11 +97,7 @@ class ProblemCoefficients:
     # the divergence theorem on the polygonal domain.
     pressure_flux: Optional[Callable] = None      # u.n on the wall
     concentration_flux: Optional[Callable] = None  # D grad c . n on the wall
-    # How the transport equation couples to the Darcy velocity:
-    # "advection" gives the u . grad c term of the displacement model;
-    # "none" drops the advective term entirely, leaving the velocity to
-    # act only through the dispersion coefficient D(u) (and through
-    # mu(c) on the pressure side).
+    # "advection" (u . grad c) or "none" (see the module docstring)
     velocity_coupling: str = "advection"
 
     def __post_init__(self):
@@ -154,8 +125,7 @@ class ConcentrationSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     # whether the matrix holds a convection term; without one it is
-    # (gamma/tau) M plus the D(u)-weighted stiffness, symmetric positive
-    # definite by construction
+    # (gamma/tau) M plus a D(u)-weighted stiffness, symmetric positive definite
     convection: bool
 
 
@@ -169,12 +139,14 @@ class Discretization:
     triangle's reference frame; they carry the wall-flux terms of both
     systems and the skew boundary correction, which assembly adds into
     the owner cells' blocks before the one cell scatter per system.
-    Rows 1 and 2 of ``p1_grads`` double as J^-1 for :meth:`gradient_at_quad`;
-    the six fields after it are the per-cell geometry factors and the
-    reference tensors of the per-step kernels (see the module docstring
-    and :func:`_gradient_products`, which orders the entries k).
+    The six fields after ``p1_grads`` are the per-cell geometry factors
+    and reference tensors of README "Assembly kernels"
+    (:func:`_gradient_products` orders the entries k).
     ``quad_points``, ``quad_x``, ``quad_y`` and the four edge point and
-    normal arrays view ``bytes``, so numpy refuses to make them writable."""
+    normal arrays view ``bytes``, so numpy refuses to make them writable;
+    assembly passes these same objects to every coefficient callable at
+    every step, so a callable can keep what depends on the points alone,
+    found by identity (:class:`~miscfem.manufactured._ProductTable`)."""
 
     mesh: Mesh
     p1: DofMap
@@ -276,7 +248,6 @@ def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
     p2_basis_integrals = _scatter(
         p2, np.einsum("tq,qi->ti", cell_weights, p2_values))
 
-    # boundary-edge tabulations in the owning triangle's reference frame
     s, ws = edge_quadrature()
     owner = mesh.triangles[mesh.boundary_tris]
     ends = mesh.boundary_edges
@@ -368,8 +339,7 @@ def _load_vector(disc, dofmap, source, flux, t, sign=1.0):
 
 def _mobility(disc, coeffs, c_prev):
     """k/mu(c_prev) at the volume quadrature points from nodal
-    concentrations, with the viscosity blow-up guard and a guard that
-    k/mu is positive and finite."""
+    concentrations, under the guards of :class:`ProblemCoefficients`."""
     c_q = disc.field_at_quad(disc.p1, c_prev)
     mu = np.asarray(coeffs.viscosity(c_q), dtype=np.float64)
     lo, hi = coeffs.viscosity_bounds
@@ -455,9 +425,7 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     gamma = coeffs.porosity
     x, y = disc.quad_x, disc.quad_y
 
-    # the P1 gradients g_j are constant per cell, so the diffusion block
-    # needs only the cell integrals of D, and the convection block is
-    # U_i . g_j with U_i = |det J| sum_q w_q phi_i(x_q) u_q
+    # constant P1 gradients per cell: README "Assembly kernels"
     T, Q = disc.cell_weights.shape
     convection = coeffs.velocity_coupling == "advection"
     skew = mode == "skew" and convection

@@ -2,32 +2,10 @@
 
 A :class:`ManufacturedSolution` carries exact pressure/concentration
 fields with their analytic first derivatives plus the coefficient laws.
-The volumetric sources that force the coupled system to reproduce those
-fields involve divergences of coefficient-weighted fluxes.
-:func:`manufacture_sources` recovers them with central finite
-differences of the analytic fluxes (step ``fd_step``) for any case; it
-is the oracle.  :func:`problem_coefficients`, which feeds the driver,
-is the same coefficient bundle with the divergences and the wall data a
-case gives in closed form instead.  Those are exact where the fluxes
-are smooth, but the dispersive flux D(u) grad c is only Lipschitz where
-|u| has a kink, and there the finite-difference source is kept: at
-points closer than ``fd_step`` to the kink, where the stencil straddles
-it.  So ``fd_step`` is both the stencil step and the width of that band,
-and changing it can change results.
-Wall data follow the assembly contract ``flux(x, y, t, nx, ny)``: the
-analytic flux vector at the requested point dotted with whatever outward
-normal the caller passes in, so the Neumann data stay exactly compatible
-with the divergence theorem on the discrete polygonal domain.
-
-Every time step evaluates the sources and wall fluxes at the same volume
-and edge quadrature points, which a
-:class:`~miscfem.forms.Discretization` holds on immutable memory.  So
-the disk-trig case keeps the time-independent trigonometric products of
-its closed forms for those two point sets (:class:`_ProductTable`),
-finds them by the identity of the coordinate arrays, and a later call
-at those points applies only e^-t and x - t.  Every other call computes
-the products afresh, in the same operations, so every callable returns
-exactly what a fresh evaluation returns.
+:func:`manufacture_sources` makes them the solution of the coupled
+system with finite-difference divergences, for any case: it is the
+oracle.  :func:`problem_coefficients`, which feeds the driver, swaps in
+the closed forms a case gives.
 """
 
 from __future__ import annotations
@@ -58,14 +36,6 @@ class ManufacturedSolution:
     the closed forms with it, or :func:`problem_coefficients` keeps the
     old sources and wall data.  Only ``porosity`` and
     ``velocity_coupling`` are applied to the sources in generic code.
-
-    The closures of :func:`disk_trig_case` share one
-    :class:`_ProductTable`, which gives cos x sin y, sin x sin y,
-    cos x cos y and (sin x sin y)^2 + (cos x cos y)^2, the only forms in
-    which the coordinates' sines and cosines enter c, grad c, dc/dt, the
-    two divergences and the two wall data, and keeps them for immutable
-    coordinates.  Those depend on the coordinates only, so a ``replace``
-    of a field must still replace the closed forms derived from it.
     """
 
     domain_center: tuple
@@ -80,10 +50,7 @@ class ManufacturedSolution:
     concentration: Callable           # c(x, y, t)
     concentration_grad: Callable      # (x, y, t) -> (..., 2)
     concentration_dt: Callable        # dc/dt (x, y, t)
-    # Closed forms of the two divergences manufacture_sources takes by
-    # finite differences, and the distance from a point to where the
-    # dispersive flux is not smooth; they must be replaced together with
-    # any field they are derived from (see the class docstring).
+    # closed forms, replaced with the fields they derive from (see above)
     velocity_divergence: Callable     # div u (x, y, t)
     flux_divergence: Callable         # div(D grad c) (x, y, t)
     normal_velocity: Callable         # u . n (x, y, t, nx, ny)
@@ -113,14 +80,17 @@ def _immutable(a) -> bool:
 
 class _ProductTable:
     """cos x sin y, sin x sin y, cos x cos y and (sin x sin y)^2 +
-    (cos x cos y)^2 at the points (x, y), taken as float64.
+    (cos x cos y)^2 at the points (x, y), taken as float64: the only forms
+    in which the coordinates' sines and cosines enter the closures of
+    :func:`disk_trig_case`, which share one table.
 
     Only coordinates on immutable memory (see :func:`_immutable`), such
     as a :class:`~miscfem.forms.Discretization`'s, keep their products,
     read-only, and a call that passes those very arrays again gets them
     back.  The last two such point sets are kept: the volume and edge
     points of one discretization.  Any other call computes the products
-    afresh."""
+    afresh, in the same operations, so a kept product is a fresh one bit
+    for bit."""
 
     def __init__(self):
         self.entries = []                   # (x, y, products), oldest first
@@ -332,10 +302,13 @@ def problem_coefficients(sol: ManufacturedSolution,
     data in place of the normal components of its fluxes, and its
     closed-form divergences in place of the finite differences, except
     that at points closer than ``fd_step`` to the case's kink the flux
-    divergence is the finite difference, bit for bit.  Its smeared value
-    there differs from the exact one (by up to 0.07 on the disk-trig
-    case), and the mean mode of the no-flux transport, which nothing
-    damps, carries that difference into the computed errors.
+    divergence is the finite difference, bit for bit: the dispersive flux
+    D(u) grad c is only Lipschitz where |u| has a kink, and there the
+    stencil straddles it.  Its smeared value differs from the exact one
+    (by up to 0.07 on the disk-trig case), and the mean mode of the
+    no-flux transport, which nothing damps, carries that difference into
+    the computed errors.  So ``fd_step`` is both the stencil step and the
+    width of that band, and changing it can change results.
     """
     def flux_divergence(x, y, t):
         div = sol.flux_divergence(x, y, t)

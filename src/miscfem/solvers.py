@@ -1,27 +1,13 @@
-"""Sparse matrix construction and the two Krylov solvers used by the scheme.
+"""Sparse matrix construction and the two Krylov solvers of the scheme.
 
 Storage is scipy CSR.  A matrix assembled from per-cell blocks over a
 fixed dof map is written into a :class:`SparsityPattern` built once from
-that map: each step sums the blocks into the pattern's slots, and a
-permutation and a scatter of the data, both fixed with the pattern, give
-the symmetry check and the LAPACK band storage of the matrix reordered
-by reverse Cuthill-McKee, which a band LU or, for a symmetric positive
-definite matrix, a band Cholesky factors.  The CG loop is
-written out here because the pressure solver needs deflation against a
-weighted mean constraint; GMRES runs each restart cycle through
-``scipy.sparse.linalg.gmres``.  Both solvers report iteration counts and
-true relative residuals in a fixed, reproducible way, and both take any
-preconditioner v -> M^{-1} v.  The time stepper passes GMRES the solve
-of an exact band factor of each step's transport matrix; GMRES
-first tries one correction x0 + M^{-1} r0, which is then one exact solve
-plus a true-residual check that reports one iteration, with its restart
-cycles as the fallback should that check miss the tolerance.  It passes
-CG the bordered Neumann solve of a lagged LU factor of the pressure
-stiffness with one dof pinned, rescaled to the diagonal of each level's
-matrix, which CG keeps across steps while the concentration drifts.
-GMRES gives up when a restart cycle leaves its residual where it was,
-and CG when its residual has made no new minimum in
-``STAGNATION_ITERATIONS`` iterations.
+that map, whose :class:`BandOrdering` holds the band storage and factors
+of its matrices.  CG (:func:`cg_deflated`) is written out here, as the
+pressure needs deflation against a weighted mean constraint.  Both
+solvers take any preconditioner v -> M^{-1} v and report a relative
+residual: GMRES the true one, CG its recursively updated one.  README
+"Solver design" says which preconditioners the time stepper passes.
 """
 
 from __future__ import annotations
@@ -76,7 +62,11 @@ class BandOrdering:
     of its row exchanges; ``cholesky_slots[s]`` is its position in the
     (k + 1, n) storage of B's lower triangle that ``dpbtrf`` factors, or,
     for an entry above the diagonal, the one spare slot past its end.
-    The arrays are read-only."""
+    The arrays are read-only.
+
+    A matrix with a convection term is nonsymmetric and takes :meth:`lu`;
+    one without is symmetric positive definite and takes
+    :meth:`cholesky`, half the arithmetic in a third of the storage."""
 
     order: np.ndarray
     position: np.ndarray
@@ -127,9 +117,8 @@ class SparsityPattern:
     of block entry (i, j) of cell t, and ``transpose[s]`` the position of
     the entry mirroring position s: the structure of such a matrix is
     symmetric, so A.T has the same ``indptr`` and ``indices`` as A, with
-    data ``A.data[transpose]``.  ``band`` is the bandwidth-reducing
-    ordering of all of its matrices, computed at its first use.  The
-    index arrays are read-only."""
+    data ``A.data[transpose]``; ``band`` is its :class:`BandOrdering`.
+    The index arrays are read-only."""
 
     size: int
     indptr: np.ndarray
@@ -149,10 +138,9 @@ class SparsityPattern:
 
     @cached_property
     def band(self) -> BandOrdering:
-        """The reverse Cuthill-McKee ordering of the pattern's graph
-        (Cuthill & McKee, 1969), which narrows the band of every matrix on
-        it; it reads only the structure, so it is computed at its first
-        use and kept."""
+        """The :class:`BandOrdering` of the pattern's graph (Cuthill &
+        McKee, 1969); it reads only the structure, so it is computed at
+        its first use and kept."""
         n = self.size
         graph = sp.csr_matrix((np.ones(self.indices.size), self.indices,
                                self.indptr), shape=(n, n))
@@ -273,10 +261,9 @@ def _symmetry_defect(A) -> float:
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-# CG stops, unconverged, once its residual has made no new minimum in
-# this many iterations: rounding holds it above the tolerance.  No
-# converging solve of the test suite, the benchmark workloads or the
-# --fast CLI protocols goes more than 19 iterations without one
+# the stagnation stop of cg_deflated: no converging solve of the test
+# suite, the benchmark workloads or the --fast CLI protocols goes more
+# than 19 iterations without a new least residual
 STAGNATION_ITERATIONS = 50
 
 # both Krylov loops stop at the first non-finite curvature or residual
@@ -317,12 +304,14 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     (projector P = I - m m^T / m^T m applied to the right-hand side and to
     every residual), which makes a consistent singular system whose kernel
     is not m-orthogonal solvable; the returned solution x satisfies
-    m^T x = 0 up to roundoff and the report carries the projected residual
-    ||P(b - A x)|| / ||P b||.  A curvature p^T A p that is not positive
-    and finite (lost definiteness, or non-finite data), or a residual
-    norm that has made no new minimum in ``STAGNATION_ITERATIONS``
-    iterations (a tolerance below what rounding lets CG reach), ends the
-    iteration with converged=False.
+    m^T x = 0 up to roundoff.  ``rel_tol`` is met by, and the report
+    carries, the recursively updated residual ||r_k|| / ||P b||: in exact
+    arithmetic ||P(b - A x)|| / ||P b||, near the rounding floor it can
+    fall an order of magnitude below that.  A curvature p^T A p that is
+    not positive and finite (lost definiteness, or non-finite data), or a
+    residual norm that has made no new minimum in
+    ``STAGNATION_ITERATIONS`` iterations (a tolerance below what rounding
+    lets CG reach), ends the iteration with converged=False.
 
     Parameters
     ----------
@@ -420,6 +409,9 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
     x0 + M^{-1} r0 and returns it, as one iteration, when its true
     residual meets ``rel_tol``; otherwise the cycles start from x0, so an
     inexact preconditioner yields the same iterates as without that try.
+    The time stepper's transport passes the solve of an exact band factor
+    (:class:`BandOrdering`), so that correction is the solution: one
+    exact solve and a true-residual check, with the cycles as the fallback.
     Stagnation across a restart cycle (no measurable residual decrease)
     or a non-finite residual terminates the iteration with
     converged=False rather than spinning.
@@ -452,9 +444,6 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
     r = b - A @ x
     res = float(np.linalg.norm(r)) / bnorm
     if rel_tol < res < np.inf and max_iter > 0:
-        # one correction x + M^{-1} r first: with an exact factor as M^{-1}
-        # it is the solution, and its true residual shows whether the
-        # cycles, which start from x unchanged, are needed at all
         x1 = x + precond(r)
         res1 = float(np.linalg.norm(b - A @ x1)) / bnorm
         if res1 <= rel_tol:

@@ -4,35 +4,9 @@ Step n transports the concentration with the velocity u(n-1) of the
 level before, the lag the scheme prescribes, and then solves the
 pressure and velocity of the new concentration c(n)
 (:func:`finalize_pressure`).  So every state the driver returns holds
-c, p and u of its own time level.
-
-The pressure CG is preconditioned by the solve B0 of the bordered
-Neumann system [[A0, m], [m^T, 0]] (A0 the stiffness at the level it was
-built, m the basis integrals) with right-hand side [r, 0], which inverts
-the m-deflated stiffness on m-orthogonal vectors.  B0 is applied through
-an LU factor of A0 with its last dof pinned, symmetric positive definite
-and so factored with diagonal pivots, and a rank-one correction on
-either side (:func:`_pinned_factor`).  The solve is carried from level
-to level in the state's :class:`PressureLevel`, with the diagonal of
-A0, and each later level applies s B0 s with
-s = sqrt(diag(A0) / diag(A)), which follows the drift of k/mu(c) in the
-matrix A of that level.  CG starts from the combination of the last
-``PRESSURE_WINDOW`` pressures that minimises its deflated residual
-(:func:`~miscfem.solvers.deflated_start`), so it converges in a few
-iterations; the factor is dropped, and built afresh at the next level,
-once a solve takes more than ``REFACTOR_ITERATIONS`` iterations.
-
-The transport matrix changes its values every step but never its
-structure, so its bandwidth-reducing ordering is computed once per
-sparsity pattern (:attr:`~miscfem.solvers.SparsityPattern.band`), by
-:func:`initialize`, and each step factors the reordered matrix in LAPACK
-band storage: with a Cholesky factor when the matrix holds no convection
-term, which leaves it symmetric positive definite, and with an LU factor
-otherwise.
-
-Memory stays O(1) in the number of steps; anything that must be recorded
-along the way goes through observer callables or the returned per-step
-norm history.
+c, p and u of its own time level.  :func:`_solve_pressure` and
+:func:`_transport` are the two solves of a step; README "Solver design"
+says why each is built as it is.
 """
 
 from __future__ import annotations
@@ -50,8 +24,7 @@ from .forms import (CoefficientBlowupError, Discretization,
                     assemble_pressure, check_mode, compute_velocity)
 from .solvers import SolveReport, cg_deflated, deflated_start, gmres
 
-# a pressure solve on a lagged factor that needs more CG iterations than
-# this drops the factor; the next pressure level factors its own matrix
+# a pressure solve of more CG iterations drops its factor (_solve_pressure)
 REFACTOR_ITERATIONS = 10
 # the pressures of this many levels span each pressure CG start
 PRESSURE_WINDOW = 8
@@ -81,9 +54,8 @@ class StepFailure(RuntimeError):
 
 def _factor(factorize, method, matrix, step_index, what, **options):
     """``factorize(matrix, **options)``, a ``method`` ("LU" or
-    "Cholesky") factorization; a matrix that it cannot factor (e.g. an
-    exactly singular one, or for Cholesky one with a pivot that is not
-    positive) fails step ``step_index`` with :class:`StepFailure`."""
+    "Cholesky") factorization, whose RuntimeError on a matrix it cannot
+    factor fails step ``step_index`` with :class:`StepFailure`."""
     try:
         return factorize(matrix, **options)
     except RuntimeError as exc:
@@ -116,12 +88,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Relative tolerances (> 0) of the pressure CG, preconditioned by the
-    bordered Neumann solve of a lagged sparse LU factor of the stiffness
-    with one dof pinned, and of the transport solve: one exact solve with
-    a band Cholesky or LU factor of each step's matrix plus a
-    true-residual check, with GMRES right-preconditioned by that factor
-    as the fallback."""
+    """Relative tolerances (> 0) of the pressure CG (:func:`_solve_pressure`)
+    and of the transport solve (:func:`_transport`)."""
 
     pressure_tol: float = 1e-11
     concentration_tol: float = 1e-10
@@ -134,12 +102,11 @@ class SolverOptions:
 @dataclass(frozen=True)
 class PressureLevel:
     """The pressure solve at time level ``index`` and what the next
-    level's solve reuses: ``window``, the last ``PRESSURE_WINDOW``
-    pressures up to this one, newest first, which span its CG start; and
-    ``factor``, the bordered Neumann solve r -> x of
-    :func:`_pinned_factor` that preconditions it, with
-    ``factor_diagonal``, the diagonal of the stiffness it was built from,
-    or None for both when that solve must factor its matrix."""
+    level's :func:`_solve_pressure` reuses: ``window``, the last
+    ``PRESSURE_WINDOW`` pressures up to this one, newest first; ``factor``,
+    the solve of :func:`_pinned_factor`, with ``factor_diagonal``, the
+    diagonal it was built from, or None for both when the next level must
+    factor its own matrix."""
 
     index: int
     pressure: np.ndarray
@@ -211,7 +178,15 @@ def _pinned_factor(disc, matrix, step_index):
 def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
     """Pressure level n, following ``last`` (None at level 0), for the
     concentration c, with its Darcy velocity; a failed solve or a
-    coefficient blow-up names step n."""
+    coefficient blow-up names step n.
+
+    CG is preconditioned by s B0 s, B0 the solve of :func:`_pinned_factor`
+    for the matrix A0 of the level that built it and
+    s = sqrt(diag(A0) / diag(A)) for this level's A: symmetric positive
+    definite on m-orthogonal vectors, it follows the drift of k/mu(c).
+    CG starts at :func:`~miscfem.solvers.deflated_start` over
+    ``last.window``.  A solve of more than ``REFACTOR_ITERATIONS``
+    iterations drops the factor, and the next level factors afresh."""
     try:
         system = assemble_pressure(disc, coeffs, c, grid.time(n))
         diagonal = system.matrix.diagonal()
@@ -220,10 +195,6 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
             factor_diagonal = diagonal
         else:
             factor, factor_diagonal = last.factor, last.factor_diagonal
-        # the lagged solve B0 of A0, rescaled to this level's k/mu(c):
-        # s B0 s with s = sqrt(diag(A0) / diag(A)) is symmetric positive
-        # definite on m-orthogonal vectors, and the identity scaling at
-        # the factor's own level
         scale = np.sqrt(factor_diagonal / diagonal)
 
         def precond(r):
@@ -270,15 +241,9 @@ def _transport(disc, coeffs, grid, state, mode, options, n):
                                         grid.time(n), mode)
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
-    # the matrix changes every step with D(u) and the convection, and one
-    # exact factor of it costs less than a Jacobi-GMRES solve: GMRES's
-    # first correction with it is the solution, which GMRES checks by its
-    # true residual before it would start a cycle.  Reverse Cuthill-McKee
-    # leaves a narrow band (k = 27 at M = 64, 101 at M = 256), whose
-    # LAPACK factor costs less than a sparse LU's per-call symbolic work
-    # up to M = 256; at M = 512 its n k^2 arithmetic makes it the slower.
-    # Without convection the matrix is symmetric positive definite, and
-    # a Cholesky factor takes half the work and a third of the storage.
+    # the matrix changes every step with D(u), so each step factors it
+    # once in band storage (BandOrdering), and gmres's first correction
+    # with that factor is the solution
     band = disc.p1_pattern.band
     method, factorize = (("LU", band.lu) if system.convection
                          else ("Cholesky", band.cholesky))
@@ -326,7 +291,8 @@ def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
     """March all steps; returns the final state and per-step records.
 
     Observers are called with each new state (including the initial one)
-    so callers can stream fields to disk without the driver keeping them.
+    so callers can stream fields to disk without the driver keeping them:
+    memory stays O(1) in the number of steps.
     A ``mode`` other than "skew" or "direct" is refused before any work.
     """
     check_mode(mode)
