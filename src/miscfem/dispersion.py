@@ -50,24 +50,29 @@ def bear_scheidegger(u, params: DispersionParams) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape[-1] != 2:
         raise ValueError("velocities must have shape (..., 2)")
-    speed = np.hypot(u[..., 0], u[..., 1])
-    out = np.zeros(u.shape[:-1] + (2, 2))
+    ux, uy = u[..., 0], u[..., 1]
+    speed = np.hypot(ux, uy)
+    # the entries 00, 01, 10, 11 one at a time: README "Assembly kernels"
+    out = np.zeros(u.shape[:-1] + (4,))
     iso = params.gamma_dm + params.alpha_t * speed
-    out[..., 0, 0] = iso
-    out[..., 1, 1] = iso
+    out[..., 0] = iso
+    out[..., 3] = iso
+    tensor = out.reshape(u.shape[:-1] + (2, 2))
     if params.alpha_l == params.alpha_t:
-        return out
+        return tensor
     safe = np.where(speed > 0.0, speed, 1.0)
     scale = (params.alpha_l - params.alpha_t) / safe
     # one shared off-diagonal keeps the matrix symmetric to the last bit;
     # scale * u_x is at most |alpha_l - alpha_t|, so the product overflows
-    # only where the entry itself does
-    off = (scale * u[..., 0]) * u[..., 1]
-    out[..., 0, 0] += scale * u[..., 0] * u[..., 0]
-    out[..., 0, 1] += off
-    out[..., 1, 0] += off
-    out[..., 1, 1] += scale * u[..., 1] * u[..., 1]
-    return out
+    # only where the entry itself does; += on the zeros turns an
+    # off-diagonal -0 into +0, as the general formula does
+    scaled_x = scale * ux
+    off = scaled_x * uy
+    out[..., 0] += scaled_x * ux
+    out[..., 1] += off
+    out[..., 2] += off
+    out[..., 3] += scale * uy * uy
+    return tensor
 
 
 dispersion_matrices = bear_scheidegger

@@ -370,8 +370,12 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     x, y = disc.quad_x, disc.quad_y
     mobility = _mobility(disc, coeffs, c_prev)
     T, Q = mobility.shape
+    # one metric entry at a time: README "Assembly kernels"
+    geometry = np.empty((T, Q, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        geometry = mobility[:, :, None] * disc.metric[:, None, :]
+        for k in range(3):
+            np.multiply(mobility, disc.metric[:, k, None],
+                        out=geometry[:, :, k])
         local = geometry.reshape(T, 3 * Q) @ disc.stiffness_tensor
     A = disc.p2_pattern.assemble(local.reshape(T, 6, 6))
     if not np.isfinite(A.data).all():
@@ -399,7 +403,11 @@ def compute_velocity(disc: Discretization, mobility: np.ndarray,
                      p_coeffs: np.ndarray) -> np.ndarray:
     """Darcy velocity -(k/mu) grad p (T, Q, 2) at the volume quadrature
     points, for ``mobility`` = k/mu there (``PressureSystem.mobility``)."""
-    return -mobility[:, :, None] * disc.gradient_at_quad(disc.p2, p_coeffs)
+    velocity = disc.gradient_at_quad(disc.p2, p_coeffs)
+    factor = -mobility
+    for k in range(2):      # one component at a time, in place
+        velocity[..., k] *= factor
+    return velocity
 
 
 def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,

@@ -117,8 +117,9 @@ class SparsityPattern:
     of block entry (i, j) of cell t, and ``transpose[s]`` the position of
     the entry mirroring position s: the structure of such a matrix is
     symmetric, so A.T has the same ``indptr`` and ``indices`` as A, with
-    data ``A.data[transpose]``; ``band`` is its :class:`BandOrdering`.
-    The index arrays are read-only."""
+    data ``A.data[transpose]``; ``band`` is its :class:`BandOrdering`;
+    ``diagonal``, ``upper`` and ``lower`` are the slots of the entries on,
+    above and below the diagonal.  The index arrays are read-only."""
 
     size: int
     indptr: np.ndarray
@@ -148,7 +149,7 @@ class SparsityPattern:
             np.intp)
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n)
-        rows = position[np.repeat(np.arange(n), np.diff(self.indptr))]
+        rows = position[self._rows()]
         cols = position[self.indices]
         k = int(np.max(np.abs(rows - cols), initial=0))
         # entry (i, j) of B sits in row 2k + i - j, column j of the LU
@@ -159,6 +160,37 @@ class SparsityPattern:
         for arr in (order, position, lu_slots, cholesky_slots):
             arr.flags.writeable = False
         return BandOrdering(order, position, k, lu_slots, cholesky_slots)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The slots whose column is their row, in row order: diag(A) is
+        ``A.data.take(diagonal)`` when every row holds its diagonal entry,
+        as the row of every dof of some cell does.  Computed at first use
+        and kept, as are ``upper``, ``lower`` and ``band``.  The three
+        slot arrays have the dtype of ``indices``, half the memory of
+        intp; ``take`` gathers with them as fast, while indexing first
+        converts them to intp."""
+        return self._slots(np.flatnonzero(self.indices == self._rows()))
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """The slots whose column exceeds their row, the strict upper
+        triangle, in row order."""
+        return self._slots(np.flatnonzero(self.indices > self._rows()))
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """``transpose[upper]``: the strict lower triangle, each slot the
+        mirror of the ``upper`` slot at the same position."""
+        return self._slots(self.transpose.take(self.upper))
+
+    def _rows(self):
+        return np.repeat(np.arange(self.size), np.diff(self.indptr))
+
+    def _slots(self, slots):
+        slots = slots.astype(self.indices.dtype)
+        slots.flags.writeable = False
+        return slots
 
     def leading_block(self, m, k) -> SparsityPattern:
         """The pattern of the leading m x m block, assembled from the first
@@ -255,7 +287,9 @@ def _symmetry_defect(A) -> float:
     # unless its index arrays were replaced: they are read-only
     pattern = getattr(A, "pattern", None)
     if pattern is not None and A.indptr is pattern.indptr:
-        d = A.data - A.data[pattern.transpose]
+        # each pair of mirrored entries once; a diagonal entry mirrors
+        # itself
+        d = A.data.take(pattern.upper) - A.data.take(pattern.lower)
     else:
         d = (A - A.T).data
     return float(np.max(np.abs(d))) if d.size else 0.0
@@ -311,7 +345,10 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     not positive and finite (lost definiteness, or non-finite data), or a
     residual norm that has made no new minimum in
     ``STAGNATION_ITERATIONS`` iterations (a tolerance below what rounding
-    lets CG reach), ends the iteration with converged=False.
+    lets CG reach), ends the iteration with converged=False.  CG projects
+    and updates in place, but only arrays it allocated itself: it never
+    writes into ``b``, ``x0``, ``r0``, ``deflate`` or what ``precond``
+    returns, which may be its own input.
 
     Parameters
     ----------
@@ -338,6 +375,8 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     if max_iter is None:
         max_iter = 10 * n
 
+    # the arrays written below are all allocated in this function
+    work = np.empty(n)
     if deflate is not None:
         m = np.asarray(deflate, dtype=np.float64)
         if m.shape != (n,):
@@ -346,51 +385,66 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
         if mtm == 0.0:
             raise ValueError("deflation vector must be nonzero")
 
-        def project(v):
-            return v - ((m @ v) / mtm) * m
+        def project(v, out):
+            """P v = v - ((m^T v) / m^T m) m, written into ``out``."""
+            np.multiply(m, (m @ v) / mtm, out=work)
+            return np.subtract(v, work, out=out)
     else:
-        def project(v):
+        def project(v, out):
             return v
 
-    pb = project(b)
-    bnorm = float(np.linalg.norm(pb))
-    x = np.zeros(n) if x0 is None else project(np.array(x0, dtype=np.float64))
+    pb = project(b, np.empty(n))
+    bnorm = math.sqrt(pb @ pb)
+    if x0 is None:
+        x = np.zeros(n)
+    else:
+        x = np.array(x0, dtype=np.float64)
+        x = project(x, x)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    r = project(pb - A @ x if r0 is None else r0)
-    rnorm = float(np.linalg.norm(r))
+    if r0 is None:
+        r = pb - A @ x
+    else:
+        r = np.array(r0, dtype=np.float64)
+    r = project(r, r)
+    rnorm = math.sqrt(r @ r)
     if rnorm / bnorm <= rel_tol:
         return x, SolveReport(0, rnorm / bnorm, True)
 
-    z = r if precond is None else project(precond(r))
+    # z may be r itself or the preconditioner's own output, so it is only
+    # read; p is its copy
+    z_buffer = np.empty(n)
+    z = r if precond is None else project(precond(r), z_buffer)
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
     least, least_at = rnorm, 0
     for _ in range(max_iter):
-        Ap = project(A @ p)
+        Ap = A @ p
+        Ap = project(Ap, Ap)
         pAp = float(p @ Ap)
         if not 0.0 < pAp < np.inf:
             # lost positive definiteness, or non-finite data: report
             # non-convergence
             break
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(Ap, alpha, out=work)
         iterations += 1
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)
         if rnorm / bnorm <= rel_tol:
             return x, SolveReport(iterations, rnorm / bnorm, True)
         if rnorm < least:
             least, least_at = rnorm, iterations
         elif iterations - least_at >= STAGNATION_ITERATIONS:
             break
-        z = r if precond is None else project(precond(r))
+        z = r if precond is None else project(precond(r), z_buffer)
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     return x, SolveReport(iterations, rnorm / bnorm, False)
 
 

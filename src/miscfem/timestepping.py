@@ -189,7 +189,7 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
     iterations drops the factor, and the next level factors afresh."""
     try:
         system = assemble_pressure(disc, coeffs, c, grid.time(n))
-        diagonal = system.matrix.diagonal()
+        diagonal = system.matrix.data.take(disc.p2_pattern.diagonal)
         if last is None or last.factor is None:
             factor = _pinned_factor(disc, system.matrix, n)
             factor_diagonal = diagonal

@@ -178,6 +178,23 @@ def velocity_oracle(disc, coeffs, c_prev, p_coeffs):
     return -mobility[:, :, None] * grad_p
 
 
+def pressure_data_broadcast_oracle(disc, mobility):
+    """The P2 stiffness data by the broadcast kernel that
+    :func:`miscfem.assemble_pressure` used before it wrote the metric
+    entries one at a time: (T, Q, 1) mobility times (T, 1, 3) metric."""
+    T, Q = mobility.shape
+    geometry = mobility[:, :, None] * disc.metric[:, None, :]
+    local = geometry.reshape(T, 3 * Q) @ disc.stiffness_tensor
+    return disc.p2_pattern.assemble(local.reshape(T, 6, 6)).data
+
+
+def velocity_broadcast_oracle(disc, mobility, p_coeffs):
+    """The Darcy velocity by the broadcast kernel that
+    :func:`miscfem.compute_velocity` used before it scaled the gradient
+    one component at a time."""
+    return -mobility[:, :, None] * disc.gradient_at_quad(disc.p2, p_coeffs)
+
+
 def transport_matrix_oracle(disc, coeffs, velocity, tau, t, mode):
     """Dense backward-Euler transport matrix by the 4-index einsums of the
     first assembly code: dispersion D(u), convection in ``mode``, the
@@ -331,3 +348,64 @@ def bordered_neumann_solve(A, m):
     def solve(r):
         return factor.solve(np.append(r, 0.0))[:-1]
     return solve, factor
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def cg_deflated_oracle(A, b, deflate=None, rel_tol=1e-11, max_iter=None,
+                       x0=None, precond=None, r0=None):
+    """The loop of :func:`miscfem.solvers.cg_deflated` as it was before it
+    updated in place: every projection and update makes a new array, and
+    norms come from ``np.linalg.norm``.  Takes no input checks.  Returns
+    x and (iterations, relative residual, converged)."""
+    b = np.asarray(b, dtype=np.float64)
+    n = b.size
+    if max_iter is None:
+        max_iter = 10 * n
+    if deflate is not None:
+        m = np.asarray(deflate, dtype=np.float64)
+        mtm = m @ m
+
+        def project(v):
+            return v - ((m @ v) / mtm) * m
+    else:
+        def project(v):
+            return v
+
+    pb = project(b)
+    bnorm = float(np.linalg.norm(pb))
+    x = np.zeros(n) if x0 is None else project(np.array(x0, dtype=np.float64))
+    if bnorm == 0.0:
+        return np.zeros(n), (0, 0.0, True)
+
+    r = project(pb - A @ x if r0 is None else r0)
+    rnorm = float(np.linalg.norm(r))
+    if rnorm / bnorm <= rel_tol:
+        return x, (0, rnorm / bnorm, True)
+
+    z = r if precond is None else project(precond(r))
+    p = z.copy()
+    rz = float(r @ z)
+    iterations = 0
+    least, least_at = rnorm, 0
+    for _ in range(max_iter):
+        Ap = project(A @ p)
+        pAp = float(p @ Ap)
+        if not 0.0 < pAp < np.inf:
+            break
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        iterations += 1
+        rnorm = float(np.linalg.norm(r))
+        if rnorm / bnorm <= rel_tol:
+            return x, (iterations, rnorm / bnorm, True)
+        if rnorm < least:
+            least, least_at = rnorm, iterations
+        elif iterations - least_at >= 50:     # STAGNATION_ITERATIONS
+            break
+        z = r if precond is None else project(precond(r))
+        rz_new = float(r @ z)
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    return x, (iterations, rnorm / bnorm, False)

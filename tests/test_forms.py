@@ -11,8 +11,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from oracles import (concentration_rhs_oracle, p1_mass_oracle,
                      p2_basis_polynomials, p2_stiffness_oracle, poly_int,
-                     pressure_matrix_oracle, pressure_rhs_oracle,
-                     transport_matrix_oracle, velocity_oracle,
+                     pressure_data_broadcast_oracle, pressure_matrix_oracle,
+                     pressure_rhs_oracle, transport_matrix_oracle,
+                     velocity_broadcast_oracle, velocity_oracle,
                      write_unit_triangle_mesh)
 
 from miscfem import (CoefficientBlowupError, DispersionParams,
@@ -375,6 +376,25 @@ def test_pressure_matrix_and_velocity_match_einsum_oracle(disc16, rng):
     velocity = compute_velocity(disc16, system.mobility, p)
     assert max_relative_gap(velocity,
                             velocity_oracle(disc16, coeffs, c, p)) < 1e-13
+
+
+def test_pressure_and_velocity_kernels_match_the_broadcasts_bit_for_bit(
+        disc16):
+    """Writing the per-point products one component at a time changes no
+    bit of the pressure matrix or the velocity against the broadcasts
+    over a trailing axis, on a state marched three steps."""
+    coeffs = problem_coefficients(disk_trig_case())
+    grid = TimeGrid(final_time=3.0 / 32.0, num_steps=3)
+    state, _ = run(disc16, coeffs, grid)
+    system = assemble_pressure(disc16, coeffs, state.concentration,
+                               grid.time(3))
+    want = pressure_data_broadcast_oracle(disc16, system.mobility)
+    assert np.array_equal(system.matrix.data.view(np.uint64),
+                          want.view(np.uint64))
+    velocity = compute_velocity(disc16, system.mobility, state.pressure)
+    assert velocity.flags.c_contiguous
+    assert np.array_equal(velocity.view(np.uint64), velocity_broadcast_oracle(
+        disc16, system.mobility, state.pressure).view(np.uint64))
 
 
 @pytest.mark.parametrize("mode", ["direct", "skew"])

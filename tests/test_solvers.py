@@ -12,11 +12,14 @@ from scipy.sparse.linalg import spilu, splu
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bordered_neumann_solve, gmres_cycles_oracle
+from oracles import (bordered_neumann_solve, cg_deflated_oracle,
+                     gmres_cycles_oracle)
 
-from miscfem import (SolveReport, cg_deflated, from_triplets, gmres, solvers,
-                     sparsity_pattern)
+from miscfem import (SolveReport, TimeGrid, assemble_pressure, cg_deflated,
+                     disk_trig_case, from_triplets, gmres, interpolate,
+                     problem_coefficients, run, solvers, sparsity_pattern)
 from miscfem.solvers import _symmetry_defect, deflated_start, number_pairs
+from miscfem.timestepping import _pinned_factor
 
 
 def random_spd(n, rng, cond=50.0):
@@ -245,6 +248,54 @@ def test_leading_block_refuses_maps_not_numbered_leading_first(cell_dofs, m):
         pattern.leading_block(m, 2)
 
 
+def check_slot_sets(pattern, cell_dofs, rng):
+    """``diagonal``, ``upper`` and ``lower`` of ``pattern`` are exactly the
+    slots with column equal to, above and below their row, ``lower``
+    mirroring ``upper`` slot for slot, all read-only, kept and of the
+    dtype of ``indices``; the symmetry defect read off them is 0 for a
+    symmetric matrix and, with one off-diagonal slot perturbed, that of
+    the dense A - A.T."""
+    rows = np.repeat(np.arange(pattern.size), np.diff(pattern.indptr))
+    cols = pattern.indices
+    assert np.array_equal(pattern.diagonal, np.flatnonzero(cols == rows))
+    assert np.array_equal(pattern.upper, np.flatnonzero(cols > rows))
+    assert np.array_equal(pattern.lower, pattern.transpose[pattern.upper])
+    assert np.array_equal(np.sort(pattern.lower), np.flatnonzero(cols < rows))
+    for name in ("diagonal", "upper", "lower"):
+        slots = getattr(pattern, name)
+        assert not slots.flags.writeable
+        assert slots.dtype == pattern.indices.dtype
+        assert getattr(pattern, name) is slots
+
+    # integer entries: every order of summation gives a symmetric sum
+    whole = rng.integers(-2**20, 2**20, size=cell_dofs.shape
+                         + cell_dofs.shape[-1:]).astype(float)
+    A = pattern.assemble(whole + whole.transpose(0, 2, 1))
+    assert np.array_equal(A.data[pattern.diagonal],
+                          A.diagonal()[cols[pattern.diagonal]])
+    assert _symmetry_defect(A) == 0.0
+    off = np.concatenate([pattern.upper, pattern.lower])
+    if off.size:
+        A.data[rng.choice(off)] += rng.uniform(-1.0, 1.0)
+        dense = A.toarray()
+        assert _symmetry_defect(A) == np.max(np.abs(dense - dense.T)) > 0.0
+
+
+@settings(max_examples=200)
+@given(cell_maps())
+def test_pattern_slot_sets(case):
+    n, cell_dofs, seed = case
+    check_slot_sets(sparsity_pattern(n, cell_dofs), cell_dofs,
+                    np.random.default_rng(seed))
+
+
+@given(two_level_maps(), st.integers(0, 2**32 - 1))
+def test_leading_block_slot_sets(case, seed):
+    m, n, cell_dofs = case
+    block = sparsity_pattern(n, cell_dofs).leading_block(m, 3)
+    check_slot_sets(block, cell_dofs[:, :3], np.random.default_rng(seed))
+
+
 def test_sparsity_pattern_without_room_to_pack_positions():
     """When n * n with the entry positions in its low bits would overflow
     int64 the keys cannot be packed, and the pattern is refused; a mesh
@@ -434,6 +485,104 @@ def test_cg_reads_its_first_residual_from_r0(rng):
     assert stop_report == SolveReport(0, 0.0, True)
     assert np.array_equal(stop, x0) and stop is not x0
     assert np.array_equal(x0, start)
+
+
+def cg_problem(rng, n=40):
+    """An SPD system with a start, its residual, a deflation vector and a
+    Jacobi preconditioner."""
+    A = sp.csr_matrix(random_spd(n, rng, cond=200.0))
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    diagonal = A.diagonal()
+    return A, b, x0, b - A @ x0, rng.random(n) + 0.5, lambda v: v / diagonal
+
+
+@pytest.mark.parametrize("deflated", [False, True])
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cg_never_writes_into_its_arguments(rng, deflated, preconditioned):
+    """CG updates in place, but b, x0, r0 and the deflation vector hold
+    after a solve what they held before it."""
+    A, b, x0, r0, m, jacobi = cg_problem(rng)
+    given = (b, x0, r0, m)
+    before = [v.copy() for v in given]
+    _, report = cg_deflated(A, b, deflate=m if deflated else None,
+                            rel_tol=1e-12, x0=x0, r0=r0,
+                            precond=jacobi if preconditioned else None)
+    assert report.converged and report.iterations > 1
+    for now, then in zip(given, before):
+        assert np.array_equal(now, then)
+
+
+@pytest.mark.parametrize("deflated", [False, True])
+def test_cg_identity_preconditioner_may_return_its_input(rng, deflated):
+    """A preconditioner that returns its input array gives the solve of
+    one that returns a copy, bit for bit."""
+    A, b, x0, r0, m, _ = cg_problem(rng)
+    solves = [cg_deflated(A, b, deflate=m if deflated else None,
+                          rel_tol=1e-12, x0=x0, r0=r0, precond=precond)
+              for precond in (lambda v: v, lambda v: v.copy())]
+    (x, report), (x_copy, report_copy) = solves
+    assert report.converged and report == report_copy
+    assert np.array_equal(x, x_copy)
+
+
+def assert_matches_cg_oracle(A, b, **kwargs):
+    # the allocating loop writes into r0 when it does not deflate
+    copies = {key: value.copy() if isinstance(value, np.ndarray) else value
+              for key, value in kwargs.items()}
+    want, (iterations, residual, converged) = cg_deflated_oracle(A, b,
+                                                                 **copies)
+    x, report = cg_deflated(A, b, **kwargs)
+    assert report == SolveReport(iterations, residual, converged)
+    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+    return report
+
+
+@pytest.mark.parametrize("variant", ["plain", "deflated", "jacobi", "start"])
+def test_cg_matches_the_allocating_loop_on_criterion_5s_system(rng,
+                                                                variant):
+    """On criterion 5's 50 x 50 system (eigenvalues 1 to 1e4,
+    ``rel_tol=1e-13``) the in-place CG gives the iterates, the report and
+    the solution of the loop that allocated every vector, bit for bit."""
+    n = 50
+    rows, cols = [idx.ravel() for idx in np.mgrid[0:n, 0:n]]
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spd = (basis * np.geomspace(1.0, 1e4, n)) @ basis.T
+    A = from_triplets(n, n, rows, cols, spd.ravel())
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    kwargs = {"plain": {},
+              "deflated": {"deflate": rng.random(n) + 0.5},
+              "jacobi": {"precond": lambda v: v / spd.diagonal()},
+              "start": {"x0": x0, "r0": b - A @ x0}}[variant]
+    report = assert_matches_cg_oracle(A, b, rel_tol=1e-13, **kwargs)
+    assert report.converged and report.iterations > 10
+
+
+def test_cg_matches_the_allocating_loop_on_a_pressure_system(disc16):
+    """On the pressure system of step 3 at M = 16, preconditioned as the
+    time stepper does with the pinned factor of level 0, and from a cold
+    and a projected start, the in-place CG matches the allocating loop
+    bit for bit."""
+    coeffs = problem_coefficients(disk_trig_case())
+    grid = TimeGrid(final_time=3.0 / 32.0, num_steps=3)
+    state, _ = run(disc16, coeffs, grid)
+    first = assemble_pressure(
+        disc16, coeffs, interpolate(disc16.p1, coeffs.initial_concentration),
+        0.0).matrix
+    system = assemble_pressure(disc16, coeffs, state.concentration,
+                               grid.time(3))
+    A, m = system.matrix, disc16.p2_basis_integrals
+    factor = _pinned_factor(disc16, first, 0)
+    scale = np.sqrt(first.diagonal() / A.diagonal())
+
+    def precond(r):
+        return scale * factor(scale * r)
+
+    x0, r0 = deflated_start(A, system.rhs, m, state.level.window[1:])
+    for start in ({}, {"x0": x0, "r0": r0}):
+        report = assert_matches_cg_oracle(A, system.rhs, deflate=m,
+                                          rel_tol=1e-11, precond=precond,
+                                          **start)
+        assert report.converged and report.iterations > 1
 
 
 def test_cg_zero_rhs_shortcut(rng):
