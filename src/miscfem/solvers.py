@@ -316,7 +316,13 @@ def deflated_start(A, b, deflate, window):
     columns where the window is degenerate.  The R of a QR of
     [m | A B | b] holds the least-squares coefficients, m's absorbing the
     deflation; its k x k triangle is nonsingular when A is positive
-    definite on m-perp, as no m-orthogonal x then has A x parallel to m."""
+    definite on m-perp, as no m-orthogonal x then has A x parallel to m.
+
+    The third value holds, for j = 0 to k - 1, the least deflated
+    residual over the first j columns of B, the span of the first j
+    window vectors when they are independent: the norm of R's last column
+    below row j, which costs no matvec.  When the window spans m-perp
+    (n = k), the last of them is 0."""
     W = np.array((deflate,) + tuple(window)).T          # Fortran (n, K + 1)
     n, k = W.shape[0], min(W.shape)
     qr, tau = dgeqrf(W, overwrite_a=True)[:2]
@@ -326,7 +332,10 @@ def deflated_start(A, b, deflate, window):
     C[:, 0], C[:, 1:-1], C[:, -1] = deflate, AB, b
     R = dgeqrf(C, overwrite_a=True)[0]
     a = dtrtrs(R[:k, :k], R[:k, k])[0][1:]
-    return B @ a, b - AB @ a
+    residuals = np.hypot.accumulate(np.abs(R[k:0:-1, k]))[::-1]
+    if n == k:                  # R has no row k
+        residuals = np.append(residuals, 0.0)
+    return B @ a, b - AB @ a, residuals
 
 
 @_QUIET_NON_FINITE

@@ -26,8 +26,11 @@ from .solvers import SolveReport, cg_deflated, deflated_start, gmres
 
 # a pressure solve of more CG iterations drops its factor (_solve_pressure)
 REFACTOR_ITERATIONS = 10
-# the pressures of this many levels span each pressure CG start
+# the pressures of at most this many levels span each pressure CG start
 PRESSURE_WINDOW = 8
+# a pressure solve of fewer CG iterations gives the next start the whole
+# window (_solve_pressure)
+RESIZE_ITERATIONS = 3
 
 
 class StepFailure(RuntimeError):
@@ -103,16 +106,18 @@ class SolverOptions:
 class PressureLevel:
     """The pressure solve at time level ``index`` and what the next
     level's :func:`_solve_pressure` reuses: ``window``, the last
-    ``PRESSURE_WINDOW`` pressures up to this one, newest first; ``factor``,
-    the solve of :func:`_pinned_factor`, with ``factor_diagonal``, the
-    diagonal it was built from, or None for both when the next level must
-    factor its own matrix."""
+    ``PRESSURE_WINDOW`` pressures up to this one, newest first;
+    ``next_window``, how many of them, from the newest, span the next
+    level's start; ``factor``, the solve of :func:`_pinned_factor`, with
+    ``factor_diagonal``, the diagonal it was built from, or None for both
+    when the next level must factor its own matrix."""
 
     index: int
     pressure: np.ndarray
     velocity: np.ndarray              # (T, Q, 2)
     report: SolveReport
     window: tuple[np.ndarray, ...]
+    next_window: int
     factor: Optional[Callable[[np.ndarray], np.ndarray]]
     factor_diagonal: Optional[np.ndarray]
 
@@ -144,11 +149,15 @@ class TimeStepState:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One time level of :func:`run`: ``pressure_window`` is the number
+    of earlier pressures its pressure CG start spanned, 0 at level 0."""
+
     step_index: int
     time: float
     concentration_l2: float
     pressure_iterations: int
     concentration_iterations: int
+    pressure_window: int
 
 
 def _pinned_factor(disc, matrix, step_index):
@@ -184,9 +193,13 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
     for the matrix A0 of the level that built it and
     s = sqrt(diag(A0) / diag(A)) for this level's A: symmetric positive
     definite on m-orthogonal vectors, it follows the drift of k/mu(c).
-    CG starts at :func:`~miscfem.solvers.deflated_start` over
-    ``last.window``.  A solve of more than ``REFACTOR_ITERATIONS``
-    iterations drops the factor, and the next level factors afresh."""
+    CG starts at :func:`~miscfem.solvers.deflated_start` over the newest
+    ``last.next_window`` pressures of ``last.window``.  A solve of at
+    least ``RESIZE_ITERATIONS`` iterations sizes the next start by that
+    start's residuals: it spans one more pressure than the last one that
+    at least halved the residual; a solve of fewer leaves it the whole
+    window.  A solve of more than ``REFACTOR_ITERATIONS`` iterations drops
+    the factor, and the next level factors afresh."""
     try:
         system = assemble_pressure(disc, coeffs, c, grid.time(n))
         diagonal = system.matrix.data.take(disc.p2_pattern.diagonal)
@@ -200,8 +213,11 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
         def precond(r):
             return scale * factor(scale * r)
 
-        x0, r0 = (None, None) if last is None else deflated_start(
-            system.matrix, system.rhs, disc.p2_basis_integrals, last.window)
+        x0 = r0 = None
+        if last is not None:
+            x0, r0, residuals = deflated_start(
+                system.matrix, system.rhs, disc.p2_basis_integrals,
+                last.window[:last.next_window])
         p, report = cg_deflated(system.matrix, system.rhs,
                                 deflate=disc.p2_basis_integrals,
                                 rel_tol=options.pressure_tol,
@@ -215,7 +231,13 @@ def _solve_pressure(disc, coeffs, grid, c, options, n, last=None):
     except CoefficientBlowupError as exc:
         raise CoefficientBlowupError(f"at step {n}: {exc}") from None
     window = (p,) + (last.window[:PRESSURE_WINDOW - 1] if last else ())
-    return PressureLevel(n, p, velocity, report, window,
+    next_window = len(window)
+    if last is not None and report.iterations >= RESIZE_ITERATIONS:
+        halved = np.flatnonzero(residuals[1:] <= 0.5 * residuals[:-1])
+        # p itself, then the pressures up to the last that halved it
+        next_window = min(next_window,
+                          int(halved[-1]) + 2 if halved.size else 1)
+    return PressureLevel(n, p, velocity, report, window, next_window,
                          factor=factor, factor_diagonal=factor_diagonal)
 
 
@@ -303,14 +325,16 @@ def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,
 
     state = initialize(disc, coeffs, grid, options)
     history = [StepRecord(0, 0.0, l2(state.concentration),
-                          state.pressure_report.iterations, 0)]
+                          state.pressure_report.iterations, 0, 0)]
     for obs in observers:
         obs(state)
     for n in range(1, grid.num_steps + 1):
+        window = state.level.next_window
         state = step(disc, coeffs, grid, state, mode, options)
         history.append(StepRecord(n, grid.time(n), l2(state.concentration),
                                   state.pressure_report.iterations,
-                                  state.concentration_report.iterations))
+                                  state.concentration_report.iterations,
+                                  window))
         for obs in observers:
             obs(state)
     return state, history

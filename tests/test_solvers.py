@@ -444,7 +444,9 @@ def test_deflated_start_beats_every_window_vector(problem):
     it is finite and m-orthogonal, raises no warning, comes with its own
     residual b - A x0, and its deflated residual is at most that of every
     window vector and of the extrapolation 2 w0 - w1 (each projected, as
-    CG projects its start), up to rounding."""
+    CG projects its start), up to rounding.  Its residual profile falls
+    from ||P b|| to that residual, one entry per window vector that fits
+    in m-perp."""
     A, b, m, window = problem
 
     def project(v):
@@ -455,16 +457,44 @@ def test_deflated_start_beats_every_window_vector(problem):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x0, r0 = deflated_start(A, b, m, tuple(window))
+        x0, r0, residuals = deflated_start(A, b, m, tuple(window))
     assert np.all(np.isfinite(x0)) and np.all(np.isfinite(r0))
     scale = np.linalg.norm(b) + abs(A).max() * np.linalg.norm(x0)
     assert abs(m @ x0) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(x0)
     assert np.linalg.norm(r0 - (b - A @ x0)) <= 1e-12 * scale
+    assert residuals.shape == (min(len(window) + 1, b.size),)
+    assert np.all(np.diff(residuals) <= 0.0)
+    assert abs(residuals[0] - np.linalg.norm(project(b))) <= 1e-12 * scale
+    assert abs(residuals[-1] - residual(x0)) <= 1e-12 * scale
     candidates = window + ([2.0 * window[0] - window[1]]
                            if len(window) > 1 else [])
     best = residual(x0)
     for x in candidates:
         assert best <= (1.0 + 1e-8) * residual(x)
+
+
+@pytest.mark.parametrize("n, width", [(30, 8), (6, 8), (2, 1)])
+def test_deflated_start_reports_the_residual_of_each_window_prefix(
+        rng, n, width):
+    """Entry j of the start's residual profile is the deflated residual of
+    the start over the first j window vectors, to rounding, for each j up
+    to the window's width or to n - 1, the dimension of m-perp, which a
+    wider window spans: its last entry is then 0."""
+    A = sp.csr_matrix(random_spd(n, rng, cond=1e3))
+    b, m = rng.standard_normal(n), rng.random(n) + 0.5
+    window = tuple(rng.standard_normal((width, n)))
+
+    def project(v):
+        return v - (m @ v) / (m @ m) * m
+
+    _, _, residuals = deflated_start(A, b, m, window)
+    assert residuals.size == min(width + 1, n)
+    scale = np.linalg.norm(b)
+    for j, reported in enumerate(residuals):
+        _, r0, _ = deflated_start(A, b, m, window[:j])
+        assert abs(reported - np.linalg.norm(project(r0))) <= 1e-12 * scale
+    if width >= n - 1:
+        assert residuals[-1] == 0.0
 
 
 def test_cg_reads_its_first_residual_from_r0(rng):
@@ -577,7 +607,7 @@ def test_cg_matches_the_allocating_loop_on_a_pressure_system(disc16):
     def precond(r):
         return scale * factor(scale * r)
 
-    x0, r0 = deflated_start(A, system.rhs, m, state.level.window[1:])
+    x0, r0, _ = deflated_start(A, system.rhs, m, state.level.window[1:])
     for start in ({}, {"x0": x0, "r0": r0}):
         report = assert_matches_cg_oracle(A, system.rhs, deflate=m,
                                           rel_tol=1e-11, precond=precond,

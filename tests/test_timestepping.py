@@ -624,6 +624,92 @@ def test_time_independent_pressure_takes_no_cg_iterations(disc16):
     assert iterations[0] > 0 and iterations[1:] == [0] * 10
 
 
+def windowed_run(disc, coeffs, grid, monkeypatch, mode="direct"):
+    """The history of a run, checked against the windows its pressure
+    starts were given: each record's ``pressure_window`` is the width of
+    its level's window, 0 at level 0, which has no start."""
+    widths = []
+    original = timestepping.deflated_start
+
+    def recording(A, b, m, window):
+        widths.append(len(window))
+        return original(A, b, m, window)
+
+    monkeypatch.setattr(timestepping, "deflated_start", recording)
+    _, history = run(disc, coeffs, grid, mode=mode)
+    assert [rec.pressure_window for rec in history] == [0] + widths
+    return history
+
+
+def test_disk_trig_row_shrinks_its_pressure_start(monkeypatch):
+    """On a disk-trig row (M = 64, tau = 1/32, 32 steps) the third
+    pressure of the window no longer halves the start's residual, so from
+    level 5 on every start spans fewer than PRESSURE_WINDOW pressures,
+    and the row takes no more than the 130 CG iterations that starts over
+    the whole window took."""
+    disc = build_discretization(generate_disk_mesh(M=64))
+    history = windowed_run(disc, problem_coefficients(disk_trig_case()),
+                           TimeGrid(final_time=1.0, num_steps=32),
+                           monkeypatch)
+    windows = [rec.pressure_window for rec in history]
+    assert windows[:5] == [0, 1, 2, 3, 4]
+    assert max(windows[5:]) < timestepping.PRESSURE_WINDOW
+    assert sum(rec.pressure_iterations for rec in history) <= 130
+
+
+def test_plume_row_keeps_the_whole_window(monkeypatch):
+    """On an anisotropic plume in skew form with a viscosity that varies
+    with c (M = 32), every pressure of the window still halves the start's
+    residual: each start from level 8 on spans PRESSURE_WINDOW pressures,
+    those sized by a CG of RESIZE_ITERATIONS or more iterations too."""
+    disc = build_discretization(generate_disk_mesh(M=32))
+    coeffs = make_coefficients(
+        disc, dispersion=DispersionParams(gamma_dm=0.002, alpha_l=0.01,
+                                          alpha_t=0.001),
+        viscosity=lambda c: 1.0 + 2.0 * np.asarray(c, dtype=float),
+        viscosity_bounds=(0.5, 3.0),
+        initial_concentration=lambda x, y: 0.4 * np.exp(
+            -50.0 * ((x - 0.35) ** 2 + (y - 0.5) ** 2)))
+    history = windowed_run(disc, coeffs,
+                           TimeGrid(final_time=32 / 512, num_steps=32),
+                           monkeypatch, mode="skew")
+    window = timestepping.PRESSURE_WINDOW
+    assert [rec.pressure_window for rec in history[window:]] == (
+        [window] * (len(history) - window))
+    assert sum(rec.pressure_iterations >= timestepping.RESIZE_ITERATIONS
+               for rec in history[window:-1]) >= 5
+
+
+def test_a_quick_pressure_solve_gives_the_next_start_the_whole_window(
+        disc16, monkeypatch):
+    """A level whose CG takes fewer than RESIZE_ITERATIONS iterations does
+    not size the next start, since near the tolerance one pressure more
+    can decide whether CG takes another iteration: the next level spans
+    the whole window, and sizes the start after it from its own residual
+    profile.  Here the CG of level 10 of a disk-trig row at M = 16,
+    whose starts span 3 pressures from level 5 on, reports 2 iterations."""
+    original = timestepping.cg_deflated
+    reports = []
+
+    def quick_at_level_10(*args, **kwargs):
+        x, report = original(*args, **kwargs)
+        if len(reports) == 10:
+            report = replace(report,
+                             iterations=timestepping.RESIZE_ITERATIONS - 1)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(timestepping, "cg_deflated", quick_at_level_10)
+    history = windowed_run(disc16, problem_coefficients(disk_trig_case()),
+                           TimeGrid(final_time=0.5, num_steps=16),
+                           monkeypatch)
+    windows = [rec.pressure_window for rec in history]
+    assert history[10].pressure_iterations == 2
+    assert windows[5:11] == [3] * 6
+    assert windows[11] == timestepping.PRESSURE_WINDOW
+    assert windows[12] < timestepping.PRESSURE_WINDOW
+
+
 def test_singular_matrices_fail_the_step(disc8, monkeypatch):
     """A permeability of zero, which would make the pressure matrix zero,
     is refused before any factorization as a CoefficientBlowupError that
