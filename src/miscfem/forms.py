@@ -310,7 +310,13 @@ def _scatter(dofmap: DofMap, loads: np.ndarray) -> np.ndarray:
 
 
 def _eval_field(func, x, y, *args):
+    """``func(x, y, *args)`` as a float64 array of the shape of x: what the
+    callable returned when it is one, which assembly only reads, and a
+    broadcast of it otherwise."""
     out = func(x, y, *args)
+    if (type(out) is np.ndarray and out.dtype == np.float64
+            and out.shape == x.shape):
+        return out
     return np.broadcast_to(np.asarray(out, dtype=np.float64), x.shape)
 
 
@@ -391,7 +397,7 @@ def assemble_pressure(disc: Discretization, coeffs: ProblemCoefficients,
         raise CoefficientBlowupError("pressure load vector is not finite")
 
     defect = abs(float(rhs.sum()))
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(rhs @ rhs)     # np.linalg.norm's own formula
     if rhs_norm > 0 and defect > 1e-2 * rhs_norm:
         warnings.warn(f"pressure data incompatible: defect {defect:.3e} "
                       f"exceeds 1e-2 * ||rhs|| = {1e-2 * rhs_norm:.3e}",
@@ -493,7 +499,7 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     if not np.isfinite(rhs).all():
         raise CoefficientBlowupError("concentration load vector is not finite")
     with np.errstate(over="ignore"):
-        rhs_norm = np.linalg.norm(rhs)
+        rhs_norm = math.sqrt(rhs @ rhs)
     if not math.isfinite(rhs_norm):
         # every residual norm of the solve would overflow with it
         raise CoefficientBlowupError(

@@ -12,6 +12,7 @@ residual: GMRES the true one, CG its recursively updated one.  README
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,11 +130,26 @@ class SparsityPattern:
 
     def assemble(self, local) -> sp.csr_matrix:
         """The matrix whose cell blocks are ``local`` (T, k, k), duplicate
-        entries summed in cell order."""
+        entries summed in cell order, with ``pattern`` set to this
+        pattern.  Only the first assembly on a pattern goes through
+        scipy's checks; each later one is a shallow copy of that matrix
+        with data of its own.  The template it copies holds a zero-strided
+        view of one zero as its data, so it keeps no nnz-long array, and
+        no reference to the pattern: a pattern -> template -> pattern
+        cycle would leave every dead pattern to the cyclic garbage
+        collector."""
         data = np.bincount(self.slots.ravel(), weights=local.ravel(),
                            minlength=self.indices.size)
-        A = sp.csr_matrix((data, self.indices, self.indptr),
-                          shape=(self.size, self.size))
+        template = getattr(self, "_template", None)
+        if template is None:
+            A = sp.csr_matrix((data, self.indices, self.indptr),
+                              shape=(self.size, self.size))
+            template = copy.copy(A)
+            template.data = np.broadcast_to(0.0, data.shape)
+            object.__setattr__(self, "_template", template)
+        else:
+            A = copy.copy(template)
+            A.data = data
         A.pattern = self
         return A
 
@@ -289,10 +305,11 @@ def _symmetry_defect(A) -> float:
     if pattern is not None and A.indptr is pattern.indptr:
         # each pair of mirrored entries once; a diagonal entry mirrors
         # itself
-        d = A.data.take(pattern.upper) - A.data.take(pattern.lower)
+        d = A.data.take(pattern.upper)
+        d -= A.data.take(pattern.lower)
     else:
         d = (A - A.T).data
-    return float(np.max(np.abs(d))) if d.size else 0.0
+    return float(np.abs(d, out=d).max()) if d.size else 0.0
 
 
 # the stagnation stop of cg_deflated: no converging solve of the test
@@ -378,8 +395,10 @@ def cg_deflated(A, b, deflate=None, rel_tol=1e-11, max_iter=None, x0=None,
     _check_square(A, b)
     n = b.size
     defect = _symmetry_defect(A)
-    scale = float(np.max(np.abs(A.data))) if A.nnz else 0.0
-    if defect > 1e-12 * max(scale, 1.0):
+    # the threshold 1e-12 max(scale, 1) is never below 1e-12, so a smaller
+    # defect needs no pass over the data for the scale
+    if defect > 1e-12 and defect > 1e-12 * max(
+            float(np.max(np.abs(A.data))) if A.nnz else 0.0, 1.0):
         raise ValueError(f"matrix is not symmetric (defect {defect:.3e})")
     if max_iter is None:
         max_iter = 10 * n
@@ -484,7 +503,8 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
     (x, SolveReport)
     """
     check_number("rel_tol", rel_tol, above=0)
-    b = np.asarray(b, dtype=np.float64)
+    # contiguous, so that math.sqrt(v @ v) is np.linalg.norm(v) to the bit
+    b = np.asarray(b, dtype=np.float64, order="C")
     _check_square(A, b)
     n = b.size
     if max_iter is None:
@@ -500,15 +520,16 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
         def precond(v):
             return dinv * v
 
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     r = b - A @ x
-    res = float(np.linalg.norm(r)) / bnorm
+    res = math.sqrt(r @ r) / bnorm
     if rel_tol < res < np.inf and max_iter > 0:
         x1 = x + precond(r)
-        res1 = float(np.linalg.norm(b - A @ x1)) / bnorm
+        r1 = b - A @ x1
+        res1 = math.sqrt(r1 @ r1) / bnorm
         if res1 <= rel_tol:
             return x1, SolveReport(1, res1, True)
     AMinv = spla.LinearOperator(A.shape, matvec=lambda v: A @ precond(v),
@@ -529,4 +550,4 @@ def gmres(A, b, rel_tol=1e-10, restart=30, max_iter=None, x0=None,
                           callback_type="pr_norm")
         x += precond(y)
         r = b - A @ x
-        res = float(np.linalg.norm(r)) / bnorm
+        res = math.sqrt(r @ r) / bnorm

@@ -11,7 +11,7 @@ says why each is built as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,9 +178,11 @@ def _pinned_factor(disc, matrix, step_index):
                  options=dict(SymmetricMode=True))
 
     def solve(r):
-        x = np.zeros(r.size)
+        x = np.empty(r.size)
         x[:-1] = lu.solve(r[:-1] - (r.sum() / total) * m[:-1])
-        return x - (m @ x) / total
+        x[-1] = 0.0
+        x -= (m @ x) / total
+        return x
     return solve
 
 
@@ -302,9 +304,10 @@ def finalize_pressure(disc: Discretization, coeffs: ProblemCoefficients,
     already has it is returned as it is."""
     if state.level.index == state.step_index:
         return state
-    return replace(state, level=_solve_pressure(
-        disc, coeffs, grid, state.concentration, options, state.step_index,
-        state.level))
+    return TimeStepState(state.step_index, state.concentration,
+                         state.concentration_report, _solve_pressure(
+                             disc, coeffs, grid, state.concentration,
+                             options, state.step_index, state.level))
 
 
 def run(disc: Discretization, coeffs: ProblemCoefficients, grid: TimeGrid,

@@ -311,6 +311,45 @@ def test_callables_receive_the_discretizations_own_points(disc8):
         assert all(a is b for a, b in zip(args, want, strict=True))
 
 
+FIELDS = ("permeability", "injection", "production", "injected_concentration",
+          "pressure_source", "concentration_source", "pressure_flux",
+          "concentration_flux")
+
+
+@pytest.mark.parametrize("mode", ["direct", "skew"])
+def test_assembly_only_reads_the_arrays_callables_return(disc8, mode):
+    """Assembly uses a float64 array of the points' shape that a field
+    callable returns as it is, with no read-only view around it: a march
+    whose callables return read-only arrays, every field of
+    ``ProblemCoefficients`` set and the skew terms on, is the march with
+    writable ones bit for bit, so no assembly writes into such an
+    array."""
+    def const(value):
+        def field(x, y, t):
+            return np.full(x.shape, value)
+        return field
+
+    coeffs = dataclasses.replace(
+        problem_coefficients(disk_trig_case()), velocity_coupling="advection",
+        injection=const(0.25), production=const(0.25),
+        injected_concentration=const(0.5))
+
+    def read_only(func):
+        def wrapped(*args):
+            out = np.array(func(*args), dtype=np.float64)
+            out.flags.writeable = False
+            return out
+        return wrapped
+
+    frozen = dataclasses.replace(coeffs, **{
+        name: read_only(getattr(coeffs, name)) for name in FIELDS})
+    grid = TimeGrid(final_time=1e-3, num_steps=2)
+    want, _ = run(disc8, coeffs, grid, mode=mode)
+    got, _ = run(disc8, frozen, grid, mode=mode)
+    for name in ("concentration", "pressure", "velocity"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_coordinates_cannot_be_made_writable(disc8):
     """The six coordinate arrays and ``quad_points`` view bytes: numpy
     refuses to make any of them, or any array they view, writable, and

@@ -2,7 +2,9 @@
 out, restarted GMRES over scipy cycles), checked against dense linear
 algebra on small random systems."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 from oracles import (bordered_neumann_solve, cg_deflated_oracle,
                      gmres_cycles_oracle)
 
-from miscfem import (SolveReport, TimeGrid, assemble_pressure, cg_deflated,
-                     disk_trig_case, from_triplets, gmres, interpolate,
+from miscfem import (SolveReport, TimeGrid, assemble_pressure,
+                     build_discretization, cg_deflated, disk_trig_case,
+                     from_triplets, generate_disk_mesh, gmres, interpolate,
                      problem_coefficients, run, solvers, sparsity_pattern)
 from miscfem.solvers import _symmetry_defect, deflated_start, number_pairs
 from miscfem.timestepping import _pinned_factor
@@ -213,6 +216,52 @@ def test_pattern_symmetry_check(case):
     assert _symmetry_defect(A) == _symmetry_defect(A.copy()) > 0.5
     with pytest.raises(ValueError, match="matrix is not symmetric"):
         cg_deflated(A, np.ones(n))
+
+
+def test_pattern_assemblies_own_their_data(rng):
+    """Assemblies on one pattern are distinct matrices that share only
+    the pattern's index arrays: writing into one's data changes neither
+    another nor a later assembly, and each behaves as the matrix scipy
+    builds from the same arrays."""
+    cell_dofs = np.array([[0, 1, 2], [2, 1, 3], [3, 4, 0]])
+    pattern = sparsity_pattern(5, cell_dofs)
+    local = rng.uniform(-1.0, 1.0, size=(3, 3, 3))
+    # the first assembly on a pattern is built apart from the later ones
+    first, A, B = (pattern.assemble(local) for _ in range(3))
+    for M, N in ((first, A), (A, B)):
+        assert M is not N and not np.shares_memory(M.data, N.data)
+    for M in (first, A, B):
+        assert M.indptr is pattern.indptr and M.pattern is pattern
+    want = B.data.copy()
+    A.data[:] = -7.0
+    assert np.array_equal(B.data, want)
+    twice = pattern.assemble(2.0 * local)
+    assert np.array_equal(twice.data, 2.0 * want)
+    assert np.array_equal(B.data, want)
+
+    C = pattern.assemble(local)
+    built = sp.csr_matrix((C.data.copy(), pattern.indices, pattern.indptr),
+                          shape=(5, 5))
+    x = rng.standard_normal(5)
+    assert np.array_equal(C @ x, built @ x)
+    assert np.array_equal(C.T.toarray(), built.T.toarray())
+    assert np.array_equal(C.tocsc().toarray(), built.tocsc().toarray())
+    assert C.has_canonical_format and built.has_canonical_format
+
+
+def test_a_dropped_discretization_frees_its_patterns_without_the_gc():
+    """No reference cycle runs through a pattern: with the cyclic garbage
+    collector off, a discretization's pattern dies with it, after its
+    assemblies have built and kept what they reuse."""
+    disc = build_discretization(generate_disk_mesh(M=8))
+    disc.p2_pattern.assemble(np.ones((disc.mesh.num_triangles, 6, 6)))
+    patterns = [weakref.ref(disc.p1_pattern), weakref.ref(disc.p2_pattern)]
+    gc.disable()
+    try:
+        del disc
+        assert [ref() for ref in patterns] == [None, None]
+    finally:
+        gc.enable()
 
 
 @st.composite
@@ -627,6 +676,49 @@ def test_cg_rejects_nonsymmetric(rng):
     A = sp.csr_matrix(np.triu(np.ones((4, 4))) + np.eye(4))
     with pytest.raises(ValueError):
         cg_deflated(A, np.ones(4))
+
+
+@st.composite
+def near_threshold_matrices(draw):
+    """Small symmetric matrices of scale 1e-3 to 1e6 with one entry off
+    its mirror by up to three times the refusal threshold
+    1e-12 max(max |a_ij|, 1), and some with a NaN or infinite entry."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.uniform(-1.0, 1.0, (n, n))
+    dense = (dense + dense.T) * 10.0 ** draw(st.floats(-3.0, 6.0))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    dense[i, j] += (draw(st.integers(0, 300)) / 100.0
+                    * 1e-12 * max(np.abs(dense).max(), 1.0))
+    bad = draw(st.sampled_from([None] * 3 + [np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        dense[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = bad
+    return dense
+
+
+@settings(max_examples=300)
+@given(near_threshold_matrices(), st.booleans())
+def test_cg_refuses_what_the_scaled_threshold_refuses(dense, on_pattern):
+    """CG reads the scale max |a_ij| only for a defect above 1e-12, and
+    refuses exactly the matrices that ``defect > 1e-12 max(scale, 1)``
+    refuses, on a pattern and off one."""
+    n = dense.shape[0]
+    if on_pattern:
+        A = sparsity_pattern(n, [np.arange(n)]).assemble(dense[None])
+    else:
+        A = sp.csr_matrix(dense)
+    with np.errstate(invalid="ignore"):     # inf - inf
+        defect = _symmetry_defect(A)
+    scale = float(np.max(np.abs(A.data))) if A.nnz else 0.0
+    refused = defect > 1e-12 * max(scale, 1.0)
+    try:
+        cg_deflated(A, np.ones(n), max_iter=1)
+    except ValueError as exc:
+        assert refused, exc
+        assert "matrix is not symmetric" in str(exc)
+    else:
+        assert not refused
 
 
 def test_cg_stops_when_its_residual_stagnates(rng):
