@@ -14,50 +14,19 @@ import numpy as np
 from .checks import check_number
 from .meshing import Mesh
 
-# Symmetric positive-weight rules on the reference triangle, exact through
-# the stated polynomial degree.  Points are barycentric; weights sum to the
-# reference area 1/2.  The six- and twelve-point orbit constants solve the
-# moment equations for degrees 4 and 6; the seven-point degree-5 rule is
-# the classical closed form with sqrt(15).
-_S15 = np.sqrt(15.0)
 
 def _orbit3(a):
     b = 1.0 - 2.0 * a
     return np.array([[b, a, a], [a, b, a], [a, a, b]])
 
 
-def _orbit6(a, b):
-    c = 1.0 - a - b
-    return np.array([[c, a, b], [c, b, a], [a, c, b],
-                     [b, c, a], [a, b, c], [b, a, c]])
-
-
-_RULES = {
-    1: (np.full((1, 3), 1.0 / 3.0), np.array([0.5])),
-    2: (_orbit3(1.0 / 6.0), np.full(3, 1.0 / 6.0)),
-}
-
-_A4_1, _W4_1 = 0.4459484909159648863183, 0.1116907948390057328475
-_A4_2, _W4_2 = 0.09157621350977074345957, 0.05497587182766093381916
-_RULES[4] = (np.vstack([_orbit3(_A4_1), _orbit3(_A4_2)]),
-             np.concatenate([np.full(3, _W4_1), np.full(3, _W4_2)]))
-
-_A5_1 = (6.0 + _S15) / 21.0
-_A5_2 = (6.0 - _S15) / 21.0
-_RULES[5] = (np.vstack([_RULES[1][0], _orbit3(_A5_1), _orbit3(_A5_2)]),
-             np.concatenate([[9.0 / 80.0],
-                             np.full(3, (155.0 + _S15) / 2400.0),
-                             np.full(3, (155.0 - _S15) / 2400.0)]))
-
-_A6_1, _W6_1 = 0.2492867451709104212916, 0.05839313786318968301264
-_A6_2, _W6_2 = 0.06308901449150222834033, 0.02542245318510340846047
-_A6_3, _B6_3 = 0.05314504984481694735325, 0.3103524510337844054166
-_W6_3 = 0.04142553780918678759678
-_RULES[6] = (np.vstack([_orbit3(_A6_1), _orbit3(_A6_2), _orbit6(_A6_3, _B6_3)]),
-             np.concatenate([np.full(3, _W6_1), np.full(3, _W6_2),
-                             np.full(6, _W6_3)]))
-
-_DEGREE_TO_RULE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 5, 6: 6}
+# The one volume rule: six points in two symmetric orbits with positive
+# weights, exact through degree 4, whose orbit constants solve the moment
+# equations.  Points are barycentric; weights sum to the reference area 1/2.
+_A1, _W1 = 0.4459484909159648863183, 0.1116907948390057328475
+_A2, _W2 = 0.09157621350977074345957, 0.05497587182766093381916
+_POINTS = np.vstack([_orbit3(_A1), _orbit3(_A2)])
+_WEIGHTS = np.concatenate([np.full(3, _W1), np.full(3, _W2)])
 
 
 @dataclass(frozen=True)
@@ -69,15 +38,16 @@ class QuadratureRule:
 
 
 def quadrature_rule(degree: int) -> QuadratureRule:
-    """Smallest tabulated symmetric rule exact through `degree`."""
+    """Smallest tabulated symmetric rule exact through `degree`: the
+    six-point degree-4 rule, for every degree in 1..4."""
     try:
-        rule = _DEGREE_TO_RULE[check_number("degree", degree, integral=True)]
-    except (ValueError, KeyError):
+        if not 1 <= check_number("degree", degree, integral=True) <= 4:
+            raise ValueError
+    except ValueError:
         raise ValueError(f"no tabulated triangle rule for degree {degree!r}; "
-                         f"supported degrees are 1..6") from None
-    points, weights = _RULES[rule]
-    points = points.copy()
-    weights = weights.copy()
+                         f"supported degrees are 1..4") from None
+    points = _POINTS.copy()
+    weights = _WEIGHTS.copy()
     points.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(points=points, weights=weights)

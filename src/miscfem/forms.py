@@ -199,11 +199,12 @@ class Discretization:
             return ref.reshape(self.quad_points.shape) @ self.p1_grads[:, 1:]
 
 
-def build_discretization(mesh: Mesh, quad_degree: int = 4) -> Discretization:
-    """Tabulate bases, geometry and sparsity patterns for a mesh."""
+def build_discretization(mesh: Mesh) -> Discretization:
+    """Tabulate bases, geometry and sparsity patterns for a mesh, at the
+    points of the six-point volume rule, exact through degree 4."""
     p1 = build_dofmap(mesh, 1)
     p2 = build_dofmap(mesh, 2)
-    rule = quadrature_rule(quad_degree)
+    rule = quadrature_rule(4)
 
     p1_values, p1_ref_grads = reference_basis(1, rule.points)
     p2_values, p2_ref_grads = reference_basis(2, rule.points)
@@ -474,14 +475,16 @@ def assemble_concentration(disc: Discretization, coeffs: ProblemCoefficients,
     local += (gamma / tau) * disc.mass_local
 
     A = disc.p1_pattern.assemble(local)
-    if not np.isfinite(A.data).all():
+    # NaN and +-inf carry through abs and max, so one read finds them
+    largest = np.abs(A.data).max()
+    if not largest < math.inf:
         raise CoefficientBlowupError("concentration matrix is not finite")
     # the dispersion stiffness vanishes on constants, so (gamma/tau) M is
     # what keeps A nonsingular; lost in the rounding of A's largest entry
     # (its largest diagonal entry when A is symmetric positive definite),
     # it leaves A singular in floating point
     if ((gamma / tau) * disc.mass_p1.data.min()
-            <= np.finfo(np.float64).eps * np.abs(A.data).max()):
+            <= np.finfo(np.float64).eps * largest):
         raise CoefficientBlowupError(
             f"concentration matrix is singular in floating point: "
             f"gamma/tau = {gamma / tau:.3g} vanishes beside the dispersion")

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_number
-from .elements import quadrature_rule
 from .errors import ErrorRecord, measure_errors, observed_orders
 from .forms import CoefficientBlowupError, build_discretization
 from .manufactured import disk_trig_case, problem_coefficients
@@ -104,16 +103,16 @@ class StudyConfig:
     field is a ConfigError naming its schema key; numbers follow
     :func:`~miscfem.checks.check_number`.  A scalar mesh_M or tau stands
     for a one-element list; neither list may repeat a value, which would
-    make a refinement pair of ratio 1 with no observed order."""
+    make a refinement pair of ratio 1 with no observed order.  The volume
+    rule of :func:`~miscfem.forms.build_discretization` and the default
+    ``fd_step`` of :func:`~miscfem.manufactured.problem_coefficients` are
+    not fields: every run uses them."""
 
     mesh_sizes: tuple = (16,)       # mesh_M: integers in 8..MAX_MESH_M
     time_steps: tuple = (1.0 / 32.0,)   # tau: each divides T, in <= 2**53 steps
     final_time: float = 1.0         # T
     pressure_tol: float = 1e-11     # relative solver tolerances
     concentration_tol: float = 1e-10
-    fd_step: float = 1e-5           # manufactured-source finite difference
-                                    # step, at most 1
-    quad_degree: int = 4            # volume quadrature exactness, 2..6
     dump_fields: bool = False       # write VTK fields
     dump_steps: tuple = ()          # extra step indices; final step is implied
     output_dir: str = "miscfem-out"
@@ -153,14 +152,6 @@ class StudyConfig:
             if tau in self.time_steps[:i]:
                 raise ConfigError(f"tau[{i}]", f"repeats the value {tau!r}")
 
-        with _field("quad_degree"):
-            quadrature_rule(self.quad_degree)
-            if self.quad_degree < 2:
-                # the P2 stiffness has degree-2 integrands
-                raise ValueError("must be at least 2: a one-point rule "
-                                 "makes the P2 pressure matrix singular "
-                                 "beyond the constants")
-        put("quad_degree", int(self.quad_degree))
         if not isinstance(self.dump_fields, bool):
             raise ConfigError("dump_fields", "must be a boolean")
         if not isinstance(self.dump_steps, (list, tuple)) or \
@@ -173,15 +164,9 @@ class StudyConfig:
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir", "must be a nonempty string")
 
-        for name in ("pressure_tol", "concentration_tol", "fd_step"):
+        for name in ("pressure_tol", "concentration_tol"):
             with _field(name):
                 put(name, float(check_number(name, getattr(self, name), above=0)))
-        if self.fd_step > 1.0:
-            # the benchmark disk has diameter 1; a stencil wider than the
-            # domain measures nothing, and near 1e306 its fluxes overflow
-            raise ConfigError("fd_step", f"must be at most 1, the diameter "
-                                         f"of the benchmark's domain, got "
-                                         f"{self.fd_step!r}")
 
     def echo_dict(self) -> dict:
         """Schema-keyed dict of the full configuration.
@@ -321,9 +306,9 @@ def simulate_row(config: StudyConfig, mesh_size: int, tau: float,
     With ``config.dump_fields``, VTK fields go to the existing directory
     ``dump_dir``."""
     sol = disk_trig_case()
-    coeffs = problem_coefficients(sol, fd_step=config.fd_step)
+    coeffs = problem_coefficients(sol)
     mesh = generate_disk_mesh(sol.domain_center, sol.domain_radius, mesh_size)
-    disc = build_discretization(mesh, config.quad_degree)
+    disc = build_discretization(mesh)
     num_steps = int(round(config.final_time / tau))
     grid = TimeGrid(final_time=config.final_time, num_steps=num_steps)
     options = SolverOptions(pressure_tol=config.pressure_tol,

@@ -326,14 +326,17 @@ def test_tiny_tau_exits_2(tmp_path, capsys):
     assert "'tau[0]'" in capsys.readouterr().err
 
 
-def test_one_point_quadrature_exits_2(tmp_path, capsys):
-    """A one-point rule leaves the P2 pressure matrix singular, so the
-    config check refuses it and names the field, before any solve."""
-    cfg = write_config(tmp_path, quad_degree=1)
+@pytest.mark.parametrize("key, value", [("quad_degree", 4),
+                                        ("fd_step", 1e-5)])
+def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
+    """The volume rule and the source step are constants of a run: a
+    config holding either key, even at the value every run uses, is
+    refused as an unknown key that the error names, before any solve."""
+    cfg = write_config(tmp_path, **{key: value})
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
-    assert "'quad_degree'" in err
+    assert f"config field '{key}': unknown key" in err
 
 
 def test_non_finite_errors_exit_3(tmp_path, capsys, monkeypatch):
@@ -484,26 +487,22 @@ _ERROR_FIELDS = ("c_l2", "u_l2", "c_linf", "u_linf", "c_h1semi", "p_l2",
 
 
 @settings(max_examples=250)
-@example(tau=1e-300, steps=1, pressure_tol=1e-11, concentration_tol=1e-10,
-         fd_step=1e-5)
-@example(tau=0.25, steps=2, pressure_tol=1e-300, concentration_tol=1e-10,
-         fd_step=1e-5)
+@example(tau=1e-300, steps=1, pressure_tol=1e-11, concentration_tol=1e-10)
+@example(tau=0.25, steps=2, pressure_tol=1e-300, concentration_tol=1e-10)
 # the times of a march to T near the float maximum
 @example(tau=4.49423283715579e+307, steps=2, pressure_tol=1.0,
-         concentration_tol=1.0, fd_step=1.0)
+         concentration_tol=1.0)
 @given(tau=_POSITIVE, steps=st.integers(1, 3), pressure_tol=_POSITIVE,
-       concentration_tol=_POSITIVE, fd_step=_POSITIVE)
+       concentration_tol=_POSITIVE)
 def test_numeric_extremes_end_in_a_documented_exit(tau, steps, pressure_tol,
-                                                   concentration_tol,
-                                                   fd_step):
-    """Any positive tau (with T = steps * tau, which may overflow), either
-    tolerance and fd_step, on one M=8 row, exits 0, 2 or 3 with no numpy
+                                                   concentration_tol):
+    """Any positive tau (with T = steps * tau, which may overflow) and
+    either tolerance, on one M=8 row, exits 0, 2 or 3 with no numpy
     warning; on exit 0 report.json is strict JSON and every error column
     is finite."""
     config = {"mesh_M": [8], "tau": [tau], "T": tau * steps,
               "pressure_tol": pressure_tol,
-              "concentration_tol": concentration_tol, "fd_step": fd_step,
-              "output_dir": "out"}
+              "concentration_tol": concentration_tol, "output_dir": "out"}
     with tempfile.TemporaryDirectory() as tmp, \
             pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

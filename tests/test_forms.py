@@ -23,6 +23,7 @@ from miscfem import (CoefficientBlowupError, DispersionParams,
                      generate_disk_mesh, interpolate, load_mesh,
                      measure_errors, problem_coefficients, run, save_mesh)
 from miscfem.forms import _eval_wall_flux
+from miscfem.solvers import SparsityPattern
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,34 @@ def test_bad_time_step_is_a_bad_argument(disc8, tau):
     the (gamma/tau) M term (inf)."""
     T, Q = disc8.cell_weights.shape
     with pytest.raises(ValueError, match="time step"):
+        assemble_concentration(disc8, unit_coefficients(),
+                               np.zeros(disc8.p1.dof_count),
+                               np.zeros((T, Q, 2)), tau=tau, t=0.0)
+
+
+@pytest.mark.parametrize("bad, tau, what", [
+    (math.nan, 0.1, "concentration matrix is not finite"),
+    (math.inf, 0.1, "concentration matrix is not finite"),
+    (-math.inf, 0.1, "concentration matrix is not finite"),
+    (None, 1e300, "concentration matrix is singular in floating point: "
+                  "gamma/tau = 1e-300 vanishes beside the dispersion"),
+], ids=["nan", "inf", "-inf", "singular"])
+def test_transport_matrix_guards_read_its_largest_entry(disc8, monkeypatch,
+                                                       bad, tau, what):
+    """One NaN, +inf or -inf entry of the assembled transport matrix is
+    refused as not finite, and a gamma/tau lost in the rounding of its
+    largest entry as singular."""
+    assemble = SparsityPattern.assemble
+
+    def poisoned(pattern, local):
+        matrix = assemble(pattern, local)
+        matrix.data[5] = bad
+        return matrix
+
+    if bad is not None:
+        monkeypatch.setattr(SparsityPattern, "assemble", poisoned)
+    T, Q = disc8.cell_weights.shape
+    with pytest.raises(CoefficientBlowupError, match=what):
         assemble_concentration(disc8, unit_coefficients(),
                                np.zeros(disc8.p1.dof_count),
                                np.zeros((T, Q, 2)), tau=tau, t=0.0)

@@ -24,8 +24,10 @@ def test_defaults():
     assert cfg.mesh_sizes == (16,)
     assert cfg.time_steps == (1.0 / 32.0,)
     assert cfg.final_time == 1.0
-    assert cfg.quad_degree == 4
     assert not cfg.dump_fields
+    assert set(cfg.echo_dict()) == {"mesh_M", "tau", "T", "pressure_tol",
+                                    "concentration_tol", "dump_fields",
+                                    "dump_steps", "output_dir"}
 
 
 def test_mesh_size_cap_lies_above_the_paper_protocol():
@@ -44,7 +46,7 @@ def test_scalars_are_listified():
 
 def test_echo_dict_roundtrips():
     cfg = config_from_dict({"mesh_M": [8, 16], "tau": [0.5, 0.25], "T": 2.0,
-                            "quad_degree": 5,
+                            "pressure_tol": 1e-9, "concentration_tol": 1e-8,
                             "dump_fields": True, "dump_steps": [0, 2],
                             "output_dir": "elsewhere"})
     assert config_from_dict(cfg.echo_dict()) == cfg
@@ -52,8 +54,10 @@ def test_echo_dict_roundtrips():
 
 # schema keys that differ from the StudyConfig field names
 RENAMED = {"mesh_M": "mesh_sizes", "tau": "time_steps", "T": "final_time"}
-# keys outside the schema, which no StudyConfig field takes
-UNKNOWN_KEYS = ("bogus", "case", "mode")
+# keys outside the schema, which no StudyConfig field takes; fd_step and
+# quad_degree were fields of old configs, but every run uses the same
+# source step and volume rule
+UNKNOWN_KEYS = ("bogus", "case", "mode", "fd_step", "quad_degree")
 
 
 @pytest.mark.parametrize("data,path", [
@@ -94,10 +98,12 @@ UNKNOWN_KEYS = ("bogus", "case", "mode")
     ({"case": "nope", "mode": "skew"}, "case"),
     ({"mesh_M": [16, MAX_MESH_M + 1]}, "mesh_M[1]"),
     ({"mesh_M": [10 ** 9]}, "mesh_M[0]"),
-    ({"quad_degree": 1}, "quad_degree"),  # singular P2 stiffness
-    ({"fd_step": 1.5}, "fd_step"),       # wider than the domain
+    ({"quad_degree": 1}, "quad_degree"),
+    ({"fd_step": 1.5}, "fd_step"),
     ({"mesh_M": [16, 32, 16]}, "mesh_M[2]"),    # a pair of ratio 1
     ({"tau": [0.25, 0.125, 0.25]}, "tau[2]"),
+    ({"quad_degree": 4}, "quad_degree"),    # the value every run uses
+    ({"fd_step": 1e-5}, "fd_step"),         # the value every run uses
 ])
 def test_schema_violations_name_the_field(data, path):
     """The same field is named whether the config comes from JSON or is
@@ -129,8 +135,7 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 CONFIG_KEYS = st.sampled_from(["mesh_M", "tau", "T",
                                "pressure_tol", "concentration_tol",
-                               "fd_step", "quad_degree", "dump_fields",
-                               "dump_steps", "output_dir"])
+                               "dump_fields", "dump_steps", "output_dir"])
 
 
 @given(st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=6))
